@@ -294,6 +294,7 @@ class AbductionResult:
     input_scenes: list[Scene] = field(default_factory=list)
     output_scenes: list[Scene] = field(default_factory=list)
     trace: list[str] = field(default_factory=list)
+    optimal: bool = True  # False: the hitting set is the best found within the node budget
 
 
 def _assignment_params(action: Action) -> tuple:
@@ -444,6 +445,7 @@ def abduce(
             input_scenes=explained["input_scenes"],
             output_scenes=explained["output_scenes"],
             trace=trace,
+            optimal=explained["optimal"],
         )
     return AbductionResult(
         ok=False,

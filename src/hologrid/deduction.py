@@ -48,6 +48,7 @@ class TaskDiagnostics:
     size: SizeHypothesis
     action_set: tuple[Action, ...] = ()
     cost: int = 0
+    optimal: bool = True  # False: the hitting set is the best found within the node budget
     demo_replays: list[bool] = field(default_factory=list)
     trace: list[str] = field(default_factory=list)
     program: Optional[Program] = None
@@ -166,6 +167,7 @@ def solve_task(task, encoder: SspEncoder, palette: Vocabulary):
         size=result.size,
         action_set=result.action_set,
         cost=result.cost,
+        optimal=result.optimal,
         demo_replays=_replay_demos(result, program, encoder, palette, codec),
         trace=list(result.trace),
         program=program,

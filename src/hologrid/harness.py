@@ -8,7 +8,6 @@ inspecting learned object vectors.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -531,6 +530,9 @@ def evaluate(tasks, config: EvalConfig) -> EvalReport:
         _worker_init(config.dimension, config.seed)
         verdicts = [_worker_solve(t) for t in chosen]
     else:
+        # Imported here: a one-worker run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_worker_init,

@@ -10,6 +10,7 @@ weight vector or matrix is enough; no deep architecture is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Union
 
@@ -174,6 +175,174 @@ class OperationPredictor:
         return float(_sigmoid(self.steepness * (sim - self.threshold)))
 
 
+def _row_ids(rows) -> NDArray[np.int64]:
+    """Ids that two rows share exactly when they are bitwise equal."""
+    seen: dict[bytes, int] = {}
+    return np.array([seen.setdefault(r.tobytes(), len(seen)) for r in rows], dtype=np.int64)
+
+
+@dataclass
+class _Span:
+    """Coordinates of unit rows in an orthonormal basis of their span.
+
+    Built from the Gram matrix alone, by a pivoted Cholesky factorization:
+    identical rows (equal ``ids``) share one coordinate row, and the
+    factorization stops once every row lies within rounding of the span
+    found so far. Coordinates are padded with zero columns to the row
+    count, so the spans of one task stack into a batch.
+    """
+
+    coords: NDArray[np.float64]  # (M, M): row i's coordinates
+    first: NDArray[np.int64]  # one row index per distinct row
+    to_rows: NDArray[np.float64]  # (distinct, M): each basis vector over the distinct rows
+
+    @classmethod
+    def of(cls, gram, ids) -> "_Span":
+        first = np.unique(ids, return_index=True)[1]
+        gram = gram[np.ix_(first, first)]
+        n, m = len(first), len(ids)
+        # Each step takes the distinct row farthest from the span so far; the
+        # part of it outside that span is the next basis direction.
+        lower = np.zeros((n, n))
+        residual = np.diagonal(gram).copy()  # squared distance of each row from the span
+        floor = residual.max() * n * np.finfo(np.float64).eps
+        pivots: list[int] = []
+        for j in range(n):
+            p = int(np.argmax(residual))
+            if residual[p] <= floor:
+                break
+            column = (gram[:, p] - lower[:, :j] @ lower[p, :j]) / np.sqrt(residual[p])
+            column[pivots] = 0.0
+            column[p] = np.sqrt(residual[p])
+            lower[:, j] = column
+            pivots.append(p)
+            residual -= column**2
+            residual[pivots] = 0.0
+        rank = len(pivots)
+        # The basis in R^N comes from the pivot rows through their inverted triangle.
+        triangle = lower[pivots, :rank]
+        inverse = np.zeros((rank, rank))
+        for j in range(rank):
+            inverse[j] = -(triangle[j, :j] @ inverse[:j])
+            inverse[j, j] += 1.0
+            inverse[j] /= triangle[j, j]
+        coords, to_rows = np.zeros((m, m)), np.zeros((n, m))
+        coords[:, :rank] = lower[ids, :rank]
+        to_rows[pivots, :rank] = inverse.T
+        return cls(coords, first, to_rows)
+
+    def vector(self, coef, distinct_rows) -> HyperVector:
+        """The vector in R^N with the given coordinates; rows as listed by ``first``."""
+        return (self.to_rows @ coef) @ distinct_rows
+
+
+def _normable(norms) -> NDArray[np.bool_]:
+    # What vsa.normalize accepts: a finite, non-zero length.
+    return (norms > 0.0) & np.isfinite(norms)
+
+
+@dataclass
+class _SpanConditions:
+    """A batch of trained condition predictors, in span coordinates.
+
+    ``weights[f]`` are run f's unit weights in the coordinates of its span
+    and ``scores[f]`` their similarity to each row. A ``refused`` run met a
+    weight vector that cannot be normalized, where the direct trainer
+    raises ValueError.
+    """
+
+    weights: NDArray[np.float64]  # (F, M)
+    steepness: NDArray[np.float64]  # (F,)
+    threshold: NDArray[np.float64]  # (F,)
+    scores: NDArray[np.float64]  # (F, M)
+    refused: NDArray[np.bool_]  # (F,)
+
+    def fires(self) -> NDArray[np.bool_]:
+        z = self.steepness[:, None] * (self.scores - self.threshold[:, None])
+        return _sigmoid(z) >= 0.5
+
+
+def _train_span_conditions(coords, train, labels) -> _SpanConditions:
+    """Condition training for a batch of runs, each in the span of its rows.
+
+    ``coords`` (F, M, M) holds each run's rows in span coordinates,
+    ``train`` (F, M) the rows it trains on (at least one of each label) and
+    ``labels`` (M,) or (F, M) the targets. The weights start as a signed sum
+    of training rows and every step adds a combination of them, so they
+    never leave the rows' span (the representer theorem). The descent on
+    ``operation_loss`` therefore runs there, step for step as it would in
+    R^N: weights renormalized after each step, steepness clamped at 1e-3.
+    Each run takes ``MAX_EPOCHS`` full-batch steps unless its loss falls
+    below ``LOSS_FLOOR`` first, from which point its row is frozen.
+    """
+    train = np.asarray(train, dtype=bool)
+    runs, m = train.shape
+    labels = np.broadcast_to(labels, (runs, m))
+    pos, neg = train & labels, train & ~labels
+    transposed = np.ascontiguousarray(coords.transpose(0, 2, 1))
+
+    def combine(coef):  # sum of coef[i] * row i, in coordinates
+        return np.matmul(transposed, coef[..., None])[..., 0]
+
+    def norm(vectors):
+        return np.sqrt(np.einsum("fi,fi->f", vectors, vectors))
+
+    diff = combine(pos - neg.astype(np.float64))
+    # Both classes bundle to the same point: start from the positive prototype
+    # and let the threshold carry the fit.
+    diff = np.where((norm(diff) < 1e-12)[:, None], combine(pos.astype(np.float64)), diff)
+    lengths = norm(diff)
+    refused = ~_normable(lengths)
+    lengths[refused] = 1.0
+    weights = diff / lengths[:, None]
+    scores = np.matmul(coords, weights[..., None])[..., 0]
+    threshold = ((scores * pos).sum(axis=1) / pos.sum(axis=1) + (scores * neg).sum(axis=1) / neg.sum(axis=1)) / 2.0
+    steepness = np.full(runs, INITIAL_STEEPNESS)
+
+    # With flip = -1 for positives and +1 for negatives, a row's loss is
+    # softplus(flip * z) and its residual sigmoid(z) - y is flip * sigmoid(flip * z).
+    flip = np.where(labels, -1.0, 1.0)
+    share = train / train.sum(axis=1, keepdims=True)  # each training row's weight in the mean
+    flip_share = flip * share
+    active = ~refused
+    for _ in range(MAX_EPOCHS):
+        margins = scores - threshold[:, None]
+        flipped = steepness[:, None] * margins * flip
+        softplus = np.maximum(flipped, 0.0) + np.log1p(np.exp(-np.abs(flipped)))
+        loss = np.einsum("fi,fi->f", softplus, share)
+        active &= ~(loss < LOSS_FLOOR)
+        if not active.any():
+            break
+        resid = _sigmoid(flipped) * flip_share
+        step = weights - LEARNING_RATE * (steepness[:, None] * combine(resid))
+        lengths = norm(step)
+        ok = _normable(lengths)
+        if not ok.all():
+            refused |= active & ~ok
+            active &= ok
+            lengths[~ok] = 1.0
+        updated = (
+            step / lengths[:, None],
+            np.maximum(steepness - LEARNING_RATE * np.einsum("fi,fi->f", resid, margins), 1e-3),
+            threshold + LEARNING_RATE * (steepness * resid.sum(axis=1)),  # a step down d loss / d threshold
+        )
+        if not active.all():
+            frozen = ~active
+            for new, old in zip(updated, (weights, steepness, threshold)):
+                new[frozen] = old[frozen]
+        weights, steepness, threshold = updated
+        scores = np.matmul(coords, weights[..., None])[..., 0]
+    return _SpanConditions(weights, steepness, threshold, scores, refused)
+
+
+def _materialize(fit: _SpanConditions, run: int, subset, span: _Span, distinct_rows) -> OperationPredictor:
+    """One run's predictor, its weights built in R^N from the span's distinct rows."""
+    if fit.refused[run]:
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    weights = vsa.normalize(span.vector(fit.weights[run], distinct_rows))
+    return OperationPredictor(subset, weights, float(fit.steepness[run]), float(fit.threshold[run]))
+
+
 def train_operation_predictor(positives, negatives, subset: PropertySubset) -> OperationPredictor:
     """Fit the condition predictor; no negatives means a vacuous condition."""
     if not positives:
@@ -181,28 +350,13 @@ def train_operation_predictor(positives, negatives, subset: PropertySubset) -> O
     subset = canonical_subset(subset)
     if not negatives:
         return OperationPredictor(subset=subset)
-    pos = subset_matrix(positives, subset)
-    neg = subset_matrix(negatives, subset)
-    diff = pos.sum(axis=0) - neg.sum(axis=0)
-    if np.linalg.norm(diff) < 1e-12:
-        # Both classes bundle to the same point under this subset; start from
-        # the positive prototype and let the threshold carry the fit.
-        diff = pos.sum(axis=0)
-    weights = vsa.normalize(diff)
-    threshold = float((pos @ weights).mean() + (neg @ weights).mean()) / 2.0
-    steepness = INITIAL_STEEPNESS
-    inputs = np.vstack([pos, neg])
-    targets = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-    for _ in range(MAX_EPOCHS):
-        loss, grad_w, grad_k, grad_b = operation_loss_grad(
-            weights, steepness, threshold, inputs, targets
-        )
-        if loss < LOSS_FLOOR:
-            break
-        weights = vsa.normalize(weights - LEARNING_RATE * grad_w)
-        steepness = max(steepness - LEARNING_RATE * grad_k, 1e-3)
-        threshold = threshold - LEARNING_RATE * grad_b
-    return OperationPredictor(subset, weights, float(steepness), float(threshold))
+    inputs = subset_matrix(list(positives) + list(negatives), subset)
+    rows = len(inputs)
+    span = _Span.of(inputs @ inputs.T, _row_ids(inputs))
+    fit = _train_span_conditions(
+        span.coords[None], np.ones((1, rows), dtype=bool), np.arange(rows) < len(positives)
+    )
+    return _materialize(fit, 0, subset, span, inputs[span.first])
 
 
 # --------------------------------------------------------------------------
@@ -443,6 +597,56 @@ class Program:
         return len(self.rules)
 
 
+class _SpanBasis:
+    """Span coordinates of every property subset over one task's demo objects.
+
+    A subset vector is a normalized sum of property vectors, so each
+    subset's Gram matrix follows from 3x3 blocks of the property cross-Gram.
+    That takes one (3M x N) product, made on first use and shared by every
+    subset, fold and rule kind of the task. A fold trains on some rows of
+    its subset's span and scores the rest from the same coordinates.
+    """
+
+    def __init__(self, objects: list[ObjectRepr]):
+        self.objects = objects
+        self._spans: dict[PropertySubset, _Span] = {}
+
+    @cached_property
+    def _cross(self):
+        props = np.array([[property_vector(o, p) for o in self.objects] for p in PROPERTY_ORDER])
+        flat = props.reshape(-1, props.shape[-1])
+        m = len(self.objects)
+        blocks = (flat @ flat.T).reshape(3, m, 3, m).transpose(0, 2, 1, 3)
+        return blocks, np.array([_row_ids(p) for p in props])
+
+    def span(self, subset: PropertySubset) -> _Span:
+        """Span coordinates of the subset bundles, from their Gram matrix."""
+        if subset not in self._spans:
+            blocks, ids = self._cross
+            k = [PROPERTY_ORDER.index(p) for p in subset]
+            raw = blocks[np.ix_(k, k)].sum(axis=(0, 1))
+            norms = np.sqrt(np.diagonal(raw))
+            self._spans[subset] = _Span.of(raw / np.outer(norms, norms), _row_ids(ids[k].T))
+        return self._spans[subset]
+
+
+def _demo_objects(result: AbductionResult):
+    """Every demo input object, flattened, with its demo, the flat index of each
+    (demo, object in demo) pair, and each demo's output dims."""
+    keys = [(d, i) for d, scene in enumerate(result.input_scenes) for i in range(len(scene.objects))]
+    objects = [result.input_scenes[d].objects[i] for d, i in keys]
+    index_of = {key: n for n, key in enumerate(keys)}
+    out_dims = {d: tuple(scene.grid.shape) for d, scene in enumerate(result.output_scenes)}
+    return objects, [d for d, _ in keys], index_of, out_dims
+
+
+def _labels(assigned, index_of) -> NDArray[np.bool_]:
+    """Which objects the given assignments act on."""
+    labels = np.zeros(len(index_of), dtype=bool)
+    labels[[index_of[(a.demo_index, a.input_index)] for a in assigned]] = True
+    return labels
+
+
 @dataclass
 class _RuleObservations:
     """Everything rule learning needs about one operation kind."""
@@ -453,33 +657,77 @@ class _RuleObservations:
     labels: NDArray[np.bool_]  # was this object subject to the operation?
     pairs_by_slot: dict[str, list[tuple[int, ParamValue]]]  # object index -> value
     out_dims: dict[int, tuple[int, int]]
+    basis: Optional[_SpanBasis] = None  # shared by the kinds of one task
 
-    def split(self, held_out: int):
-        train_idx = [i for i, d in enumerate(self.demo_of) if d != held_out]
-        test_idx = [i for i, d in enumerate(self.demo_of) if d == held_out]
-        return train_idx, test_idx
-
-
-def _train_condition(obs: _RuleObservations, indices, subset: PropertySubset) -> OperationPredictor:
-    positives = [obs.objects[i] for i in indices if obs.labels[i]]
-    negatives = [obs.objects[i] for i in indices if not obs.labels[i]]
-    return train_operation_predictor(positives, negatives, subset)
+    def __post_init__(self) -> None:
+        if self.basis is None:
+            self.basis = _SpanBasis(self.objects)
 
 
-def _condition_accuracy(pred: OperationPredictor, obs: _RuleObservations, indices) -> float:
-    hits = [
-        (pred.probability(obs.objects[i]) >= 0.5) == bool(obs.labels[i]) for i in indices
-    ]
-    return float(np.mean(hits))
+@dataclass
+class _KindConditions:
+    """Condition training of one rule kind, from the task's shared batch."""
+
+    accuracy: NDArray[np.float64]  # (subsets, folds): held-out accuracy
+    full: dict[PropertySubset, tuple[_SpanConditions, int]]  # fit on every object, by subset
+
+    def predictor(self, obs: _RuleObservations, subset: PropertySubset) -> OperationPredictor:
+        """The full-data condition; vacuous when no object is a negative."""
+        if subset not in self.full:
+            return OperationPredictor(subset=subset)
+        fit, run = self.full[subset]
+        span = obs.basis.span(subset)
+        distinct = subset_matrix([obs.objects[i] for i in span.first], subset)
+        return _materialize(fit, run, subset, span, distinct)
 
 
-def _fold_score(obs: _RuleObservations, subset, held_out, codec: ParamCodec) -> Optional[float]:
-    train_idx, test_idx = obs.split(held_out)
-    if not test_idx or not any(obs.labels[i] for i in train_idx):
-        return None
-    components = []
-    condition = _train_condition(obs, train_idx, subset)
-    components.append(_condition_accuracy(condition, obs, test_idx))
+def _scored_folds(obs: _RuleObservations) -> list[int]:
+    """Demos to hold out in turn; a fold is skipped when no positive is left to train on."""
+    demo_of = np.asarray(obs.demo_of)
+    return [d for d in sorted(set(obs.demo_of)) if obs.labels[demo_of != d].any()]
+
+
+def _fit_conditions(plans) -> list[_KindConditions]:
+    """Every condition training of a task in one batch.
+
+    ``plans`` holds (observations, candidate subsets, folds) per rule kind.
+    Each kind trains one run per (subset, fold) for cross-validation and
+    one per subset on every object, so the final fit is ready whichever
+    subset wins. A fold with no negatives to train on keeps the vacuous
+    condition, which fires on every held-out object.
+    """
+    results, runs = [], []  # runs: (kind, subset, fold or None for the full fit, training rows)
+    for k, (obs, subsets, folds) in enumerate(plans):
+        held = [np.asarray(obs.demo_of) == d for d in folds]
+        accuracy = np.tile([np.mean(obs.labels[h]) for h in held], (len(subsets), 1))
+        results.append(_KindConditions(accuracy, {}))
+        if obs.labels.all():
+            continue
+        trained = [(f, ~h) for f, h in enumerate(held) if (~obs.labels & ~h).any()]
+        everything = np.ones(len(obs.objects), dtype=bool)
+        for s in range(len(subsets)):
+            runs.extend((k, s, f, train) for f, train in trained + [(None, everything)])
+    if not runs:
+        return results
+    labels = np.stack([plans[k][0].labels for k, *_ in runs])
+    fit = _train_span_conditions(
+        np.stack([plans[k][0].basis.span(plans[k][1][s]).coords for k, s, *_ in runs]),
+        np.stack([train for *_, train in runs]),
+        labels,
+    )
+    if any(fit.refused[r] for r, (_, _, f, _) in enumerate(runs) if f is not None):
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    hits = fit.fires() == labels
+    for r, (k, s, f, train) in enumerate(runs):
+        if f is None:
+            results[k].full[plans[k][1][s]] = (fit, r)
+        else:
+            results[k].accuracy[s, f] = np.mean(hits[r, ~train])
+    return results
+
+
+def _fold_score(obs: _RuleObservations, subset, held_out, condition: float, codec: ParamCodec) -> float:
+    components = [condition]
     dims = obs.out_dims[held_out]
     slot_scores = []
     for slot, pairs in obs.pairs_by_slot.items():
@@ -497,19 +745,23 @@ def _fold_score(obs: _RuleObservations, subset, held_out, codec: ParamCodec) -> 
     return float(np.mean(components))
 
 
-def cross_validate(obs: _RuleObservations, subsets, codec: ParamCodec) -> PropertySubset:
+def cross_validate(
+    obs: _RuleObservations, subsets, codec: ParamCodec, conditions: Optional[_KindConditions] = None
+) -> PropertySubset:
     """Leave-one-demonstration-out selection among candidate subsets.
 
-    Single-demonstration tasks fall back to the top-ranked candidate; ties
-    keep the heuristic ranking order.
+    ``conditions`` carries the condition accuracies when they were trained
+    with the task's other kinds. Single-demonstration tasks fall back to
+    the top-ranked candidate; ties keep the heuristic ranking order.
     """
-    demos = sorted(set(obs.demo_of))
-    if len(demos) < 2:
-        return subsets[0]
+    folds = _scored_folds(obs)
+    if conditions is None:
+        (conditions,) = _fit_conditions([(obs, subsets, folds)])
     best_subset, best_score = subsets[0], -1.0
-    for subset in subsets:
+    for s, subset in enumerate(subsets):
         fold_scores = [
-            s for d in demos if (s := _fold_score(obs, subset, d, codec)) is not None
+            _fold_score(obs, subset, d, float(conditions.accuracy[s, f]), codec)
+            for f, d in enumerate(folds)
         ]
         score = float(np.mean(fold_scores)) if fold_scores else -1.0
         if score > best_score:
@@ -533,56 +785,45 @@ def induce(result: AbductionResult, encoder: SspEncoder, palette: Vocabulary) ->
     if not result.ok:
         raise InductionError("cannot induce rules from a failed explanation")
     codec = make_codec(encoder, palette)
-    objects: list[ObjectRepr] = []
-    demo_of: list[int] = []
-    index_of: dict[tuple[int, int], int] = {}
-    for d, scene in enumerate(result.input_scenes):
-        for i, obj in enumerate(scene.objects):
-            index_of[(d, i)] = len(objects)
-            objects.append(obj)
-            demo_of.append(d)
-    out_dims = {d: tuple(scene.grid.shape) for d, scene in enumerate(result.output_scenes)}
+    objects, demo_of, index_of, out_dims = _demo_objects(result)
+    basis = _SpanBasis(objects)
 
     kinds: list[OperationKind] = []
     for action in result.action_set:
         if action.kind not in kinds:
             kinds.append(action.kind)
 
-    rules = []
+    plans = []
     for kind in kinds:
         assigned = [a for a in result.assignments if a.action.kind is kind]
         if not assigned:
             continue
-        labels = np.zeros(len(objects), dtype=bool)
-        for a in assigned:
-            labels[index_of[(a.demo_index, a.input_index)]] = True
+        labels = _labels(assigned, index_of)
         pairs_by_slot = {
-            slot: [
-                (index_of[(a.demo_index, a.input_index)], a.action.param(slot))
-                for a in assigned
-            ]
+            slot: [(index_of[(a.demo_index, a.input_index)], a.action.param(slot)) for a in assigned]
             for slot in dsl.PARAM_SLOTS[kind]
         }
-        obs = _RuleObservations(kind, objects, demo_of, labels, pairs_by_slot, out_dims)
+        obs = _RuleObservations(kind, objects, demo_of, labels, pairs_by_slot, out_dims, basis)
         subsets = rank_properties(objects, [bool(x) for x in labels])
-        subset = (
-            cross_validate(obs, subsets, codec)
-            if _needs_subset_search(obs, codec)
-            else subsets[0]
-        )
-        all_idx = list(range(len(objects)))
+        folds = _scored_folds(obs) if _needs_subset_search(obs, codec) else []
+        # Without a fold to score, the top-ranked subset is the only candidate.
+        plans.append((obs, subsets if folds else subsets[:1], folds))
+
+    rules = []
+    for (obs, subsets, folds), conditions in zip(plans, _fit_conditions(plans)):
+        subset = cross_validate(obs, subsets, codec, conditions) if folds else subsets[0]
         try:
-            condition = _train_condition(obs, all_idx, subset)
+            condition = conditions.predictor(obs, subset)
         except ValueError:
             condition = OperationPredictor(subset=canonical_subset(subset))
         parameters: dict[str, ParameterPredictor] = {}
-        for slot, pairs in pairs_by_slot.items():
-            full = [(objects[i], v) for i, v in pairs]
+        for slot, pairs in obs.pairs_by_slot.items():
+            full = [(obs.objects[i], v) for i, v in pairs]
             try:
                 parameters[slot] = train_parameter_predictor(full, slot, subset, codec)
             except ValueError:
                 parameters[slot] = ConstantParameter(full[0][1])
-        rules.append(Rule(kind, condition, parameters))
+        rules.append(Rule(obs.kind, condition, parameters))
     return Program(tuple(rules))
 
 
@@ -597,23 +838,13 @@ def training_fit(result: AbductionResult, program: Program, encoder: SspEncoder,
     if not result.ok:
         return False
     codec = make_codec(encoder, palette)
-    objects: list[ObjectRepr] = []
-    demo_of: list[int] = []
-    index_of: dict[tuple[int, int], int] = {}
-    for d, scene in enumerate(result.input_scenes):
-        for i, obj in enumerate(scene.objects):
-            index_of[(d, i)] = len(objects)
-            objects.append(obj)
-            demo_of.append(d)
-    out_dims = {d: tuple(scene.grid.shape) for d, scene in enumerate(result.output_scenes)}
+    objects, demo_of, index_of, out_dims = _demo_objects(result)
     by_kind: dict[OperationKind, list] = {}
     for a in result.assignments:
         by_kind.setdefault(a.action.kind, []).append(a)
     for rule in program.rules:
         assigned = by_kind.get(rule.kind, [])
-        labels = np.zeros(len(objects), dtype=bool)
-        for a in assigned:
-            labels[index_of[(a.demo_index, a.input_index)]] = True
+        labels = _labels(assigned, index_of)
         for i, obj in enumerate(objects):
             if (rule.condition.probability(obj) >= 0.5) != bool(labels[i]):
                 return False

@@ -138,12 +138,6 @@ def bundle(vectors, normalize: bool = False) -> HyperVector:
     return _normalize(out) if normalize else out
 
 
-def is_unitary(v: HyperVector, tol: float = 1e-6) -> bool:
-    """True when every DFT coefficient has magnitude 1 within ``tol``."""
-    mags = np.abs(np.fft.rfft(v))
-    return bool(np.max(np.abs(mags - 1.0)) < tol)
-
-
 class Vocabulary:
     """Ordered name -> vector table used for cleanup (nearest-symbol recall)."""
 

@@ -73,6 +73,48 @@ def logistic_loss_direct(w, kappa, b, xs, ys) -> float:
     return total / len(ys)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0 or not np.isfinite(norm):
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    return v / norm
+
+
+def condition_training_direct(pos, neg, learning_rate, max_epochs, loss_floor, initial_steepness):
+    """Logistic condition predictor trained on the weight vector itself, in R^N.
+
+    The weights start at the normalized difference of the class sums (the
+    positive sum when that difference vanishes) and take full-batch
+    gradient steps on sigmoid(k * (w.x - b)), renormalized after each one.
+    Returns (weights, steepness, threshold); raises ValueError when a
+    weight vector cannot be normalized.
+    """
+    pos = np.asarray(pos, dtype=np.float64)
+    neg = np.asarray(neg, dtype=np.float64)
+    diff = pos.sum(axis=0) - neg.sum(axis=0)
+    if np.linalg.norm(diff) < 1e-12:
+        diff = pos.sum(axis=0)
+    w = _unit(diff)
+    b = float((pos @ w).mean() + (neg @ w).mean()) / 2.0
+    k = initial_steepness
+    xs = np.vstack([pos, neg])
+    ys = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+    for _ in range(max_epochs):
+        margins = xs @ w - b
+        z = k * margins
+        r = (1.0 / (1.0 + np.exp(-z)) - ys) / len(ys)
+        loss = float(np.mean(np.maximum(z, 0.0) - z * ys + np.log1p(np.exp(-np.abs(z)))))
+        if loss < loss_floor:
+            break
+        grad_w = k * (xs.T @ r)
+        grad_k = float(r @ margins)
+        grad_b = float(-k * r.sum())
+        w = _unit(w - learning_rate * grad_w)
+        k = max(k - learning_rate * grad_k, 1e-3)
+        b = b - learning_rate * grad_b
+    return w, k, b
+
+
 def linear_loss_direct(weights, xs, ys) -> float:
     """Mean squared residual norm of a linear map, naive formulation."""
     total = 0.0

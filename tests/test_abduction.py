@@ -242,6 +242,24 @@ def test_abduce_shared_move_beats_one_off_retargets():
     assert result.cost == 11
 
 
+def test_abduce_reports_when_the_node_budget_cut_the_search():
+    demos = [
+        demo(
+            [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        ),
+        demo(
+            [[0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]],
+        ),
+    ]
+    full = ab.abduce(demos, ENC, PALETTE)
+    cut = ab.abduce(demos, ENC, PALETTE, node_budget=1)
+    assert full.ok and full.optimal
+    assert cut.ok and not cut.optimal
+    assert cut.trace == full.trace
+
+
 def test_abduce_rejects_contradictory_demos():
     demos = [
         demo([[7, 7]], [[5, 5]]),

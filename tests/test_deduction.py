@@ -110,6 +110,21 @@ def test_solve_task_conditional_move():
     )
 
 
+def test_task_diagnostics_carry_the_hitting_set_optimality(monkeypatch):
+    demos = [
+        ([[2, 0, 0], [0, 0, 0]], [[0, 2, 0], [0, 0, 0]]),
+        ([[0, 0, 0], [2, 0, 0]], [[0, 0, 0], [0, 2, 0]]),
+    ]
+    task = make_task(demos, queries=[[[0, 2, 0], [0, 0, 0]]])
+    _, diag = de.solve_task(task, ENC, PALETTE)
+    assert diag.ok and diag.optimal
+    abduce = de.abduce
+    monkeypatch.setattr(de, "abduce", lambda *args: abduce(*args, node_budget=1))
+    _, cut = de.solve_task(task, ENC, PALETTE)
+    assert cut.ok and not cut.optimal
+    assert cut.trace == diag.trace
+
+
 def test_solve_task_constant_size_generation():
     task = make_task(
         demos=[

@@ -9,7 +9,13 @@ from hologrid import dsl, induction as ind, perception as pc
 from hologrid import ssp, vsa
 from hologrid.dsl import Action, Amount, Centre, Colour, OperationKind as Op, Shape
 
-from oracles import conv_direct, linear_loss_direct, logistic_loss_direct, softmax_direct
+from oracles import (
+    condition_training_direct,
+    conv_direct,
+    linear_loss_direct,
+    logistic_loss_direct,
+    softmax_direct,
+)
 
 CFG = vsa.VsaConfig(dimension=512, seed=33)
 ENC = ssp.SspEncoder(CFG)
@@ -165,6 +171,175 @@ def test_operation_gradients_match_finite_differences():
     assert gb == pytest.approx(
         central(lambda v: ind.operation_loss(w, kappa, v, X, y), b), rel=1e-4, abs=1e-8
     )
+
+
+# ---------------------------------------------------------------- span-space condition training
+
+ALL_SUBSETS = [
+    ("colour",), ("centre",), ("shape",),
+    ("colour", "centre"), ("colour", "shape"), ("centre", "shape"),
+    ("colour", "centre", "shape"),
+]
+
+
+def direct(pos, neg):
+    return condition_training_direct(
+        pos, neg, ind.LEARNING_RATE, ind.MAX_EPOCHS, ind.LOSS_FLOOR, ind.INITIAL_STEEPNESS
+    )
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def bundles(objects, subset):
+    """Subset vectors built in the test, from the raw property vectors."""
+    return np.stack([
+        unit(sum(getattr(o, f"{p}_vec") for p in subset)) for o in objects
+    ])
+
+
+def assert_matches_direct(weights, steepness, threshold, pos, neg):
+    """Agreement with the direct trainer within 1e-12, returning its (w, k, b).
+
+    A few trainings amplify rounding; there the bound is ten times the
+    distance the direct trainer itself moves when only its row order changes.
+    """
+    w, k, b = direct(pos, neg)
+    error = max(np.max(np.abs(weights - w)), abs(steepness - k), abs(threshold - b))
+    if error >= 1e-12:
+        w2, k2, b2 = direct(pos[::-1], neg[::-1])
+        spread = max(np.max(np.abs(w2 - w)), abs(k2 - k), abs(b2 - b))
+        assert error < 10 * spread, (error, spread)
+    return w, k, b
+
+
+def fires_direct(w, k, b, rows):
+    return 1.0 / (1.0 + np.exp(-k * (rows @ w - b))) >= 0.5
+
+
+def random_observations(rng, dim=64):
+    """Objects drawn from small property pools, so identical bundles recur."""
+    pools = {p: [unit(rng.normal(size=dim)) for _ in range(n)] for p, n in
+             (("colour", 3), ("centre", 4), ("shape", 3))}
+    demos = int(rng.integers(2, 5))
+    demo_of = sorted(int(d) for d in rng.integers(0, demos, size=int(rng.integers(4, 13))))
+    objects = [
+        pc.ObjectRepr(None, *(pools[p][rng.integers(len(pools[p]))] for p in ind.PROPERTY_ORDER))
+        for _ in demo_of
+    ]
+    labels = rng.random(len(objects)) < rng.uniform(0.2, 0.8)
+    return ind._RuleObservations(
+        Op.MOVE, objects, demo_of, labels, {}, {d: (7, 7) for d in set(demo_of)}
+    )
+
+
+def test_span_training_matches_direct_oracle_on_random_folds():
+    rng = np.random.default_rng(2024)
+    seen = {"trained": 0, "vacuous": 0, "skipped": 0}
+    for _ in range(20):
+        obs = random_observations(rng)
+        if obs.labels.all() or not obs.labels.any():
+            continue
+        folds = ind._scored_folds(obs)
+        (conditions,) = ind._fit_conditions([(obs, ALL_SUBSETS, folds)])
+        demo_of = np.array(obs.demo_of)
+        runs = []  # (subset index, held-out demo) of every trained fold
+        for s, subset in enumerate(ALL_SUBSETS):
+            for d in sorted(set(obs.demo_of)):
+                train = demo_of != d
+                if not obs.labels[train].any():
+                    assert d not in folds
+                    seen["skipped"] += 1
+                elif obs.labels[train].all():
+                    assert conditions.accuracy[s, folds.index(d)] == np.mean(obs.labels[~train])
+                    seen["vacuous"] += 1
+                else:
+                    runs.append((s, d))
+        spans = [obs.basis.span(subset) for subset in ALL_SUBSETS]
+        if runs:
+            fit = ind._train_span_conditions(
+                np.stack([spans[s].coords for s, _ in runs]),
+                np.stack([demo_of != d for _, d in runs]),
+                obs.labels,
+            )
+        for r, (s, d) in enumerate(runs):
+            X = bundles(obs.objects, ALL_SUBSETS[s])
+            assert np.allclose(spans[s].coords @ spans[s].coords.T, X @ X.T, atol=1e-12)
+            train, test = demo_of != d, demo_of == d
+            w, k, b = assert_matches_direct(
+                spans[s].vector(fit.weights[r], X[spans[s].first]), fit.steepness[r],
+                fit.threshold[r], X[train & obs.labels], X[train & ~obs.labels],
+            )
+            expected = fires_direct(w, k, b, X[test])
+            # A held-out bundle that also trains under both labels can sit at
+            # p = 0.5 exactly, where rounding decides either way.
+            clear = np.abs(k * (X[test] @ w - b)) > 1e-9
+            assert np.array_equal(fit.fires()[r, test][clear], expected[clear])
+            if clear.all():
+                accuracy = conditions.accuracy[s, folds.index(d)]
+                assert accuracy == np.mean(expected == obs.labels[test])
+                seen["trained"] += 1
+        for subset in ALL_SUBSETS:
+            X = bundles(obs.objects, subset)
+            pred = conditions.predictor(obs, subset)
+            assert_matches_direct(
+                pred.weights, pred.steepness, pred.threshold, X[obs.labels], X[~obs.labels]
+            )
+    assert min(seen.values()) > 0, seen
+
+
+def test_train_operation_predictor_matches_direct_oracle():
+    positives = [square(1, 0, 0), pixel(1, 3, 3), square(4, 4, 1)]
+    negatives = [pixel(6, 6, 6), pixel(6, 0, 6), square(8, 2, 4)]
+    for subset in ALL_SUBSETS:
+        pred = ind.train_operation_predictor(positives, negatives, subset)
+        assert_matches_direct(
+            pred.weights, pred.steepness, pred.threshold,
+            bundles(positives, subset), bundles(negatives, subset),
+        )
+
+
+def test_cancelling_bundles_start_from_positive_prototype():
+    # Positives and negatives bundle to the same point. The fallback is decided
+    # on span coordinates, not on sqrt(c^T G c), which rounding keeps above 1e-12.
+    objs = [pixel(2, 1, 1), square(5, 3, 3), pixel(7, 0, 4)]
+    positives, negatives = objs, [objs[2], objs[0], objs[1]]
+    subset = ("colour", "shape")
+    X, Y = bundles(positives, subset), bundles(negatives, subset)
+    assert np.linalg.norm(X.sum(axis=0) - Y.sum(axis=0)) < 1e-12
+    pred = ind.train_operation_predictor(positives, negatives, subset)
+    w, _, _ = assert_matches_direct(pred.weights, pred.steepness, pred.threshold, X, Y)
+    # A Gram matrix whose entries carry rounding noise decides the same way.
+    rows = np.vstack([X, Y])
+    rng = np.random.default_rng(3)
+    noise = rng.normal(scale=1e-15, size=(6, 6))
+    gram = rows @ rows.T + (noise + noise.T)
+    labels = np.arange(6) < 3
+    signed = np.where(labels, 1.0, -1.0)
+    assert np.sqrt(abs(signed @ gram @ signed)) > 1e-12
+    span = ind._Span.of(gram, ind._row_ids(rows))
+    fit = ind._train_span_conditions(span.coords[None], np.ones((1, 6), dtype=bool), labels)
+    assert np.max(np.abs(span.vector(fit.weights[0], rows[span.first]) - w)) < 1e-9
+
+
+def test_zero_norm_weights_are_refused():
+    rng = np.random.default_rng(8)
+    x, y = unit(rng.normal(size=32)), unit(rng.normal(size=32))
+    # Rows x, -x, y, -y: both class sums vanish, and so does the positive prototype.
+    rows = np.stack([x, -x, y, -y])
+    labels = np.array([True, True, False, False])
+    with pytest.raises(ValueError):
+        direct(rows[labels], rows[~labels])
+    cos = x @ y
+    coords = np.zeros((4, 4))
+    coords[:, :2] = [[1.0, 0.0], [-1.0, 0.0], [cos, np.sqrt(1 - cos**2)], [-cos, -np.sqrt(1 - cos**2)]]
+    fit = ind._train_span_conditions(coords[None], np.ones((1, 4), dtype=bool), labels)
+    assert fit.refused[0]
+    # The refusal surfaces as the ValueError that induce turns into a vacuous condition.
+    span = ind._Span(coords, np.arange(4), np.eye(4))
+    with pytest.raises(ValueError):
+        ind._materialize(fit, 0, ("colour",), span, rows)
 
 
 # ---------------------------------------------------------------- parameter predictors
