@@ -32,6 +32,7 @@ from .vsa import Vocabulary, similarity
 OP_COST = 10
 PARAM_COST = 1
 TAU_SAME = 0.95
+NODE_BUDGET = 200_000  # branch-and-bound nodes per hitting-set search
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def _solution_key(actions) -> tuple:
     return tuple(sorted(a.sort_key() for a in actions))
 
 
-def minimum_hitting_set(partial_sets, op_cost: int = OP_COST, param_cost: int = PARAM_COST, node_budget: int = 200_000):
+def minimum_hitting_set(partial_sets, op_cost: int = OP_COST, param_cost: int = PARAM_COST, node_budget: int = NODE_BUDGET):
     """Exact minimum-cost hitting set by branch and bound.
 
     Cost charges ``op_cost`` per distinct operation kind plus ``param_cost``
@@ -416,7 +417,7 @@ def abduce(
     demos: list[tuple[Grid, Grid]],
     encoder: SspEncoder,
     palette: Vocabulary,
-    node_budget: int = 200_000,
+    node_budget: int = NODE_BUDGET,
 ) -> AbductionResult:
     """Explain the demonstrations; never raises on unexplainable tasks."""
     if not demos:

@@ -95,11 +95,15 @@ def solve_query(
     codec: Optional[ParamCodec] = None,
     query_index: int = 0,
 ) -> Prediction:
-    """Run the program over one query grid and render the answer."""
-    codec = codec or make_codec(encoder, palette)
-    trace: list[str] = []
+    """Perceive one query grid, then answer it with ``answer_scene``."""
     scene = pc.perceive(query, hypothesis, encoder, palette)
-    query_dims = tuple(query.shape)
+    return answer_scene(program, size, scene, codec or make_codec(encoder, palette), query_index)
+
+
+def answer_scene(program: Program, size: SizeHypothesis, scene: Scene, codec: ParamCodec, query_index: int = 0) -> Prediction:
+    """Run the program over an already perceived query scene and render the answer."""
+    trace: list[str] = []
+    query_dims = tuple(scene.grid.shape)
     if size.kind == "identity":
         canvas = query_dims
     elif size.kind == "constant":
@@ -125,14 +129,12 @@ def solve_query(
     return Prediction(query_index, crop, trace)
 
 
-def _replay_demos(result: AbductionResult, program: Program, encoder, palette, codec) -> list[bool]:
-    """Run the induced program back over each demo input; exact-match flags."""
+def _replay_demos(result: AbductionResult, program: Program, codec: ParamCodec) -> list[bool]:
+    """Run the induced program back over each demo input scene; exact-match flags."""
     flags = []
-    for d, scene in enumerate(result.input_scenes):
-        want = result.output_scenes[d].grid
-        got = solve_query(
-            program, result.hypothesis, result.size, scene.grid, encoder, palette, codec
-        ).grid
+    for scene, out_scene in zip(result.input_scenes, result.output_scenes):
+        want = out_scene.grid
+        got = answer_scene(program, result.size, scene, codec).grid
         flags.append(got is not None and got.shape == want.shape and bool(np.array_equal(got, want)))
     return flags
 
@@ -159,7 +161,7 @@ def solve_task(task, encoder: SspEncoder, palette: Vocabulary):
         return [Prediction(i, None, [marker]) for i in range(len(queries))], diag
 
     codec = make_codec(encoder, palette)
-    program = induce(result, encoder, palette)
+    program = induce(result, codec)
     diag = TaskDiagnostics(
         ok=True,
         reason=None,
@@ -168,10 +170,10 @@ def solve_task(task, encoder: SspEncoder, palette: Vocabulary):
         action_set=result.action_set,
         cost=result.cost,
         optimal=result.optimal,
-        demo_replays=_replay_demos(result, program, encoder, palette, codec),
+        demo_replays=_replay_demos(result, program, codec),
         trace=list(result.trace),
         program=program,
-        training_fit=training_fit(result, program, encoder, palette),
+        training_fit=training_fit(result, program, codec),
     )
     predictions = [
         solve_query(program, result.hypothesis, result.size, q, encoder, palette, codec, i)

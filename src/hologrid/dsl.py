@@ -416,16 +416,3 @@ def param_value_from_json(data) -> ParamValue:
     if tag == "shape":
         return Shape(frozenset((float(dr), float(dc)) for dr, dc in raw))
     raise ValueError(f"unknown parameter tag {tag!r}")
-
-
-def action_to_json(action: Action):
-    return {
-        "kind": action.kind.value,
-        "params": {slot: param_value_to_json(v) for slot, v in action.params},
-    }
-
-
-def action_from_json(data) -> Action:
-    kind = OperationKind(data["kind"])
-    params = {slot: param_value_from_json(v) for slot, v in data["params"].items()}
-    return Action.make(kind, **params)

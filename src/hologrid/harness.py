@@ -16,6 +16,7 @@ import numpy as np
 
 from . import abduction, deduction, induction, ssp, vsa
 from . import perception as pc
+from .dsl import Direction
 from .perception import Grid
 
 
@@ -137,24 +138,12 @@ def predictions_to_json(record: TaskRecord, predictions) -> dict:
     }
 
 
-def save_predictions(path, record: TaskRecord, predictions) -> None:
-    Path(path).write_text(json.dumps(predictions_to_json(record, predictions), indent=2) + "\n", encoding="utf-8")
-
-
-def load_predictions(path) -> tuple[str, list[Optional[Grid]]]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    grids = [None if g is None else pc.as_grid(g) for g in doc["predictions"]]
-    return doc["id"], grids
-
-
 # ---------------------------------------------------------------------------
 # Synthetic moving-objects benchmark
 
 GRID_SIDE = 20
 OBJECTS_PER_GRID = 3
 DEMOS_PER_TASK = 5
-DIRECTIONS = ("up", "down", "left", "right")
-_STEPS = {"up": (-1, 0), "down": (1, 0), "left": (0, -1), "right": (0, 1)}
 
 
 def _connected4(cells: frozenset[tuple[int, int]]) -> bool:
@@ -241,9 +230,9 @@ def _paint(cell_sets, colours) -> Grid:
     return grid
 
 
-def _sample_pair(rng, masks, condition: str, cond_value, direction: str):
+def _sample_pair(rng, masks, condition: str, cond_value, direction: Direction):
     """One input/output grid pair. Object 0 matches the condition and moves."""
-    step = _STEPS[direction]
+    step = direction.step
     if condition == "colour":
         others = rng.choice([c for c in range(1, 10) if c != cond_value], size=2, replace=False)
         colours = [cond_value, int(others[0]), int(others[1])]
@@ -276,7 +265,8 @@ def generate_sort_of_arc(count: int, seed: int) -> list[TaskRecord]:
     records = []
     for t in range(count):
         condition = "colour" if t < colour_total else "shape"
-        direction = DIRECTIONS[int(rng.integers(len(DIRECTIONS)))]
+        # Drawn by index: the task stream depends on the enum order up, down, left, right.
+        direction = list(Direction)[int(rng.integers(len(Direction)))]
         if condition == "colour":
             cond_value = int(rng.integers(1, 10))
         else:
@@ -354,8 +344,8 @@ def validate_sort_of_arc(record: TaskRecord) -> list[str]:
         return problems
 
     motions = None
-    for direction in DIRECTIONS:
-        candidate = [_pair_motion(i, o, _STEPS[direction]) for i, o in pairs]
+    for direction in Direction:
+        candidate = [_pair_motion(i, o, direction.step) for i, o in pairs]
         if all(m is not None for m in candidate):
             motions = candidate
             break
@@ -509,6 +499,12 @@ def _fingerprint(config: EvalConfig) -> list[tuple[str, str]]:
         ("parameter cost", str(abduction.PARAM_COST)),
         ("learning rate", repr(induction.LEARNING_RATE)),
         ("max epochs", str(induction.MAX_EPOCHS)),
+        ("loss floor", repr(induction.LOSS_FLOOR)),
+        ("initial steepness", repr(induction.INITIAL_STEEPNESS)),
+        ("decode floor", repr(induction.DECODE_FLOOR)),
+        ("same-object similarity", repr(abduction.TAU_SAME)),
+        ("fire threshold", repr(deduction.FIRE_THRESHOLD)),
+        ("node budget", str(abduction.NODE_BUDGET)),
         ("split", config.split if config.split is not None else "all"),
         ("trace", "on" if config.trace else "off"),
     ]

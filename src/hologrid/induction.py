@@ -9,7 +9,7 @@ weight vector or matrix is enough; no deep architecture is involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Union
@@ -94,12 +94,6 @@ def property_scores(objects, labels) -> NDArray[np.float64]:
         s_diff = float(sims[~same].mean()) if (~same).any() else 0.0
         scores[k] = s_same**2 - s_diff**2
     return scores
-
-
-def property_likelihoods(objects, labels) -> NDArray[np.float64]:
-    scores = property_scores(objects, labels)
-    shifted = np.exp(scores - scores.max())
-    return shifted / shifted.sum()
 
 
 def rank_properties(objects, labels) -> list[PropertySubset]:
@@ -385,11 +379,12 @@ class ParamCodec:
             return shape_bundle(value.offsets, self.encoder)
         raise KeyError(slot)
 
-    def decode(self, slot: str, vector: HyperVector, dims, shape_values=None):
+    def decode(self, slot: str, vector: HyperVector, dims, shape_values=None, shapes: Optional[Vocabulary] = None):
         """Nearest valid slot value, or None when the signal is too weak.
 
         ``dims`` bounds the lattice for the continuous slots. Discrete slots
-        go through vocabulary cleanup with a confidence floor.
+        go through vocabulary cleanup with a confidence floor; shapes against
+        ``shapes``, the ``shape_vocabulary`` of the candidate ``shape_values``.
         """
         if slot in ("centre", "amount"):
             rows, cols = dims
@@ -412,10 +407,7 @@ class ParamCodec:
         if slot == "shape":
             if not shape_values:
                 return None
-            vocab = Vocabulary(self.encoder.config)
-            for i, shape in enumerate(shape_values):
-                vocab.add_vector(f"shape:{i}", shape_bundle(shape.offsets, self.encoder))
-            name, sim = vocab.cleanup(unit)
+            name, sim = shapes.cleanup(unit)
             return shape_values[int(name.split(":")[1])] if sim >= DECODE_FLOOR else None
         raise KeyError(slot)
 
@@ -424,6 +416,14 @@ def shape_bundle(offsets, encoder: SspEncoder) -> HyperVector:
     """Same construction as an object's shape vector, from bare offsets."""
     pts = np.array([(dc, -dr) for dr, dc in sorted(offsets)])
     return vsa.normalize(encoder.encode_many(pts).sum(axis=0))
+
+
+def shape_vocabulary(shape_values, encoder: SspEncoder) -> Vocabulary:
+    """Cleanup table of the candidate shapes, entry i named ``shape:i``."""
+    vocab = Vocabulary(encoder.config)
+    for i, shape in enumerate(shape_values):
+        vocab.add_vector(f"shape:{i}", shape_bundle(shape.offsets, encoder))
+    return vocab
 
 
 def direction_vocabulary(config: VsaConfig) -> Vocabulary:
@@ -484,13 +484,15 @@ class LinearParameter:
     inputs: NDArray[np.float64]  # (m, N), training bundles as rows
     correction: NDArray[np.float64]  # (m, N); W = circulant(base) + correction.T @ inputs
     shape_values: Optional[tuple[Shape, ...]] = None
+    # shape_vocabulary(shape_values), built once when the predictor is trained or loaded
+    shapes: Optional[Vocabulary] = field(default=None, repr=False, compare=False)
 
     def apply(self, x: HyperVector) -> HyperVector:
         return vsa.bind(self.base, x) + self.correction.T @ (self.inputs @ x)
 
     def predict(self, obj: ObjectRepr, dims, codec: ParamCodec) -> Optional[ParamValue]:
         raw = self.apply(subset_vector(obj, self.subset))
-        return codec.decode(self.slot, raw, dims, self.shape_values)
+        return codec.decode(self.slot, raw, dims, self.shape_values, self.shapes)
 
 
 ParameterPredictor = Union[ConstantParameter, CopyParameter, LinearParameter]
@@ -568,14 +570,11 @@ def train_parameter_predictor(pairs, slot: str, subset: PropertySubset, codec: P
     inputs = subset_matrix([obj for obj, _ in pairs], subset)
     targets = np.stack([codec.encode(slot, v) for _, v in pairs])
     base, correction = _train_linear_factors(inputs, targets)
-    shape_values = None
-    if slot == "shape":
-        seen: list[Shape] = []
-        for v in values:
-            if v not in seen:
-                seen.append(v)
-        shape_values = tuple(seen)
-    return LinearParameter(slot, subset, base, inputs, correction, shape_values)
+    if slot != "shape":
+        return LinearParameter(slot, subset, base, inputs, correction)
+    shape_values = tuple(dict.fromkeys(values))
+    shapes = shape_vocabulary(shape_values, codec.encoder)
+    return LinearParameter(slot, subset, base, inputs, correction, shape_values, shapes)
 
 
 # --------------------------------------------------------------------------
@@ -780,11 +779,10 @@ def _needs_subset_search(obs: _RuleObservations, codec: ParamCodec) -> bool:
     return False
 
 
-def induce(result: AbductionResult, encoder: SspEncoder, palette: Vocabulary) -> Program:
+def induce(result: AbductionResult, codec: ParamCodec) -> Program:
     """Turn a successful explanation into a program of per-operation rules."""
     if not result.ok:
         raise InductionError("cannot induce rules from a failed explanation")
-    codec = make_codec(encoder, palette)
     objects, demo_of, index_of, out_dims = _demo_objects(result)
     basis = _SpanBasis(objects)
 
@@ -827,7 +825,7 @@ def induce(result: AbductionResult, encoder: SspEncoder, palette: Vocabulary) ->
     return Program(tuple(rules))
 
 
-def training_fit(result: AbductionResult, program: Program, encoder: SspEncoder, palette: Vocabulary) -> bool:
+def training_fit(result: AbductionResult, program: Program, codec: ParamCodec) -> bool:
     """Whether the learned rules reproduce every training observation.
 
     Checks each trained condition against every object's label and each
@@ -837,7 +835,6 @@ def training_fit(result: AbductionResult, program: Program, encoder: SspEncoder,
     """
     if not result.ok:
         return False
-    codec = make_codec(encoder, palette)
     objects, demo_of, index_of, out_dims = _demo_objects(result)
     by_kind: dict[OperationKind, list] = {}
     for a in result.assignments:
@@ -882,21 +879,22 @@ def _predictor_to_json(pred: ParameterPredictor):
     return doc
 
 
-def _predictor_from_json(doc) -> ParameterPredictor:
+def _predictor_from_json(doc, config: VsaConfig) -> ParameterPredictor:
     variant = doc["variant"]
     if variant == "constant":
         return ConstantParameter(dsl.param_value_from_json(doc["value"]))
     if variant == "copy":
         return CopyParameter(doc["property"])
     if variant == "linear":
-        shapes = doc.get("shape_values")
+        shape_values = tuple(dsl.param_value_from_json(s) for s in doc.get("shape_values") or ())
         return LinearParameter(
             slot=doc["slot"],
             subset=canonical_subset(doc["subset"]),
             base=np.array(doc["base"], dtype=np.float64),
             inputs=np.array(doc["inputs"], dtype=np.float64),
             correction=np.array(doc["correction"], dtype=np.float64),
-            shape_values=tuple(dsl.param_value_from_json(s) for s in shapes) if shapes else None,
+            shape_values=shape_values or None,
+            shapes=shape_vocabulary(shape_values, SspEncoder(config)) if shape_values else None,
         )
     raise ValueError(f"unknown parameter predictor variant {variant!r}")
 
@@ -941,6 +939,6 @@ def program_from_json(doc, config: VsaConfig) -> Program:
             steepness=float(cond["steepness"]),
             threshold=float(cond["threshold"]),
         )
-        parameters = {s: _predictor_from_json(p) for s, p in rd["parameters"].items()}
+        parameters = {s: _predictor_from_json(p, config) for s, p in rd["parameters"].items()}
         rules.append(Rule(OperationKind(rd["kind"]), condition, parameters))
     return Program(tuple(rules))

@@ -67,11 +67,6 @@ class SspEncoder:
             self._full_phases = full
         return self._full_phases
 
-    def axis_vector(self, dim: int) -> HyperVector:
-        """Unit step along one axis (in units of the length scale)."""
-        n = self.config.dimension
-        return np.fft.irfft(np.exp(1j * self._half_phases[dim]), n)
-
     def encode(self, point) -> HyperVector:
         """Encode one point; returns a real unitary unit-norm vector."""
         return self.encode_many(np.asarray(point, dtype=np.float64).reshape(1, -1))[0]

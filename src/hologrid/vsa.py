@@ -76,13 +76,6 @@ def random_symbol(config: VsaConfig, name: str) -> HyperVector:
     return vec / np.linalg.norm(vec)
 
 
-def identity_vector(dimension: int) -> HyperVector:
-    """The bind identity: spectrum of all ones, i.e. (1, 0, ..., 0)."""
-    v = np.zeros(dimension)
-    v[0] = 1.0
-    return v
-
-
 def _check_same_dimension(a: HyperVector, b: HyperVector) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"vector shapes differ: {a.shape} vs {b.shape}")
@@ -144,11 +137,13 @@ class Vocabulary:
     def __init__(self, config: VsaConfig):
         self.config = config
         self._vectors: dict[str, HyperVector] = {}
+        self._matrix: HyperVector | None = None  # stacked entries, until the next one is added
 
     def add(self, name: str) -> HyperVector:
         """Add (or fetch) the deterministic random symbol for ``name``."""
         if name not in self._vectors:
             self._vectors[name] = random_symbol(self.config, name)
+            self._matrix = None
         return self._vectors[name]
 
     def add_vector(self, name: str, vector: HyperVector) -> HyperVector:
@@ -159,6 +154,7 @@ class Vocabulary:
             )
         if name not in self._vectors:
             self._vectors[name] = np.asarray(vector, dtype=np.float64)
+            self._matrix = None
         return self._vectors[name]
 
     def __getitem__(self, name: str) -> HyperVector:
@@ -174,8 +170,11 @@ class Vocabulary:
         return list(self._vectors)
 
     def matrix(self) -> HyperVector:
-        """Entries stacked in insertion order, shape (len, N)."""
-        return np.stack(list(self._vectors.values()))
+        """Entries stacked in insertion order, shape (len, N); read-only."""
+        if self._matrix is None:
+            self._matrix = np.stack(list(self._vectors.values()))
+            self._matrix.setflags(write=False)
+        return self._matrix
 
     def cleanup(self, v: HyperVector) -> tuple[str, float]:
         """Most similar entry and its similarity; insertion order wins ties."""
@@ -184,8 +183,3 @@ class Vocabulary:
         sims = self.matrix() @ v
         idx = int(np.argmax(sims))
         return self.names()[idx], float(sims[idx])
-
-
-def cleanup(v: HyperVector, vocab: Vocabulary) -> tuple[str, float]:
-    """Function form of Vocabulary.cleanup."""
-    return vocab.cleanup(v)

@@ -32,6 +32,13 @@ def invert_direct(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def identity_direct(n: int) -> np.ndarray:
+    """The bind identity (1, 0, ..., 0): its spectrum is all ones."""
+    out = np.zeros(n)
+    out[0] = 1.0
+    return out
+
+
 def spectrum(v: np.ndarray) -> np.ndarray:
     """Full complex DFT of a real vector."""
     return np.fft.fft(np.asarray(v, dtype=np.float64))

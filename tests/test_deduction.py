@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from hologrid import abduction as ab
 from hologrid import deduction as de
 from hologrid import induction as ind
 from hologrid import perception as pc
@@ -108,6 +109,42 @@ def test_solve_task_conditional_move():
         predictions[0].grid,
         grid([[0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 7], [0, 0, 0, 0]]),
     )
+
+
+def test_replay_reuses_the_scenes_abduction_perceived(monkeypatch):
+    demos = [
+        ([[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 7, 0]], [[0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 7, 0]]),
+        ([[0, 0, 0, 0], [7, 0, 0, 0], [0, 0, 2, 0]], [[0, 0, 0, 0], [7, 0, 0, 0], [0, 0, 0, 2]]),
+        ([[0, 7, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]], [[0, 7, 0, 0], [0, 0, 0, 0], [0, 2, 0, 0]]),
+    ]
+    queries = [[[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 7]], [[0, 0, 2, 0], [0, 0, 0, 0], [7, 0, 0, 0]]]
+    perceived = []
+
+    def counting(perceive):
+        def wrapper(*args, **kwargs):
+            perceived.append(args[0])
+            return perceive(*args, **kwargs)
+
+        return wrapper
+
+    # Both names through which the pipeline perceives a grid.
+    monkeypatch.setattr(ab, "perceive", counting(ab.perceive))
+    monkeypatch.setattr(pc, "perceive", counting(pc.perceive))
+    by_abduction = []
+    abduce = de.abduce
+
+    def counted_abduce(*args, **kwargs):
+        result = abduce(*args, **kwargs)
+        by_abduction.append(len(perceived))
+        return result
+
+    monkeypatch.setattr(de, "abduce", counted_abduce)
+    predictions, diag = de.solve_task(make_task(demos, queries), ENC, PALETTE)
+    assert diag.ok and diag.demo_replays == [True, True, True]
+    assert all(p.solved for p in predictions)
+    # After abduction, each query is perceived once and no demo input again.
+    (before,) = by_abduction
+    assert [pc.as_grid(q).tolist() for q in queries] == [g.tolist() for g in perceived[before:]]
 
 
 def test_task_diagnostics_carry_the_hitting_set_optimality(monkeypatch):

@@ -7,6 +7,8 @@ import pytest
 from hologrid import perception as pc
 from hologrid import ssp, vsa
 
+from oracles import identity_direct
+
 CFG = vsa.VsaConfig(dimension=512, seed=21)
 ENC = ssp.SspEncoder(CFG)
 PALETTE = pc.build_palette(CFG)
@@ -177,7 +179,7 @@ def test_colour_vector_is_palette_symbol():
 
 def test_single_pixel_shape_is_bind_identity():
     obj = one_object([[0, 0, 0], [0, 5, 0], [0, 0, 0]])
-    assert np.max(np.abs(obj.shape_vec - vsa.identity_vector(CFG.dimension))) < 1e-12
+    assert np.max(np.abs(obj.shape_vec - identity_direct(CFG.dimension))) < 1e-12
 
 
 def test_shape_vector_translation_invariance():

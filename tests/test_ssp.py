@@ -6,7 +6,7 @@ import pytest
 
 from hologrid import ssp, vsa
 
-from oracles import fractional_power_direct, is_unitary_direct, ssp_encode_direct
+from oracles import fractional_power_direct, identity_direct, is_unitary_direct, ssp_encode_direct
 
 CFG = vsa.VsaConfig(dimension=512, seed=13)
 ENC = ssp.SspEncoder(CFG)
@@ -39,7 +39,7 @@ def test_encode_matches_full_ifft_oracle():
 
 
 def test_encode_origin_gives_bind_identity():
-    assert np.max(np.abs(ENC.encode((0.0, 0.0)) - vsa.identity_vector(512))) < 1e-12
+    assert np.max(np.abs(ENC.encode((0.0, 0.0)) - identity_direct(512))) < 1e-12
 
 
 def test_encodings_are_unitary_unit_norm():
@@ -81,11 +81,11 @@ def test_integer_power_equals_repeated_binding():
 
 def test_encode_factorizes_into_axis_powers():
     # encode((x, y)) == axis_x^x (*) axis_y^y, exactly, because the sampled
-    # phases are already principal.
+    # phases are already principal. The axis vectors are the unit steps.
     p = (3.5, -2.25)
     via_axes = vsa.bind(
-        ssp.fractional_power(ENC.axis_vector(0), p[0]),
-        ssp.fractional_power(ENC.axis_vector(1), p[1]),
+        ssp.fractional_power(ENC.encode((1.0, 0.0)), p[0]),
+        ssp.fractional_power(ENC.encode((0.0, 1.0)), p[1]),
     )
     assert np.max(np.abs(via_axes - ENC.encode(p))) < 1e-8
 

@@ -6,7 +6,7 @@ import pytest
 
 from hologrid import vsa
 
-from oracles import conv_direct, invert_direct, is_unitary_direct, spectrum
+from oracles import conv_direct, identity_direct, invert_direct, is_unitary_direct, spectrum
 
 
 CFG = vsa.VsaConfig(dimension=512, seed=7)
@@ -87,7 +87,7 @@ def test_invert_matches_index_reversal_and_is_involutive():
 def test_invert_is_exact_inverse_for_unitary_vectors():
     a = sym("unit")
     ident = vsa.bind(a, vsa.invert(a))
-    expected = vsa.identity_vector(512)
+    expected = identity_direct(512)
     assert np.max(np.abs(ident - expected)) < 1e-10
 
 
@@ -146,6 +146,18 @@ def test_vocabulary_cleanup_breaks_ties_by_insertion_order():
     name, score = vocab.cleanup(v)
     assert name == "first"
     assert score == pytest.approx(1.0, abs=1e-12)
+
+
+def test_vocabulary_cleanup_sees_entries_added_after_a_cleanup():
+    vocab = vsa.Vocabulary(CFG)
+    vocab.add("old")
+    assert vocab.cleanup(sym("new"))[0] == "old"
+    vocab.add("new")
+    name, score = vocab.cleanup(sym("new"))
+    assert name == "new" and score == pytest.approx(1.0, abs=1e-12)
+    vocab.add_vector("copy", sym("old") * 2.0)
+    assert vocab.cleanup(sym("old"))[0] == "copy"
+    assert vocab.matrix().shape == (3, CFG.dimension)
 
 
 def test_vocabulary_cleanup_empty_is_an_error():
