@@ -130,15 +130,16 @@ def rank_object_hypotheses(
 # ---------------------------------------------------------------- candidates
 
 
-def candidate_operations(inp: ObjectRepr, out: ObjectRepr, tau: float = TAU_SAME) -> set[OperationKind]:
+def candidate_operations(inp: ObjectRepr, out: ObjectRepr) -> set[OperationKind]:
     """Operation kinds worth trying, from whichever property changed.
 
+    A property changed when its similarity falls below ``TAU_SAME``.
     Exactly one changed property narrows the menu to the operations that
     touch it; several changed properties leave only Generate; none leaves
     Identity.
     """
     colour_sim, centre_sim, shape_sim = property_similarities(inp, out)
-    changed = [colour_sim < tau, centre_sim < tau, shape_sim < tau]
+    changed = [colour_sim < TAU_SAME, centre_sim < TAU_SAME, shape_sim < TAU_SAME]
     if not any(changed):
         return {OperationKind.IDENTITY}
     if sum(changed) > 1:
@@ -168,15 +169,15 @@ def _solution_key(actions) -> tuple:
     return tuple(sorted(a.sort_key() for a in actions))
 
 
-def minimum_hitting_set(partial_sets, op_cost: int = OP_COST, param_cost: int = PARAM_COST, node_budget: int = NODE_BUDGET):
+def minimum_hitting_set(partial_sets):
     """Exact minimum-cost hitting set by branch and bound.
 
-    Cost charges ``op_cost`` per distinct operation kind plus ``param_cost``
+    Cost charges ``OP_COST`` per distinct operation kind plus ``PARAM_COST``
     per distinct action, so one shared parameterization beats many one-off
     ones. Equal-cost solutions resolve to the lexicographically smallest
     action encoding. Returns (actions, cost, optimal); ``optimal`` goes
-    False only if the node budget was exhausted, in which case the best
-    hitting set found so far is returned.
+    False only if the search used up ``NODE_BUDGET`` nodes, in which case
+    the best hitting set found so far is returned.
     """
     sets = [frozenset(s) for s in partial_sets]
     if any(not s for s in sets):
@@ -191,7 +192,7 @@ def minimum_hitting_set(partial_sets, op_cost: int = OP_COST, param_cost: int = 
 
     def cost_of(actions) -> int:
         kinds = {a.kind for a in actions}
-        return op_cost * len(kinds) + param_cost * len(actions)
+        return OP_COST * len(kinds) + PARAM_COST * len(actions)
 
     coverage: dict = {}
     for idx, s in enumerate(unique):
@@ -225,7 +226,7 @@ def minimum_hitting_set(partial_sets, op_cost: int = OP_COST, param_cost: int = 
         for idx in range(len(unique)):
             bit = 1 << idx
             if remaining & bit:
-                packed += param_cost
+                packed += PARAM_COST
                 union = 0
                 for a in set_actions[idx]:
                     union |= coverage[a]
@@ -237,7 +238,7 @@ def minimum_hitting_set(partial_sets, op_cost: int = OP_COST, param_cost: int = 
         if exhausted:
             return
         nodes += 1
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             exhausted = True
             return
         if uncovered_mask == 0:
@@ -258,7 +259,7 @@ def minimum_hitting_set(partial_sets, op_cost: int = OP_COST, param_cost: int = 
                 if pick_size is None or size < pick_size:
                     pick, pick_size = idx, size
         for action in set_actions[pick]:
-            extra = param_cost + (0 if action.kind in kinds else op_cost)
+            extra = PARAM_COST + (0 if action.kind in kinds else OP_COST)
             if current_cost + extra > best_cost:
                 continue
             kinds_after = kinds | {action.kind}
@@ -298,13 +299,7 @@ class AbductionResult:
     optimal: bool = True  # False: the hitting set is the best found within the node budget
 
 
-def _assignment_params(action: Action) -> tuple:
-    return action.params
-
-
-def _explain_under_hypothesis(
-    demos, hyp, size, encoder, palette, node_budget
-):
+def _explain_under_hypothesis(demos, hyp, size, encoder, palette):
     """Candidate sets, hitting set and assignments for one hypothesis.
 
     Returns (result dict, None) or (None, rejection reason).
@@ -333,9 +328,7 @@ def _explain_under_hypothesis(
                 return None, f"demo {demo_idx} output object {out_idx} admits no action"
             items.append((demo_idx, out_idx, in_idx, actions))
 
-    action_set, cost, optimal = minimum_hitting_set(
-        [actions for *_, actions in items], node_budget=node_budget
-    )
+    action_set, cost, optimal = minimum_hitting_set([actions for *_, actions in items])
 
     # Deterministic assignment: the action explaining the most objects wins,
     # then the lexicographically smallest encoding.
@@ -354,7 +347,7 @@ def _explain_under_hypothesis(
     for a in assignments:
         sig = in_scenes[a.demo_index].objects[a.input_index].signature()
         key = (sig, a.action.kind)
-        params = _assignment_params(a.action)
+        params = a.action.params
         if key in seen and seen[key] != params:
             return None, "identical input objects demand conflicting parameters"
         seen[key] = params
@@ -413,12 +406,7 @@ def _novel_generate_fraction(assignments: list[Assignment], in_scenes) -> float:
     return novel / len(assignments)
 
 
-def abduce(
-    demos: list[tuple[Grid, Grid]],
-    encoder: SspEncoder,
-    palette: Vocabulary,
-    node_budget: int = NODE_BUDGET,
-) -> AbductionResult:
+def abduce(demos: list[tuple[Grid, Grid]], encoder: SspEncoder, palette: Vocabulary) -> AbductionResult:
     """Explain the demonstrations; never raises on unexplainable tasks."""
     if not demos:
         return AbductionResult(False, "no demonstrations", None, SizeHypothesis("identity"))
@@ -426,9 +414,7 @@ def abduce(
     ranking = rank_object_hypotheses(demos, encoder, palette)
     trace: list[str] = []
     for hyp, score in ranking:
-        explained, reason = _explain_under_hypothesis(
-            demos, hyp, size, encoder, palette, node_budget
-        )
+        explained, reason = _explain_under_hypothesis(demos, hyp, size, encoder, palette)
         if explained is None:
             trace.append(f"hypothesis={hyp.value} score={score:.6f} status=rejected ({reason})")
             continue

@@ -55,12 +55,15 @@ class TaskDiagnostics:
     training_fit: bool = False
 
 
-def _produce(program: Program, scene: Scene, ctx_dims, decode_dims, codec: ParamCodec, trace):
-    """Fire every applicable rule on every object; return produced masks."""
+def _produce(program: Program, scene: Scene, dims, codec: ParamCodec, trace):
+    """Fire every applicable rule on every object; return produced masks.
+
+    ``dims`` frames both the executed actions and the decoded parameters.
+    """
     all_cells = frozenset().union(*(o.mask.cells for o in scene.objects)) if scene.objects else frozenset()
     produced: list[tuple[dsl.ObjectMask, OperationKind]] = []
     for i, obj in enumerate(scene.objects):
-        ctx = dsl.SceneContext(dims=ctx_dims, occupied=all_cells - obj.mask.cells)
+        ctx = dsl.SceneContext(dims=dims, occupied=all_cells - obj.mask.cells)
         for rule in program.rules:
             p = rule.condition.probability(obj)
             if p < FIRE_THRESHOLD:
@@ -68,7 +71,7 @@ def _produce(program: Program, scene: Scene, ctx_dims, decode_dims, codec: Param
             params = {}
             abstained = None
             for slot, predictor in rule.parameters.items():
-                value = predictor.predict(obj, decode_dims, codec)
+                value = predictor.predict(obj, dims, codec)
                 if value is None:
                     abstained = slot
                     break
@@ -92,12 +95,12 @@ def solve_query(
     query: Grid,
     encoder: SspEncoder,
     palette: Vocabulary,
-    codec: Optional[ParamCodec] = None,
+    codec: ParamCodec,
     query_index: int = 0,
 ) -> Prediction:
     """Perceive one query grid, then answer it with ``answer_scene``."""
     scene = pc.perceive(query, hypothesis, encoder, palette)
-    return answer_scene(program, size, scene, codec or make_codec(encoder, palette), query_index)
+    return answer_scene(program, size, scene, codec, query_index)
 
 
 def answer_scene(program: Program, size: SizeHypothesis, scene: Scene, codec: ParamCodec, query_index: int = 0) -> Prediction:
@@ -111,8 +114,7 @@ def answer_scene(program: Program, size: SizeHypothesis, scene: Scene, codec: Pa
     else:
         canvas = None  # function-sized: settled after execution
 
-    ctx_dims = canvas if canvas is not None else query_dims
-    produced = _produce(program, scene, ctx_dims, ctx_dims, codec, trace)
+    produced = _produce(program, scene, canvas if canvas is not None else query_dims, codec, trace)
 
     if canvas is not None:
         grid = dsl.render([m for m, _ in produced], canvas)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .perception import Grid, ObjectMask, to_rc, to_xy
+from .perception import Grid, ObjectMask, to_rc
 
 
 class ActionError(ValueError):

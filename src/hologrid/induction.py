@@ -521,9 +521,11 @@ def circulant_matrix(vec: HyperVector) -> NDArray[np.float64]:
 def _train_linear_factors(inputs, targets):
     """Gradient descent on the factored map; returns (base, correction).
 
-    With W = W0 + C^T X the residual is R = X W^T... kept concretely: row i of
-    the residual is bind(base, x_i) + (G C)_i - y_i with G = X X^T, so the
-    whole loop runs in (m, N) arrays.
+    The map is W = W0 + C^T X, where W0 binds with ``base`` and X stacks the
+    inputs x_i as rows. Row i of the residual R is bind(base, x_i) + (G C)_i - y_i
+    with G = X X^T, and a gradient step on W is the step
+    C <- C - (2 LEARNING_RATE / m) R.
+    So the loop runs in (m, N) arrays and never forms W.
     """
     m = len(inputs)
     base = np.mean([vsa.unbind(y, x) for x, y in zip(inputs, targets)], axis=0)
@@ -656,11 +658,7 @@ class _RuleObservations:
     labels: NDArray[np.bool_]  # was this object subject to the operation?
     pairs_by_slot: dict[str, list[tuple[int, ParamValue]]]  # object index -> value
     out_dims: dict[int, tuple[int, int]]
-    basis: Optional[_SpanBasis] = None  # shared by the kinds of one task
-
-    def __post_init__(self) -> None:
-        if self.basis is None:
-            self.basis = _SpanBasis(self.objects)
+    basis: _SpanBasis  # over ``objects``, shared by the kinds of one task
 
 
 @dataclass
@@ -744,18 +742,15 @@ def _fold_score(obs: _RuleObservations, subset, held_out, condition: float, code
     return float(np.mean(components))
 
 
-def cross_validate(
-    obs: _RuleObservations, subsets, codec: ParamCodec, conditions: Optional[_KindConditions] = None
-) -> PropertySubset:
+def cross_validate(obs: _RuleObservations, subsets, codec: ParamCodec, conditions: _KindConditions) -> PropertySubset:
     """Leave-one-demonstration-out selection among candidate subsets.
 
-    ``conditions`` carries the condition accuracies when they were trained
-    with the task's other kinds. Single-demonstration tasks fall back to
-    the top-ranked candidate; ties keep the heuristic ranking order.
+    ``conditions`` carries the condition accuracies, trained by
+    ``_fit_conditions`` over the same subsets and ``_scored_folds``.
+    Single-demonstration tasks fall back to the top-ranked candidate; ties
+    keep the heuristic ranking order.
     """
     folds = _scored_folds(obs)
-    if conditions is None:
-        (conditions,) = _fit_conditions([(obs, subsets, folds)])
     best_subset, best_score = subsets[0], -1.0
     for s, subset in enumerate(subsets):
         fold_scores = [

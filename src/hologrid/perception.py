@@ -219,9 +219,6 @@ class ObjectRepr:
     centre_vec: HyperVector
     shape_vec: HyperVector
 
-    def centre_point(self) -> tuple[float, float]:
-        return self.mask.centre_point()
-
     def signature(self):
         """Exact identity of the object up to the grid frame: colour, centre, shape."""
         return (self.mask.colour, self.mask.centre_point(), self.mask.offsets())

@@ -1,8 +1,8 @@
 """Continuous coordinates as holographic vectors.
 
-A point x in R^D is encoded by stamping a fixed random phase pattern onto
-the spectrum: encode(x) = IDFT{ exp(i * Theta^T x / l) } where Theta is a
-D x N phase matrix whose rows are conjugate-symmetric (zero phase at the DC
+A point x in R^2 is encoded by stamping a fixed random phase pattern onto
+the spectrum: encode(x) = IDFT{ exp(i * Theta^T x) } where Theta is a
+2 x N phase matrix whose rows are conjugate-symmetric (zero phase at the DC
 and Nyquist bins), so encodings are real, unitary and unit-norm.
 
 Binding encodings adds their coordinates, inverting negates them, and
@@ -26,24 +26,17 @@ _UNITARY_TOL = 1e-6
 
 
 class SspEncoder:
-    """Spatial encoder for a fixed config, feature dimension and length scale.
+    """Spatial encoder of 2-D grid coordinates for a fixed config.
 
-    The phase matrix is a pure function of (seed, feature_dim), so two
-    encoders built from the same config agree exactly. The length scale
-    only rescales coordinates at encode time.
+    The phase matrix is a pure function of the seed, so two encoders built
+    from the same config agree exactly.
     """
 
-    def __init__(self, config: VsaConfig, feature_dim: int = 2, length_scale: float = 1.0):
-        if feature_dim < 1:
-            raise ValueError("feature_dim must be at least 1")
-        if not (length_scale > 0):
-            raise ValueError("length_scale must be positive")
+    def __init__(self, config: VsaConfig):
         self.config = config
-        self.feature_dim = feature_dim
-        self.length_scale = float(length_scale)
         n = config.dimension
-        half = np.empty((feature_dim, n // 2 + 1))
-        for d in range(feature_dim):
+        half = np.empty((2, n // 2 + 1))
+        for d in range(2):
             rng_vec = vsa.random_symbol(config, f"spatial-axis-{d}")
             # Reuse the symbol sampler's phases: they are exactly the free
             # (-pi, pi] phases with DC and Nyquist pinned to zero.
@@ -57,10 +50,10 @@ class SspEncoder:
 
     @property
     def phase_matrix(self) -> NDArray[np.float64]:
-        """Full D x N phase matrix (the half spectrum mirrored with sign flip)."""
+        """Full 2 x N phase matrix (the half spectrum mirrored with sign flip)."""
         if self._full_phases is None:
             n = self.config.dimension
-            full = np.zeros((self.feature_dim, n))
+            full = np.zeros((2, n))
             full[:, : n // 2 + 1] = self._half_phases
             full[:, n // 2 + 1 :] = -self._half_phases[:, 1 : n // 2][:, ::-1]
             full.setflags(write=False)
@@ -72,22 +65,22 @@ class SspEncoder:
         return self.encode_many(np.asarray(point, dtype=np.float64).reshape(1, -1))[0]
 
     def encode_many(self, points) -> NDArray[np.float64]:
-        """Encode points given as an (M, D) array; returns (M, N)."""
+        """Encode points given as an (M, 2) array; returns (M, N)."""
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.feature_dim:
-            raise ValueError(f"expected points of shape (M, {self.feature_dim})")
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("expected points of shape (M, 2)")
         n = self.config.dimension
-        phases = pts @ self._half_phases / self.length_scale
+        phases = pts @ self._half_phases
         return np.fft.irfft(np.exp(1j * phases), n, axis=1)
 
     def _axis_phasors(self, dim: int, lo: float, hi: float, step: float):
-        """exp(i * theta_d * t / l) for every lattice value t, cached."""
+        """exp(i * theta_d * t) for every lattice value t, cached."""
         key = (dim, float(lo), float(hi), float(step))
         hit = self._phasor_cache.get(key)
         if hit is not None:
             return hit
         values = _lattice_axis(lo, hi, step)
-        phasors = np.exp(1j * np.outer(values / self.length_scale, self._half_phases[dim]))
+        phasors = np.exp(1j * np.outer(values, self._half_phases[dim]))
         self._phasor_cache[key] = (values, phasors)
         return values, phasors
 
@@ -139,8 +132,6 @@ class SimilarityMap:
 
 
 def _lattice_similarities(encoder: SspEncoder, v: HyperVector, region, step: float):
-    if encoder.feature_dim != 2:
-        raise ValueError("lattice queries are defined for 2-D encoders")
     (x_lo, x_hi), (y_lo, y_hi) = region
     xs, ex = encoder._axis_phasors(0, x_lo, x_hi, step)
     ys, ey = encoder._axis_phasors(1, y_lo, y_hi, step)

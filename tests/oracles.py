@@ -49,10 +49,10 @@ def is_unitary_direct(v: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(np.abs(spectrum(v)) - 1.0)) < tol)
 
 
-def ssp_encode_direct(phase_matrix: np.ndarray, point, length_scale: float) -> np.ndarray:
+def ssp_encode_direct(phase_matrix: np.ndarray, point) -> np.ndarray:
     """Spatial encoding from the phase matrix by the full-ifft definition."""
     x = np.asarray(point, dtype=np.float64)
-    phases = phase_matrix.T @ x / length_scale  # (N,)
+    phases = phase_matrix.T @ x  # (N,)
     return np.real(np.fft.ifft(np.exp(1j * phases)))
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hologrid import abduction as ab
-from hologrid import dsl, perception as pc
+from hologrid import harness as hn
+from hologrid import perception as pc
 from hologrid import ssp, vsa
 from hologrid.dsl import Action, Amount, Colour, OperationKind as Op
 
@@ -242,7 +243,7 @@ def test_abduce_shared_move_beats_one_off_retargets():
     assert result.cost == 11
 
 
-def test_abduce_reports_when_the_node_budget_cut_the_search():
+def test_abduce_reports_when_the_node_budget_cut_the_search(monkeypatch):
     demos = [
         demo(
             [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
@@ -254,10 +255,13 @@ def test_abduce_reports_when_the_node_budget_cut_the_search():
         ),
     ]
     full = ab.abduce(demos, ENC, PALETTE)
-    cut = ab.abduce(demos, ENC, PALETTE, node_budget=1)
+    monkeypatch.setattr(ab, "NODE_BUDGET", 1)
+    cut = ab.abduce(demos, ENC, PALETTE)
     assert full.ok and full.optimal
     assert cut.ok and not cut.optimal
     assert cut.trace == full.trace
+    # The report fingerprint reads the budget the search ran under.
+    assert ("node budget", "1") in hn._fingerprint(hn.EvalConfig())
 
 
 def test_abduce_rejects_contradictory_demos():

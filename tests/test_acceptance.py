@@ -7,7 +7,7 @@ Everything else runs self-contained.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ import pytest
 from hologrid import abduction as ab
 from hologrid import harness as hn
 from hologrid import induction as ind
-from hologrid import perception as pc
 from hologrid import ssp, vsa
 
 from oracles import conv_direct, hitting_sets_brute_force

@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
-from hologrid import cli, harness as hn, induction as ind, vsa
+from hologrid import cli, induction as ind, vsa
 
 
 def write_copy_task(path):

@@ -43,17 +43,17 @@ def identity_program():
 
 def test_vacuous_identity_program_copies_query():
     q = grid([[0, 2, 0], [3, 3, 0], [0, 0, 9]])
-    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("identity"), q, ENC, PALETTE)
+    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("identity"), q, ENC, PALETTE, CODEC)
     assert pred.solved
     assert np.array_equal(pred.grid, q)
 
 
 def test_zero_object_query_renders_empty_canvas():
     q = grid([[0, 0], [0, 0], [0, 0]])
-    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("identity"), q, ENC, PALETTE)
+    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("identity"), q, ENC, PALETTE, CODEC)
     assert pred.grid.shape == (3, 2) and not pred.grid.any()
     pred = de.solve_query(
-        identity_program(), HYP, SizeHypothesis("constant", (2, 5)), q, ENC, PALETTE
+        identity_program(), HYP, SizeHypothesis("constant", (2, 5)), q, ENC, PALETTE, CODEC
     )
     assert pred.grid.shape == (2, 5) and not pred.grid.any()
 
@@ -68,21 +68,21 @@ def test_probability_exactly_half_fires():
     program = Program(
         (Rule(Op.RECOLOUR, condition, {"colour": ind.ConstantParameter(Colour(8))}),)
     )
-    pred = de.solve_query(program, HYP, SizeHypothesis("identity"), q, ENC, PALETTE)
+    pred = de.solve_query(program, HYP, SizeHypothesis("identity"), q, ENC, PALETTE, CODEC)
     assert np.array_equal(pred.grid, grid([[8, 8, 0], [0, 0, 0], [0, 0, 0]]))
     assert any("fired p=0.500" in line for line in pred.trace)
 
 
 def test_function_size_without_extract_crops_to_content():
     q = grid([[0, 0, 0, 0], [0, 0, 6, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("function"), q, ENC, PALETTE)
+    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("function"), q, ENC, PALETTE, CODEC)
     assert pred.grid.shape == (1, 1)
     assert pred.grid[0, 0] == 6
 
 
 def test_function_size_with_no_firings_keeps_query_dims():
     q = grid([[0, 0], [0, 0]])
-    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("function"), q, ENC, PALETTE)
+    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("function"), q, ENC, PALETTE, CODEC)
     assert pred.grid.shape == (2, 2) and not pred.grid.any()
 
 
@@ -155,8 +155,7 @@ def test_task_diagnostics_carry_the_hitting_set_optimality(monkeypatch):
     task = make_task(demos, queries=[[[0, 2, 0], [0, 0, 0]]])
     _, diag = de.solve_task(task, ENC, PALETTE)
     assert diag.ok and diag.optimal
-    abduce = de.abduce
-    monkeypatch.setattr(de, "abduce", lambda *args: abduce(*args, node_budget=1))
+    monkeypatch.setattr(ab, "NODE_BUDGET", 1)
     _, cut = de.solve_task(task, ENC, PALETTE)
     assert cut.ok and not cut.optimal
     assert cut.trace == diag.trace
@@ -242,6 +241,6 @@ def test_rule_failures_are_traced_and_skipped():
             ),
         )
     )
-    pred = de.solve_query(program, HYP, SizeHypothesis("identity"), q, ENC, PALETTE)
+    pred = de.solve_query(program, HYP, SizeHypothesis("identity"), q, ENC, PALETTE, CODEC)
     assert pred.grid.shape == (3, 3) and not pred.grid.any()
     assert any("failed" in line for line in pred.trace)

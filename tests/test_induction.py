@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from hologrid import abduction as ab
-from hologrid import dsl, induction as ind, perception as pc
+from hologrid import induction as ind, perception as pc
 from hologrid import ssp, vsa
-from hologrid.dsl import Action, Amount, Centre, Colour, OperationKind as Op, Shape
+from hologrid.dsl import Amount, Centre, Colour, OperationKind as Op, Shape
 
 from oracles import (
     condition_training_direct,
@@ -222,7 +222,7 @@ def random_observations(rng, dim=64):
     ]
     labels = rng.random(len(objects)) < rng.uniform(0.2, 0.8)
     return ind._RuleObservations(
-        Op.MOVE, objects, demo_of, labels, {}, {d: (7, 7) for d in set(demo_of)}
+        Op.MOVE, objects, demo_of, labels, {}, {d: (7, 7) for d in set(demo_of)}, ind._SpanBasis(objects)
     )
 
 
@@ -479,7 +479,14 @@ def make_observations(groups, labels_by_demo):
         labels=np.array(labels, dtype=bool),
         pairs_by_slot={},
         out_dims={d: (7, 7) for d in range(len(groups))},
+        basis=ind._SpanBasis(objects),
     )
+
+
+def cross_validate(obs, subsets):
+    """Subset selection as ``induce`` runs it: conditions trained first, in one batch."""
+    (conditions,) = ind._fit_conditions([(obs, subsets, ind._scored_folds(obs))])
+    return ind.cross_validate(obs, subsets, CODEC, conditions)
 
 
 def test_cross_validation_picks_generalizing_subset():
@@ -491,7 +498,7 @@ def test_cross_validation_picks_generalizing_subset():
     ]
     labels = [[True, False]] * 3
     obs = make_observations(groups, labels)
-    chosen = ind.cross_validate(obs, [("centre",), ("colour",)], CODEC)
+    chosen = cross_validate(obs, [("centre",), ("colour",)])
     assert chosen == ("colour",)
 
 
@@ -501,13 +508,13 @@ def test_cross_validation_tie_keeps_rank_order():
         [pixel(2, 0, 3), pixel(7, 6, 3)],
     ]
     obs = make_observations(groups, [[True, False]] * 2)
-    chosen = ind.cross_validate(obs, [("colour",), ("colour", "shape")], CODEC)
+    chosen = cross_validate(obs, [("colour",), ("colour", "shape")])
     assert chosen == ("colour",)
 
 
 def test_cross_validation_single_demo_falls_back_to_top_rank():
     obs = make_observations([[pixel(2, 1, 1), pixel(7, 5, 5)]], [[True, False]])
-    assert ind.cross_validate(obs, [("shape",), ("colour",)], CODEC) == ("shape",)
+    assert cross_validate(obs, [("shape",), ("colour",)]) == ("shape",)
 
 
 # ---------------------------------------------------------------- induce

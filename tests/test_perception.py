@@ -196,7 +196,7 @@ def test_blurred_centre_decodes_to_centre_point():
         [0, 0, 0, 0, 0],
     ]
     obj = one_object(g)
-    assert obj.centre_point() == (1.5, 0.0)
+    assert obj.mask.centre_point() == (1.5, 0.0)
     point, _ = ssp.decode(ENC, obj.centre_vec, ((-2.0, 2.0), (-1.5, 1.5)), step=0.5)
     assert point == (1.5, 0.0)
 

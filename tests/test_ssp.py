@@ -34,7 +34,7 @@ def test_encode_matches_full_ifft_oracle():
     rng = np.random.default_rng(0)
     for _ in range(10):
         p = rng.uniform(-8, 8, 2)
-        direct = ssp_encode_direct(ENC.phase_matrix, p, ENC.length_scale)
+        direct = ssp_encode_direct(ENC.phase_matrix, p)
         assert np.max(np.abs(ENC.encode(p) - direct)) < 1e-10
 
 
@@ -93,12 +93,6 @@ def test_encode_factorizes_into_axis_powers():
 def test_fractional_power_rejects_non_unitary():
     with pytest.raises(ssp.NonUnitaryError):
         ssp.fractional_power(np.ones(512) * 0.3, 0.5)
-
-
-def test_length_scale_rescales_coordinates():
-    scaled = ssp.SspEncoder(CFG, length_scale=2.0)
-    p = np.array([3.0, -1.0])
-    assert np.max(np.abs(scaled.encode(p) - ENC.encode(p / 2.0))) < 1e-10
 
 
 def test_encode_many_matches_single_encodes():
