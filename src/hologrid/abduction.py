@@ -27,7 +27,7 @@ from . import dsl
 from .dsl import Action, OperationKind, SceneContext
 from .perception import Grid, ObjectHypothesis, ObjectRepr, Scene, perceive
 from .ssp import SspEncoder
-from .vsa import Vocabulary, similarity
+from .vsa import Vocabulary
 
 OP_COST = 10
 PARAM_COST = 1
@@ -57,26 +57,19 @@ def choose_size_hypothesis(demos: list[tuple[Grid, Grid]]) -> SizeHypothesis:
 # ---------------------------------------------------------------- similarity
 
 
-def property_similarities(a: ObjectRepr, b: ObjectRepr) -> tuple[float, float, float]:
-    return (
-        similarity(a.colour_vec, b.colour_vec),
-        similarity(a.centre_vec, b.centre_vec),
-        similarity(a.shape_vec, b.shape_vec),
+def similarity_matrices(outs: list[ObjectRepr], ins: list[ObjectRepr]) -> np.ndarray:
+    """Colour, centre and shape similarities of every (output, input) pair.
+
+    Shape (3, len(outs), len(ins)), one dot-product matrix per property.
+    Their sum over the first axis divided by 3 is the combined similarity
+    that ranks hypotheses and matches objects.
+    """
+    return np.stack(
+        [
+            np.stack([getattr(o, pick) for o in outs]) @ np.stack([getattr(i, pick) for i in ins]).T
+            for pick in ("colour_vec", "centre_vec", "shape_vec")
+        ]
     )
-
-
-def combined_similarity(a: ObjectRepr, b: ObjectRepr) -> float:
-    return float(np.mean(property_similarities(a, b)))
-
-
-def _combined_matrix(outs: list[ObjectRepr], ins: list[ObjectRepr]) -> np.ndarray:
-    """Pairwise combined similarities, shape (len(outs), len(ins))."""
-    total = np.zeros((len(outs), len(ins)))
-    for pick in ("colour_vec", "centre_vec", "shape_vec"):
-        mo = np.stack([getattr(o, pick) for o in outs])
-        mi = np.stack([getattr(i, pick) for i in ins])
-        total += mo @ mi.T
-    return total / 3.0
 
 
 def padded_max_softmax(sims) -> float:
@@ -88,14 +81,6 @@ def padded_max_softmax(sims) -> float:
     padded = np.concatenate([np.asarray(sims, dtype=np.float64).ravel(), [0.0, 1.0]])
     e = np.exp(padded - padded.max())
     return float(np.max(e) / e.sum())
-
-
-def correspondence(out_obj: ObjectRepr, ins: list[ObjectRepr]) -> int:
-    """Index of the most similar input object; first index wins ties."""
-    if not ins:
-        raise ValueError("correspondence needs at least one input object")
-    sims = [combined_similarity(out_obj, i) for i in ins]
-    return int(np.argmax(sims))
 
 
 def rank_object_hypotheses(
@@ -117,7 +102,7 @@ def rank_object_hypotheses(
             if not outs:
                 continue
             if ins:
-                matrix = _combined_matrix(outs, ins)
+                matrix = similarity_matrices(outs, ins).sum(axis=0) / 3.0
                 terms.extend(padded_max_softmax(row) for row in matrix)
             else:
                 terms.extend(padded_max_softmax([]) for _ in outs)
@@ -130,15 +115,15 @@ def rank_object_hypotheses(
 # ---------------------------------------------------------------- candidates
 
 
-def candidate_operations(inp: ObjectRepr, out: ObjectRepr) -> set[OperationKind]:
+def candidate_operations(colour_sim: float, centre_sim: float, shape_sim: float) -> set[OperationKind]:
     """Operation kinds worth trying, from whichever property changed.
 
+    The arguments are one matched pair's entries of ``similarity_matrices``.
     A property changed when its similarity falls below ``TAU_SAME``.
     Exactly one changed property narrows the menu to the operations that
     touch it; several changed properties leave only Generate; none leaves
     Identity.
     """
-    colour_sim, centre_sim, shape_sim = property_similarities(inp, out)
     changed = [colour_sim < TAU_SAME, centre_sim < TAU_SAME, shape_sim < TAU_SAME]
     if not any(changed):
         return {OperationKind.IDENTITY}
@@ -316,10 +301,13 @@ def _explain_under_hypothesis(demos, hyp, size, encoder, palette):
             return None, "output objects with no input objects to explain them"
         all_cells = frozenset().union(*(o.mask.cells for o in ins))
         out_dims = (int(out_scene.grid.shape[0]), int(out_scene.grid.shape[1]))
+        sims = similarity_matrices(out_scene.objects, ins)
+        # Each output object matches its most similar input; first index wins ties.
+        matches = np.argmax(sims.sum(axis=0) / 3.0, axis=1)
         for out_idx, out_obj in enumerate(out_scene.objects):
-            in_idx = correspondence(out_obj, ins)
+            in_idx = int(matches[out_idx])
             inp = ins[in_idx]
-            allowed = candidate_operations(inp, out_obj)
+            allowed = candidate_operations(*sims[:, out_idx, in_idx])
             if size.kind == "function":
                 allowed = allowed | {OperationKind.EXTRACT}
             ctx = SceneContext(dims=out_dims, occupied=all_cells - inp.mask.cells)
@@ -391,14 +379,9 @@ def _novel_generate_fraction(assignments: list[Assignment], in_scenes) -> float:
         if a.action.kind is not OperationKind.GENERATE:
             continue
         inp = in_scenes[a.demo_index].objects[a.input_index]
-        own = {
-            "colour": dsl.Colour(inp.mask.colour),
-            "centre": dsl.Centre(*inp.mask.centre_point()),
-            "shape": dsl.Shape(inp.mask.offsets()),
-        }
         all_novel = True
         for slot, value in a.action.params:
-            if slot_counts[(slot, value)] > 1 or own.get(slot) == value:
+            if slot_counts[(slot, value)] > 1 or dsl.own_value(inp.mask, slot) == value:
                 all_novel = False
                 break
         if all_novel:

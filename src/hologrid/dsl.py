@@ -345,6 +345,17 @@ def render_extract(mask: ObjectMask) -> Grid:
     return render([shifted], dims)
 
 
+def own_value(mask: ObjectMask, slot: str) -> ParamValue:
+    """The value a colour, centre or shape slot takes on ``mask`` itself."""
+    if slot == "colour":
+        return Colour(mask.colour)
+    if slot == "centre":
+        return Centre(*mask.centre_point())
+    if slot == "shape":
+        return Shape(mask.offsets())
+    raise KeyError(slot)
+
+
 def infer_actions(inp: ObjectMask, out: ObjectMask, allowed, ctx: SceneContext) -> set[Action]:
     """Every allowed action that maps ``inp`` exactly onto ``out``.
 
@@ -356,13 +367,9 @@ def infer_actions(inp: ObjectMask, out: ObjectMask, allowed, ctx: SceneContext) 
     for kind in allowed:
         if kind is OperationKind.IDENTITY or kind is OperationKind.EXTRACT:
             candidates.append(Action.make(kind))
-        elif kind is OperationKind.RECOLOUR:
-            candidates.append(Action.make(kind, colour=Colour(out.colour)))
-        elif kind is OperationKind.RECENTRE:
-            cx, cy = out.centre_point()
-            candidates.append(Action.make(kind, centre=Centre(cx, cy)))
-        elif kind is OperationKind.RESHAPE:
-            candidates.append(Action.make(kind, shape=Shape(out.offsets())))
+        elif kind in (OperationKind.RECOLOUR, OperationKind.RECENTRE, OperationKind.RESHAPE, OperationKind.GENERATE):
+            # Each parameter is the output object's own value for its slot.
+            candidates.append(Action.make(kind, **{slot: own_value(out, slot) for slot in PARAM_SLOTS[kind]}))
         elif kind is OperationKind.MOVE:
             (ix, iy), (ox, oy) = inp.centre_point(), out.centre_point()
             candidates.append(Action.make(kind, amount=Amount(ox - ix, oy - iy)))
@@ -370,11 +377,6 @@ def infer_actions(inp: ObjectMask, out: ObjectMask, allowed, ctx: SceneContext) 
             candidates.extend(Action.make(kind, direction=d) for d in Direction)
         elif kind in (OperationKind.FILL, OperationKind.HOLLOW):
             candidates.append(Action.make(kind))
-        elif kind is OperationKind.GENERATE:
-            cx, cy = out.centre_point()
-            candidates.append(
-                Action.make(kind, colour=Colour(out.colour), centre=Centre(cx, cy), shape=Shape(out.offsets()))
-            )
     found: set[Action] = set()
     for action in candidates:
         try:

@@ -505,6 +505,7 @@ def _fingerprint(config: EvalConfig) -> list[tuple[str, str]]:
         ("same-object similarity", repr(abduction.TAU_SAME)),
         ("fire threshold", repr(deduction.FIRE_THRESHOLD)),
         ("node budget", str(abduction.NODE_BUDGET)),
+        ("centre blur sigma", repr(pc.BLUR_SIGMA)),
         ("split", config.split if config.split is not None else "all"),
         ("trace", "on" if config.trace else "off"),
     ]

@@ -76,33 +76,32 @@ def subset_matrix(objects, subset: PropertySubset) -> NDArray[np.float64]:
     return np.stack([subset_vector(o, subset) for o in objects])
 
 
-def property_scores(objects, labels) -> NDArray[np.float64]:
+def property_scores(basis: _SpanBasis, labels) -> NDArray[np.float64]:
     """Relevance of each property for separating the given grouping.
 
     For property p: mean pairwise similarity among objects treated alike,
     minus-squared against the mean among objects treated differently.
-    Missing pair classes contribute zero.
+    Missing pair classes contribute zero. Similarities are read from the
+    task's ``_SpanBasis``, one label per basis object.
     """
-    n = len(objects)
-    idx_a, idx_b = np.triu_indices(n, k=1)
+    idx_a, idx_b = np.triu_indices(len(labels), k=1)
     same = np.array([labels[i] == labels[j] for i, j in zip(idx_a, idx_b)], dtype=bool)
     scores = np.zeros(len(PROPERTY_ORDER))
     for k, name in enumerate(PROPERTY_ORDER):
-        mat = np.stack([property_vector(o, name) for o in objects]) if n else np.zeros((0, 1))
-        sims = (mat @ mat.T)[idx_a, idx_b]
+        sims = basis.gram(name)[idx_a, idx_b]
         s_same = float(sims[same].mean()) if same.any() else 0.0
         s_diff = float(sims[~same].mean()) if (~same).any() else 0.0
         scores[k] = s_same**2 - s_diff**2
     return scores
 
 
-def rank_properties(objects, labels) -> list[PropertySubset]:
+def rank_properties(basis: _SpanBasis, labels) -> list[PropertySubset]:
     """Candidate property subsets, most promising first.
 
     Singletons in descending score order, then pairs by score sum, then the
     full triple; ties keep the canonical colour/centre/shape order.
     """
-    scores = {name: s for name, s in zip(PROPERTY_ORDER, property_scores(objects, labels))}
+    scores = {name: s for name, s in zip(PROPERTY_ORDER, property_scores(basis, labels))}
     singles = sorted(PROPERTY_ORDER, key=lambda p: (-scores[p], PROPERTY_ORDER.index(p)))
     ranked: list[PropertySubset] = [(p,) for p in singles]
     pairs = sorted(
@@ -461,11 +460,7 @@ class CopyParameter:
     prop: str
 
     def predict(self, obj: ObjectRepr, dims, codec: ParamCodec) -> Optional[ParamValue]:
-        if self.prop == "colour":
-            return Colour(obj.mask.colour)
-        if self.prop == "centre":
-            return Centre(*obj.mask.centre_point())
-        return Shape(obj.mask.offsets())
+        return dsl.own_value(obj.mask, self.prop)
 
 
 @dataclass
@@ -604,8 +599,10 @@ class _SpanBasis:
     A subset vector is a normalized sum of property vectors, so each
     subset's Gram matrix follows from 3x3 blocks of the property cross-Gram.
     That takes one (3M x N) product, made on first use and shared by every
-    subset, fold and rule kind of the task. A fold trains on some rows of
-    its subset's span and scores the rest from the same coordinates.
+    subset, fold and rule kind of the task. Subset ranking reads each
+    property's own Gram, a diagonal block, from the same product. A fold
+    trains on some rows of its subset's span and scores the rest from the
+    same coordinates.
     """
 
     def __init__(self, objects: list[ObjectRepr]):
@@ -619,6 +616,11 @@ class _SpanBasis:
         m = len(self.objects)
         blocks = (flat @ flat.T).reshape(3, m, 3, m).transpose(0, 2, 1, 3)
         return blocks, np.array([_row_ids(p) for p in props])
+
+    def gram(self, name: str) -> NDArray[np.float64]:
+        """Similarities between the objects' ``name`` vectors, (M, M)."""
+        k = PROPERTY_ORDER.index(name)
+        return self._cross[0][k, k]
 
     def span(self, subset: PropertySubset) -> _Span:
         """Span coordinates of the subset bundles, from their Gram matrix."""
@@ -797,7 +799,7 @@ def induce(result: AbductionResult, codec: ParamCodec) -> Program:
             for slot in dsl.PARAM_SLOTS[kind]
         }
         obs = _RuleObservations(kind, objects, demo_of, labels, pairs_by_slot, out_dims, basis)
-        subsets = rank_properties(objects, [bool(x) for x in labels])
+        subsets = rank_properties(basis, [bool(x) for x in labels])
         folds = _scored_folds(obs) if _needs_subset_search(obs, codec) else []
         # Without a fold to score, the top-ranked subset is the only candidate.
         plans.append((obs, subsets if folds else subsets[:1], folds))
@@ -879,6 +881,8 @@ def _predictor_from_json(doc, config: VsaConfig) -> ParameterPredictor:
     if variant == "constant":
         return ConstantParameter(dsl.param_value_from_json(doc["value"]))
     if variant == "copy":
+        if doc["property"] not in PROPERTY_ORDER:
+            raise ValueError(f"unknown copied property {doc['property']!r}")
         return CopyParameter(doc["property"])
     if variant == "linear":
         shape_values = tuple(dsl.param_value_from_json(s) for s in doc.get("shape_values") or ())

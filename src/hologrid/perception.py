@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -205,9 +206,14 @@ def segment(grid: Grid, hypothesis: ObjectHypothesis) -> list[ObjectMask]:
 BLUR_SIGMA = 0.5
 
 _BLUR_OFFSETS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-_BLUR_WEIGHTS = np.array(
-    [np.exp(-(dx * dx + dy * dy) / (2 * BLUR_SIGMA**2)) for dx, dy in _BLUR_OFFSETS]
-)
+
+
+@cache
+def _blur_weights(sigma: float) -> NDArray[np.float64]:
+    """The 3x3 stencil's weights exp(-d^2 / 2 sigma^2), read-only."""
+    weights = np.array([np.exp(-(dx * dx + dy * dy) / (2 * sigma**2)) for dx, dy in _BLUR_OFFSETS])
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass
@@ -245,7 +251,8 @@ def encode_object(mask: ObjectMask, encoder: SspEncoder, palette: Vocabulary) ->
     """Build the colour / centre / shape vectors for one mask.
 
     The centre vector is a Gaussian-blurred stamp of the bbox midpoint: a
-    3x3 stencil of encodings weighted by exp(-d^2 / 2 sigma^2), normalized.
+    3x3 stencil of encodings weighted by exp(-d^2 / 2 sigma^2), normalized,
+    with sigma read from ``BLUR_SIGMA`` when called.
     Blurring widens the similarity peak so nearby centres score smoothly
     rather than falling straight to noise level.
 
@@ -255,7 +262,7 @@ def encode_object(mask: ObjectMask, encoder: SspEncoder, palette: Vocabulary) ->
     colour_vec = palette[f"colour:{mask.colour}"]
     cx, cy = mask.centre_point()
     stencil = np.array([(cx + dx, cy + dy) for dx, dy in _BLUR_OFFSETS])
-    blurred = _BLUR_WEIGHTS @ encoder.encode_many(stencil)
+    blurred = _blur_weights(BLUR_SIGMA) @ encoder.encode_many(stencil)
     centre_vec = vsa.normalize(blurred)
 
     mid_r, mid_c = mask.centre_rc()

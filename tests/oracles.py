@@ -150,3 +150,32 @@ def hitting_sets_brute_force(partial_sets, cost_fn):
             elif c == best_cost:
                 best.append(chosen)
     return best_cost, best
+
+
+PROPERTY_VECTORS = ("colour_vec", "centre_vec", "shape_vec")
+
+
+def similarity_matrices_direct(outs, ins) -> np.ndarray:
+    """(3, outs, ins) colour/centre/shape similarities, one np.dot per pair."""
+    sims = np.zeros((len(PROPERTY_VECTORS), len(outs), len(ins)))
+    for k, pick in enumerate(PROPERTY_VECTORS):
+        for o, a in enumerate(outs):
+            for i, b in enumerate(ins):
+                sims[k, o, i] = np.dot(getattr(a, pick), getattr(b, pick))
+    return sims
+
+
+def property_scores_direct(objects, labels) -> np.ndarray:
+    """Per property: squared mean similarity of same-label pairs minus that of
+    different-label pairs, one np.dot per pair; a missing pair class counts 0."""
+    scores = []
+    for pick in PROPERTY_VECTORS:
+        same, diff = [], []
+        for i in range(len(objects)):
+            for j in range(i + 1, len(objects)):
+                sim = float(np.dot(getattr(objects[i], pick), getattr(objects[j], pick)))
+                (same if labels[i] == labels[j] else diff).append(sim)
+        s_same = sum(same) / len(same) if same else 0.0
+        s_diff = sum(diff) / len(diff) if diff else 0.0
+        scores.append(s_same**2 - s_diff**2)
+    return np.array(scores)

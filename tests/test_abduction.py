@@ -12,7 +12,7 @@ from hologrid import perception as pc
 from hologrid import ssp, vsa
 from hologrid.dsl import Action, Amount, Colour, OperationKind as Op
 
-from oracles import hitting_sets_brute_force, softmax_direct
+from oracles import hitting_sets_brute_force, similarity_matrices_direct, softmax_direct
 
 CFG = vsa.VsaConfig(dimension=512, seed=33)
 ENC = ssp.SspEncoder(CFG)
@@ -78,7 +78,26 @@ def test_correspondence_prefers_recoloured_copy_over_unrelated():
         ]
     ).objects[0]
     # Same place and shape but new colour beats same colour elsewhere.
-    assert ab.correspondence(out, ins) == 0
+    combined = ab.similarity_matrices([out], ins).sum(axis=0) / 3.0
+    assert int(np.argmax(combined[0])) == 0
+
+
+def random_objects(rng, hyp):
+    """Objects of a seeded random grid; at least one pixel is coloured."""
+    rows, cols = (int(v) for v in rng.integers(2, 8, size=2))
+    cells = np.where(rng.random((rows, cols)) < 0.4, rng.integers(1, 10, size=(rows, cols)), 0)
+    cells[rng.integers(rows), rng.integers(cols)] = rng.integers(1, 10)
+    return scene(cells, hyp).objects
+
+
+def test_similarity_matrices_match_pairwise_dot_oracle():
+    rng = np.random.default_rng(5)
+    for hyp in pc.ObjectHypothesis:
+        for _ in range(3):
+            outs, ins = random_objects(rng, hyp), random_objects(rng, hyp)
+            sims = ab.similarity_matrices(outs, ins)
+            assert sims.shape == (3, len(outs), len(ins))
+            assert np.max(np.abs(sims - similarity_matrices_direct(outs, ins))) < 1e-12
 
 
 def obj(rows):
@@ -87,21 +106,26 @@ def obj(rows):
     return objects[0]
 
 
+def candidates(inp, out):
+    """Candidate operations from the pair's entries of the similarity matrices."""
+    return ab.candidate_operations(*ab.similarity_matrices([out], [inp])[:, 0, 0])
+
+
 def test_candidate_operations_identity():
     a = obj([[0, 4], [4, 4]])
-    assert ab.candidate_operations(a, a) == {Op.IDENTITY}
+    assert candidates(a, a) == {Op.IDENTITY}
 
 
 def test_candidate_operations_colour_change():
     a = obj([[0, 4], [4, 4]])
     b = obj([[0, 2], [2, 2]])
-    assert ab.candidate_operations(a, b) == {Op.RECOLOUR, Op.GENERATE}
+    assert candidates(a, b) == {Op.RECOLOUR, Op.GENERATE}
 
 
 def test_candidate_operations_centre_change():
     a = obj([[7, 0, 0, 0], [0, 0, 0, 0]])
     b = obj([[0, 0, 0, 7], [0, 0, 0, 0]])
-    assert ab.candidate_operations(a, b) == {Op.RECENTRE, Op.MOVE, Op.GRAVITY, Op.GENERATE}
+    assert candidates(a, b) == {Op.RECENTRE, Op.MOVE, Op.GRAVITY, Op.GENERATE}
 
 
 def test_candidate_operations_shape_change():
@@ -119,13 +143,13 @@ def test_candidate_operations_shape_change():
             [6, 6, 6],
         ]
     )
-    assert ab.candidate_operations(a, b) == {Op.RESHAPE, Op.GROW, Op.FILL, Op.HOLLOW, Op.GENERATE}
+    assert candidates(a, b) == {Op.RESHAPE, Op.GROW, Op.FILL, Op.HOLLOW, Op.GENERATE}
 
 
 def test_candidate_operations_multiple_changes_leave_generate():
     a = obj([[9, 0, 0, 0], [0, 0, 0, 0]])
     b = obj([[0, 0, 0, 0], [0, 0, 1, 1]])
-    assert ab.candidate_operations(a, b) == {Op.GENERATE}
+    assert candidates(a, b) == {Op.GENERATE}
 
 
 # ---------------------------------------------------------------- hitting set

@@ -402,6 +402,15 @@ def test_infer_generate_always_reproduces():
     assert gen.param("colour") == Colour(5)
 
 
+def test_own_value_reads_colour_centre_and_shape():
+    m = mask([[0, 0, 0], [0, 4, 4], [0, 0, 0]])
+    assert dsl.own_value(m, "colour") == Colour(4)
+    assert dsl.own_value(m, "centre") == Centre(0.5, 0.0)
+    assert dsl.own_value(m, "shape") == Shape(frozenset({(0.0, -0.5), (0.0, 0.5)}))
+    with pytest.raises(KeyError):
+        dsl.own_value(m, "amount")
+
+
 def test_infer_extract():
     g = [
         [0, 0, 0],

@@ -437,6 +437,7 @@ def test_fingerprint_contents():
     assert pairs["same-object similarity"] == repr(ab.TAU_SAME) == "0.95"
     assert pairs["fire threshold"] == repr(de.FIRE_THRESHOLD) == "0.5"
     assert pairs["node budget"] == str(ab.NODE_BUDGET) == "200000"
+    assert pairs["centre blur sigma"] == repr(pc.BLUR_SIGMA) == "0.5"
 
 
 # ---------------------------------------------------------------------------

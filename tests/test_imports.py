@@ -1,4 +1,4 @@
-"""Every module under src/hologrid uses each name it imports.
+"""Every module under src/hologrid, and every test module, uses each name it imports.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports.
 """
@@ -7,7 +7,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hologrid"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "hologrid"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -39,10 +40,11 @@ def test_scanner_sees_each_kind_of_import():
 
 def test_no_module_imports_a_name_it_never_uses():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and tests
     unused = [
-        f"{path.name}:{line} {name}"
-        for path in modules
+        f"{path.parent.name}/{path.name}:{line} {name}"
+        for path in modules + tests
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert unused == []

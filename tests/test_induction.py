@@ -16,6 +16,7 @@ from oracles import (
     conv_direct,
     linear_loss_direct,
     logistic_loss_direct,
+    property_scores_direct,
 )
 
 CFG = vsa.VsaConfig(dimension=512, seed=33)
@@ -52,22 +53,36 @@ def square(colour, r, c, rows=7, cols=7):
 def test_property_scores_colour_separation():
     objects = [pixel(3, 1, 1), square(3, 4, 4), pixel(5, 1, 4), square(5, 4, 1)]
     labels = ["a", "a", "b", "b"]
-    scores = ind.property_scores(objects, labels)
+    basis = ind._SpanBasis(objects)
+    scores = ind.property_scores(basis, labels)
     # Same-group colour similarity 1, cross-group ~0: score(colour) ~ 1.
     assert scores[0] == pytest.approx(1.0, abs=0.05)
-    assert ind.rank_properties(objects, labels)[0] == ("colour",)
+    assert ind.rank_properties(basis, labels)[0] == ("colour",)
 
 
 def test_property_scores_uninformative_property_is_zero():
     objects = [pixel(4, 1, 1), pixel(4, 1, 5), pixel(4, 5, 1), pixel(4, 5, 5)]
-    scores = ind.property_scores(objects, ["a", "a", "b", "b"])
+    scores = ind.property_scores(ind._SpanBasis(objects), ["a", "a", "b", "b"])
     # Identical colour everywhere gives s_same = s_diff, so no separation.
     assert scores[0] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_property_scores_match_pairwise_dot_oracle():
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        objects = []
+        for _ in range(int(rng.integers(2, 9))):
+            grid = np.where(rng.random((5, 6)) < 0.3, rng.integers(1, 4, size=(5, 6)), 0)
+            grid[rng.integers(5), rng.integers(6)] = rng.integers(1, 4)
+            objects.extend(pc.perceive(pc.as_grid(grid), pc.ObjectHypothesis.EIGHT_CONNECTED, ENC, PALETTE).objects)
+        labels = [bool(x) for x in rng.random(len(objects)) < 0.5]
+        scores = ind.property_scores(ind._SpanBasis(objects), labels)
+        assert np.max(np.abs(scores - property_scores_direct(objects, labels))) < 1e-12
+
+
 def test_rank_properties_layout():
     objects = [pixel(2, 0, 0), pixel(9, 6, 6)]
-    ranked = ind.rank_properties(objects, [0, 1])
+    ranked = ind.rank_properties(ind._SpanBasis(objects), [0, 1])
     assert len(ranked) == 7
     assert all(len(s) == 1 for s in ranked[:3])
     assert all(len(s) == 2 for s in ranked[3:6])
@@ -621,3 +636,15 @@ def test_program_json_rejects_config_mismatch():
     bad["format"] = "something-else"
     with pytest.raises(ValueError):
         ind.program_from_json(bad, CFG)
+
+
+def test_program_json_rejects_unknown_copied_property():
+    rule = {
+        "kind": "recolour",
+        "condition": {"subset": ["colour"], "weights": None, "steepness": 5.0, "threshold": 0.0},
+        "parameters": {"colour": {"variant": "copy", "property": "size"}},
+    }
+    doc = {"format": ind.PROGRAM_FORMAT, "version": ind.PROGRAM_VERSION, "dimension": CFG.dimension, "seed": CFG.seed}
+    assert len(ind.program_from_json({**doc, "rules": []}, CFG)) == 0
+    with pytest.raises(ValueError):
+        ind.program_from_json({**doc, "rules": [rule]}, CFG)

@@ -201,6 +201,16 @@ def test_blurred_centre_decodes_to_centre_point():
     assert point == (1.5, 0.0)
 
 
+def test_centre_vector_follows_blur_sigma(monkeypatch):
+    g = [[0, 0, 0], [0, 3, 3], [0, 0, 0]]
+    before = one_object(g).centre_vec
+    monkeypatch.setattr(pc, "BLUR_SIGMA", 1.0)
+    widened = one_object(g).centre_vec
+    assert np.max(np.abs(widened - before)) > 1e-3
+    monkeypatch.undo()
+    assert np.array_equal(one_object(g).centre_vec, before)
+
+
 def test_square_shape_component_similarity():
     # A 2x2 square's shape bundles four offset encodings; each corner offset
     # should sit near 1/2 similarity (four roughly orthogonal components).
