@@ -284,10 +284,11 @@ class AbductionResult:
     optimal: bool = True  # False: the hitting set is the best found within the node budget
 
 
-def _explain_under_hypothesis(demos, hyp, size, encoder, palette):
+def _explain_under_hypothesis(demos, hyp, size, encoder, palette) -> AbductionResult | str:
     """Candidate sets, hitting set and assignments for one hypothesis.
 
-    Returns (result dict, None) or (None, rejection reason).
+    Returns the accepted explanation, still without a trace, or the reason
+    the hypothesis is rejected.
     """
     in_scenes = [perceive(inp, hyp, encoder, palette) for inp, _ in demos]
     out_scenes = [perceive(out, hyp, encoder, palette) for _, out in demos]
@@ -298,7 +299,7 @@ def _explain_under_hypothesis(demos, hyp, size, encoder, palette):
         if not out_scene.objects:
             continue
         if not ins:
-            return None, "output objects with no input objects to explain them"
+            return "output objects with no input objects to explain them"
         all_cells = frozenset().union(*(o.mask.cells for o in ins))
         out_dims = (int(out_scene.grid.shape[0]), int(out_scene.grid.shape[1]))
         sims = similarity_matrices(out_scene.objects, ins)
@@ -313,7 +314,7 @@ def _explain_under_hypothesis(demos, hyp, size, encoder, palette):
             ctx = SceneContext(dims=out_dims, occupied=all_cells - inp.mask.cells)
             actions = dsl.infer_actions(inp.mask, out_obj.mask, allowed, ctx)
             if not actions:
-                return None, f"demo {demo_idx} output object {out_idx} admits no action"
+                return f"demo {demo_idx} output object {out_idx} admits no action"
             items.append((demo_idx, out_idx, in_idx, actions))
 
     action_set, cost, optimal = minimum_hitting_set([actions for *_, actions in items])
@@ -337,26 +338,27 @@ def _explain_under_hypothesis(demos, hyp, size, encoder, palette):
         key = (sig, a.action.kind)
         params = a.action.params
         if key in seen and seen[key] != params:
-            return None, "identical input objects demand conflicting parameters"
+            return "identical input objects demand conflicting parameters"
         seen[key] = params
 
     total_outputs = len(items)
     if total_outputs:
         if cost / total_outputs > OP_COST + PARAM_COST:
-            return None, "explanation cost exceeds the per-object budget"
+            return "explanation cost exceeds the per-object budget"
         if _novel_generate_fraction(assignments, in_scenes) > 0.5:
-            return None, "most output objects need one-off generate actions"
+            return "most output objects need one-off generate actions"
 
-    return (
-        {
-            "action_set": tuple(sorted(action_set, key=lambda a: a.sort_key())),
-            "cost": cost,
-            "optimal": optimal,
-            "assignments": assignments,
-            "input_scenes": in_scenes,
-            "output_scenes": out_scenes,
-        },
-        None,
+    return AbductionResult(
+        ok=True,
+        reason=None,
+        hypothesis=hyp,
+        size=size,
+        action_set=tuple(sorted(action_set, key=lambda a: a.sort_key())),
+        cost=cost,
+        assignments=assignments,
+        input_scenes=in_scenes,
+        output_scenes=out_scenes,
+        optimal=optimal,
     )
 
 
@@ -397,26 +399,13 @@ def abduce(demos: list[tuple[Grid, Grid]], encoder: SspEncoder, palette: Vocabul
     ranking = rank_object_hypotheses(demos, encoder, palette)
     trace: list[str] = []
     for hyp, score in ranking:
-        explained, reason = _explain_under_hypothesis(demos, hyp, size, encoder, palette)
-        if explained is None:
-            trace.append(f"hypothesis={hyp.value} score={score:.6f} status=rejected ({reason})")
+        explained = _explain_under_hypothesis(demos, hyp, size, encoder, palette)
+        if isinstance(explained, str):
+            trace.append(f"hypothesis={hyp.value} score={score:.6f} status=rejected ({explained})")
             continue
-        trace.append(
-            f"hypothesis={hyp.value} score={score:.6f} cost={explained['cost']} status=accepted"
-        )
-        return AbductionResult(
-            ok=True,
-            reason=None,
-            hypothesis=hyp,
-            size=size,
-            action_set=explained["action_set"],
-            cost=explained["cost"],
-            assignments=explained["assignments"],
-            input_scenes=explained["input_scenes"],
-            output_scenes=explained["output_scenes"],
-            trace=trace,
-            optimal=explained["optimal"],
-        )
+        trace.append(f"hypothesis={hyp.value} score={score:.6f} cost={explained.cost} status=accepted")
+        explained.trace = trace
+        return explained
     return AbductionResult(
         ok=False,
         reason="every segmentation hypothesis was rejected",

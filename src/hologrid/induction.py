@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 from . import dsl, ssp, vsa
 from .abduction import AbductionResult, TAU_SAME
 from .dsl import Amount, Centre, Colour, Direction, OperationKind, ParamValue, Shape
-from .perception import ObjectRepr
+from .perception import ObjectRepr, shape_bundle
 from .ssp import SspEncoder
 from .vsa import HyperVector, Vocabulary, VsaConfig
 
@@ -65,11 +65,8 @@ def property_vector(obj: ObjectRepr, name: str) -> HyperVector:
 
 
 def subset_vector(obj: ObjectRepr, subset: PropertySubset) -> HyperVector:
-    """Normalized bundle of the selected property vectors."""
-    total = property_vector(obj, subset[0]).copy()
-    for name in subset[1:]:
-        total += property_vector(obj, name)
-    return vsa.normalize(total)
+    """Bundle of the selected property vectors."""
+    return vsa.bundle([property_vector(obj, name) for name in subset])
 
 
 def subset_matrix(objects, subset: PropertySubset) -> NDArray[np.float64]:
@@ -240,8 +237,8 @@ class _SpanConditions:
 
     ``weights[f]`` are run f's unit weights in the coordinates of its span
     and ``scores[f]`` their similarity to each row. A ``refused`` run met a
-    weight vector that cannot be normalized, where the direct trainer
-    raises ValueError.
+    weight vector that cannot be normalized, where training in R^N would
+    raise ValueError.
     """
 
     weights: NDArray[np.float64]  # (F, M)
@@ -328,30 +325,6 @@ def _train_span_conditions(coords, train, labels) -> _SpanConditions:
     return _SpanConditions(weights, steepness, threshold, scores, refused)
 
 
-def _materialize(fit: _SpanConditions, run: int, subset, span: _Span, distinct_rows) -> OperationPredictor:
-    """One run's predictor, its weights built in R^N from the span's distinct rows."""
-    if fit.refused[run]:
-        raise ValueError("cannot normalize a zero or non-finite vector")
-    weights = vsa.normalize(span.vector(fit.weights[run], distinct_rows))
-    return OperationPredictor(subset, weights, float(fit.steepness[run]), float(fit.threshold[run]))
-
-
-def train_operation_predictor(positives, negatives, subset: PropertySubset) -> OperationPredictor:
-    """Fit the condition predictor; no negatives means a vacuous condition."""
-    if not positives:
-        raise InductionError("operation predictor needs at least one positive example")
-    subset = canonical_subset(subset)
-    if not negatives:
-        return OperationPredictor(subset=subset)
-    inputs = subset_matrix(list(positives) + list(negatives), subset)
-    rows = len(inputs)
-    span = _Span.of(inputs @ inputs.T, _row_ids(inputs))
-    fit = _train_span_conditions(
-        span.coords[None], np.ones((1, rows), dtype=bool), np.arange(rows) < len(positives)
-    )
-    return _materialize(fit, 0, subset, span, inputs[span.first])
-
-
 # --------------------------------------------------------------------------
 # parameter encoding / decoding
 
@@ -378,12 +351,13 @@ class ParamCodec:
             return shape_bundle(value.offsets, self.encoder)
         raise KeyError(slot)
 
-    def decode(self, slot: str, vector: HyperVector, dims, shape_values=None, shapes: Optional[Vocabulary] = None):
+    def decode(self, slot: str, vector: HyperVector, dims, shape_values, shapes: Optional[Vocabulary]):
         """Nearest valid slot value, or None when the signal is too weak.
 
         ``dims`` bounds the lattice for the continuous slots. Discrete slots
         go through vocabulary cleanup with a confidence floor; shapes against
-        ``shapes``, the ``shape_vocabulary`` of the candidate ``shape_values``.
+        ``shapes``, the ``shape_vocabulary`` of the candidate ``shape_values``
+        (both None outside the shape slot).
         """
         if slot in ("centre", "amount"):
             rows, cols = dims
@@ -409,12 +383,6 @@ class ParamCodec:
             name, sim = shapes.cleanup(unit)
             return shape_values[int(name.split(":")[1])] if sim >= DECODE_FLOOR else None
         raise KeyError(slot)
-
-
-def shape_bundle(offsets, encoder: SspEncoder) -> HyperVector:
-    """Same construction as an object's shape vector, from bare offsets."""
-    pts = np.array([(dc, -dr) for dr, dc in sorted(offsets)])
-    return vsa.normalize(encoder.encode_many(pts).sum(axis=0))
 
 
 def shape_vocabulary(shape_values, encoder: SspEncoder) -> Vocabulary:
@@ -675,9 +643,13 @@ class _KindConditions:
         if subset not in self.full:
             return OperationPredictor(subset=subset)
         fit, run = self.full[subset]
+        if fit.refused[run]:
+            raise ValueError("cannot normalize a zero or non-finite vector")
+        # The weights are built in R^N from the span's distinct rows.
         span = obs.basis.span(subset)
         distinct = subset_matrix([obs.objects[i] for i in span.first], subset)
-        return _materialize(fit, run, subset, span, distinct)
+        weights = vsa.normalize(span.vector(fit.weights[run], distinct))
+        return OperationPredictor(subset, weights, float(fit.steepness[run]), float(fit.threshold[run]))
 
 
 def _scored_folds(obs: _RuleObservations) -> list[int]:
@@ -686,7 +658,7 @@ def _scored_folds(obs: _RuleObservations) -> list[int]:
     return [d for d in sorted(set(obs.demo_of)) if obs.labels[demo_of != d].any()]
 
 
-def _fit_conditions(plans) -> list[_KindConditions]:
+def train_operation_predictor(plans) -> list[_KindConditions]:
     """Every condition training of a task in one batch.
 
     ``plans`` holds (observations, candidate subsets, folds) per rule kind.
@@ -748,7 +720,7 @@ def cross_validate(obs: _RuleObservations, subsets, codec: ParamCodec, condition
     """Leave-one-demonstration-out selection among candidate subsets.
 
     ``conditions`` carries the condition accuracies, trained by
-    ``_fit_conditions`` over the same subsets and ``_scored_folds``.
+    ``train_operation_predictor`` over the same subsets and ``_scored_folds``.
     Single-demonstration tasks fall back to the top-ranked candidate; ties
     keep the heuristic ranking order.
     """
@@ -805,7 +777,7 @@ def induce(result: AbductionResult, codec: ParamCodec) -> Program:
         plans.append((obs, subsets if folds else subsets[:1], folds))
 
     rules = []
-    for (obs, subsets, folds), conditions in zip(plans, _fit_conditions(plans)):
+    for (obs, subsets, folds), conditions in zip(plans, train_operation_predictor(plans)):
         subset = cross_validate(obs, subsets, codec, conditions) if folds else subsets[0]
         try:
             condition = conditions.predictor(obs, subset)

@@ -256,19 +256,22 @@ def encode_object(mask: ObjectMask, encoder: SspEncoder, palette: Vocabulary) ->
     Blurring widens the similarity peak so nearby centres score smoothly
     rather than falling straight to noise level.
 
-    The shape vector bundles the encodings of every cell offset relative to
-    the midpoint, making it invariant to translation by construction.
+    The shape vector is the ``shape_bundle`` of the cell offsets from the
+    midpoint, making it invariant to translation by construction.
     """
     colour_vec = palette[f"colour:{mask.colour}"]
     cx, cy = mask.centre_point()
     stencil = np.array([(cx + dx, cy + dy) for dx, dy in _BLUR_OFFSETS])
     blurred = _blur_weights(BLUR_SIGMA) @ encoder.encode_many(stencil)
     centre_vec = vsa.normalize(blurred)
-
-    mid_r, mid_c = mask.centre_rc()
-    offsets_xy = np.array([(c - mid_c, mid_r - r) for r, c in sorted(mask.cells)])
-    shape_vec = vsa.normalize(encoder.encode_many(offsets_xy).sum(axis=0))
+    shape_vec = shape_bundle(mask.offsets(), encoder)
     return ObjectRepr(mask=mask, colour_vec=colour_vec, centre_vec=centre_vec, shape_vec=shape_vec)
+
+
+def shape_bundle(offsets, encoder: SspEncoder) -> HyperVector:
+    """Bundle of the encodings of (drow, dcol) cell offsets, each as the point (dcol, -drow)."""
+    pts = np.array([(dc, -dr) for dr, dc in sorted(offsets)])
+    return vsa.bundle(encoder.encode_many(pts))
 
 
 def perceive(grid: Grid, hypothesis: ObjectHypothesis, encoder: SspEncoder, palette: Vocabulary) -> Scene:

@@ -5,7 +5,7 @@ carried by the discrete Fourier spectrum:
 
 * ``similarity`` is the plain dot product,
 * ``bind`` is circular convolution (element-wise spectral product),
-* ``bundle`` is element-wise addition,
+* ``bundle`` is element-wise addition, scaled to unit length,
 * ``invert`` reverses coefficient order, which conjugates the spectrum.
 
 Random symbols are sampled *unitary*: every DFT coefficient has magnitude
@@ -112,23 +112,20 @@ def normalize(v: HyperVector) -> HyperVector:
     return v / norm
 
 
-_normalize = normalize
+def bundle(vectors) -> HyperVector:
+    """Element-wise sum of one or more vectors, scaled to unit length.
 
-
-def bundle(vectors, normalize: bool = False) -> HyperVector:
-    """Element-wise sum of one or more vectors.
-
-    With ``normalize`` the sum is scaled to unit length, which keeps the
-    result comparable to symbols under dot-product similarity.
+    ``vectors`` is a sequence of equal-shape vectors or an array of them as
+    rows. The scaling keeps the result comparable to symbols under
+    dot-product similarity.
     """
-    vectors = list(vectors)
-    if not vectors:
+    try:
+        stack = np.asarray(vectors, dtype=np.float64)
+    except ValueError:
+        raise DimensionMismatchError("bundled vectors differ in shape") from None
+    if len(stack) == 0:
         raise ValueError("bundle of zero vectors")
-    out = np.zeros_like(vectors[0])
-    for v in vectors:
-        _check_same_dimension(out, v)
-        out = out + v
-    return _normalize(out) if normalize else out
+    return normalize(stack.sum(axis=0))
 
 
 class Vocabulary:

@@ -87,6 +87,32 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def centre_vector_direct(point, sigma, encode_many) -> np.ndarray:
+    """Blurred centre: the 3x3 stencil around ``point`` weighted by exp(-d^2 / 2 sigma^2), normalized."""
+    offsets = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    weights = np.array([np.exp(-(dx * dx + dy * dy) / (2 * sigma**2)) for dx, dy in offsets])
+    stencil = np.array([(point[0] + dx, point[1] + dy) for dx, dy in offsets])
+    return _unit(weights @ encode_many(stencil))
+
+
+def shape_vector_direct(cells, encode_many) -> np.ndarray:
+    """Sum of the encodings of each (row, col) cell as the point (col - mid_col, mid_row - row)
+    from the bounding-box midpoint, cells in sorted order, normalized."""
+    rows = [r for r, _ in cells]
+    cols = [c for _, c in cells]
+    mid_r, mid_c = (min(rows) + max(rows)) / 2.0, (min(cols) + max(cols)) / 2.0
+    points = np.array([(c - mid_c, mid_r - r) for r, c in sorted(cells)])
+    return _unit(encode_many(points).sum(axis=0))
+
+
+def bundle_direct(vectors) -> np.ndarray:
+    """Normalized sum, accumulated in place one vector at a time."""
+    total = np.array(vectors[0], dtype=np.float64)
+    for v in vectors[1:]:
+        total += v
+    return _unit(total)
+
+
 def condition_training_direct(pos, neg, learning_rate, max_epochs, loss_floor, initial_steepness):
     """Logistic condition predictor trained on the weight vector itself, in R^N.
 

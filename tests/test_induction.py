@@ -9,9 +9,12 @@ import pytest
 from hologrid import abduction as ab
 from hologrid import induction as ind, perception as pc
 from hologrid import ssp, vsa
+from hologrid.deduction import solve_task
 from hologrid.dsl import Amount, Centre, Colour, OperationKind as Op, Shape
+from hologrid.harness import TaskRecord
 
 from oracles import (
+    bundle_direct,
     condition_training_direct,
     conv_direct,
     linear_loss_direct,
@@ -98,6 +101,20 @@ def test_subset_vector_is_normalized_bundle():
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_subset_vector_matches_sequential_sum_bitwise():
+    rng = np.random.default_rng(41)
+    objects = []
+    for _ in range(8):
+        g = np.where(rng.random((6, 6)) < 0.4, rng.integers(1, 10, size=(6, 6)), 0)
+        g[rng.integers(6), rng.integers(6)] = rng.integers(1, 10)
+        for hyp in pc.ObjectHypothesis:
+            objects.extend(pc.perceive(pc.as_grid(g), hyp, ENC, PALETTE).objects)
+    for o in objects:
+        for subset in ALL_SUBSETS:
+            expected = bundle_direct([ind.property_vector(o, p) for p in subset])
+            assert np.array_equal(ind.subset_vector(o, subset), expected)
+
+
 def test_canonical_subset_rejects_junk():
     assert ind.canonical_subset(("shape", "colour")) == ("colour", "shape")
     with pytest.raises(ValueError):
@@ -109,8 +126,16 @@ def test_canonical_subset_rejects_junk():
 # ---------------------------------------------------------------- operation predictor
 
 
+def train_condition(positives, negatives, subset):
+    """The full-data condition of one demo's objects, from the batch trainer."""
+    objects = list(positives) + list(negatives)
+    obs = make_observations([objects], [[i < len(positives) for i in range(len(objects))]])
+    (conditions,) = ind.train_operation_predictor([(obs, [subset], [])])
+    return conditions.predictor(obs, subset)
+
+
 def test_vacuous_predictor_when_no_negatives():
-    pred = ind.train_operation_predictor([pixel(2, 1, 1)], [], ("colour",))
+    pred = train_condition([pixel(2, 1, 1)], [], ("colour",))
     assert pred.vacuous
     assert pred.probability(pixel(8, 5, 5)) == 1.0
 
@@ -118,8 +143,12 @@ def test_vacuous_predictor_when_no_negatives():
 def test_learned_predictor_separates_colours():
     positives = [pixel(2, r, c) for r, c in [(0, 0), (2, 3), (5, 1)]]
     negatives = [pixel(7, r, c) for r, c in [(1, 5), (4, 4), (6, 0)]]
-    pred = ind.train_operation_predictor(positives, negatives, ("colour",))
+    pred = train_condition(positives, negatives, ("colour",))
     assert not pred.vacuous
+    assert_matches_direct(
+        pred.weights, pred.steepness, pred.threshold,
+        bundles(positives, ("colour",)), bundles(negatives, ("colour",)),
+    )
     assert np.linalg.norm(pred.weights) == pytest.approx(1.0, abs=1e-6)
     assert pred.steepness > 0
     for o in positives + [pixel(2, 3, 3)]:
@@ -131,7 +160,11 @@ def test_learned_predictor_separates_colours():
 def test_predictor_probability_monotone_in_similarity():
     positives = [square(1, 0, 0), square(1, 3, 3)]
     negatives = [pixel(6, 6, 6), pixel(6, 0, 6)]
-    pred = ind.train_operation_predictor(positives, negatives, ("colour", "shape"))
+    pred = train_condition(positives, negatives, ("colour", "shape"))
+    assert_matches_direct(
+        pred.weights, pred.steepness, pred.threshold,
+        bundles(positives, ("colour", "shape")), bundles(negatives, ("colour", "shape")),
+    )
     rng = np.random.default_rng(5)
     sims, probs = [], []
     for _ in range(20):
@@ -249,7 +282,7 @@ def test_span_training_matches_direct_oracle_on_random_folds():
         if obs.labels.all() or not obs.labels.any():
             continue
         folds = ind._scored_folds(obs)
-        (conditions,) = ind._fit_conditions([(obs, ALL_SUBSETS, folds)])
+        (conditions,) = ind.train_operation_predictor([(obs, ALL_SUBSETS, folds)])
         demo_of = np.array(obs.demo_of)
         runs = []  # (subset index, held-out demo) of every trained fold
         for s, subset in enumerate(ALL_SUBSETS):
@@ -300,7 +333,7 @@ def test_train_operation_predictor_matches_direct_oracle():
     positives = [square(1, 0, 0), pixel(1, 3, 3), square(4, 4, 1)]
     negatives = [pixel(6, 6, 6), pixel(6, 0, 6), square(8, 2, 4)]
     for subset in ALL_SUBSETS:
-        pred = ind.train_operation_predictor(positives, negatives, subset)
+        pred = train_condition(positives, negatives, subset)
         assert_matches_direct(
             pred.weights, pred.steepness, pred.threshold,
             bundles(positives, subset), bundles(negatives, subset),
@@ -315,7 +348,7 @@ def test_cancelling_bundles_start_from_positive_prototype():
     subset = ("colour", "shape")
     X, Y = bundles(positives, subset), bundles(negatives, subset)
     assert np.linalg.norm(X.sum(axis=0) - Y.sum(axis=0)) < 1e-12
-    pred = ind.train_operation_predictor(positives, negatives, subset)
+    pred = train_condition(positives, negatives, subset)
     w, _, _ = assert_matches_direct(pred.weights, pred.steepness, pred.threshold, X, Y)
     # A Gram matrix whose entries carry rounding noise decides the same way.
     rows = np.vstack([X, Y])
@@ -344,9 +377,10 @@ def test_zero_norm_weights_are_refused():
     fit = ind._train_span_conditions(coords[None], np.ones((1, 4), dtype=bool), labels)
     assert fit.refused[0]
     # The refusal surfaces as the ValueError that induce turns into a vacuous condition.
-    span = ind._Span(coords, np.arange(4), np.eye(4))
+    obs = make_observations([[pc.ObjectRepr(None, r, r, r) for r in rows]], [labels])
+    conditions = ind._KindConditions(np.zeros((1, 0)), {("colour",): (fit, 0)})
     with pytest.raises(ValueError):
-        ind._materialize(fit, 0, ("colour",), span, rows)
+        conditions.predictor(obs, ("colour",))
 
 
 # ---------------------------------------------------------------- parameter predictors
@@ -457,24 +491,82 @@ def test_circulant_matrix_product_is_binding():
     assert np.allclose(ind.circulant_matrix(v) @ x, conv_direct(v, x), atol=1e-9)
 
 
-def test_factored_training_matches_dense_training():
-    rng = np.random.default_rng(31)
-    n, m = 32, 3
-    X = np.stack([vsa.normalize(rng.normal(size=n)) for _ in range(m)])
-    Y = np.stack([vsa.normalize(rng.normal(size=n)) for _ in range(m)])
-    base, correction = ind._train_linear_factors(X, Y)
-    # Dense reference: same initialization, same schedule, explicit matrix.
+def dense_descent(X, Y):
+    """Dense reference: the factored trainer's initialization and schedule on an explicit matrix."""
     W = ind.circulant_matrix(np.mean([vsa.unbind(y, x) for x, y in zip(X, Y)], axis=0))
     for _ in range(ind.MAX_EPOCHS):
         loss, grad = ind.parameter_loss_grad(W, X, Y)
         if loss < ind.LOSS_FLOOR:
             break
         W = W - ind.LEARNING_RATE * grad
+    return W
+
+
+def test_factored_training_matches_dense_training():
+    rng = np.random.default_rng(31)
+    n, m = 32, 3
+    X = np.stack([vsa.normalize(rng.normal(size=n)) for _ in range(m)])
+    Y = np.stack([vsa.normalize(rng.normal(size=n)) for _ in range(m)])
+    base, correction = ind._train_linear_factors(X, Y)
+    W = dense_descent(X, Y)
     factored = ind.circulant_matrix(base) + correction.T @ X
     assert np.allclose(factored, W, atol=1e-8)
     probe = vsa.normalize(rng.normal(size=n))
     lp = ind.LinearParameter("colour", ("colour",), base, X, correction)
     assert np.allclose(lp.apply(probe), W @ probe, atol=1e-8)
+
+
+def recolour_by_shape_task(seed):
+    """4 demos and 1 query on 8x8 grids: a 2x2 square at two corners and a 1x3
+    bar at the other two, the colours 1, 2, 4 and 6 shuffled over the four;
+    squares become colour 3 and bars colour 5, so the colour follows the
+    shape alone."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(5):
+        inp, out = np.zeros((8, 8), dtype=np.int64), np.zeros((8, 8), dtype=np.int64)
+        squares = rng.permutation([True, True, False, False])
+        for (r0, c0), is_square, colour in zip(((0, 0), (0, 4), (4, 0), (4, 4)), squares, rng.permutation([1, 2, 4, 6])):
+            cells = ((0, 0), (0, 1), (1, 0), (1, 1)) if is_square else ((0, 0), (0, 1), (0, 2))
+            for dr, dc in cells:
+                inp[r0 + dr, c0 + dc] = colour
+                out[r0 + dr, c0 + dc] = 3 if is_square else 5
+        pairs.append((inp, out))
+    return TaskRecord("recolour-by-shape", pairs[:4], [pairs[4]])
+
+
+@pytest.mark.parametrize("dimension", [1024, 4096])
+def test_recolour_by_shape_trains_a_linear_parameter(dimension, monkeypatch):
+    config = vsa.VsaConfig(dimension=dimension, seed=0)
+    encoder = ssp.SspEncoder(config)
+    calls = []  # (inputs, targets) of each factored training
+
+    def recording(inputs, targets, train=ind._train_linear_factors):
+        calls.append((inputs, targets))
+        return train(inputs, targets)
+
+    monkeypatch.setattr(ind, "_train_linear_factors", recording)
+    task = recolour_by_shape_task(7)
+    (prediction,), diag = solve_task(task, encoder, pc.build_palette(config))
+    assert diag.ok and diag.hypothesis is pc.ObjectHypothesis.EIGHT_CONNECTED
+    assert [(a.kind, a.params) for a in diag.action_set] == [
+        (Op.RECOLOUR, (("colour", Colour(3)),)),
+        (Op.RECOLOUR, (("colour", Colour(5)),)),
+    ]
+    (rule,) = diag.program.rules
+    predictor = rule.parameters["colour"]
+    assert isinstance(predictor, ind.LinearParameter) and predictor.subset == ("shape",)
+    # 7 subsets x 4 held-out demos in cross-validation, then the final fit.
+    assert len(calls) == 29
+    assert diag.demo_replays == [True] * 4 and diag.training_fit
+    assert np.array_equal(prediction.grid, task.test[0][1])
+    if dimension > 1024:
+        return  # the dense map below is N x N
+    X, Y = calls[-1]
+    assert X is predictor.inputs
+    W = dense_descent(X, Y)
+    factored = ind.circulant_matrix(predictor.base) + predictor.correction.T @ X
+    assert np.max(np.abs(factored - W)) < 1e-9
 
 
 # ---------------------------------------------------------------- cross validation
@@ -500,7 +592,7 @@ def make_observations(groups, labels_by_demo):
 
 def cross_validate(obs, subsets):
     """Subset selection as ``induce`` runs it: conditions trained first, in one batch."""
-    (conditions,) = ind._fit_conditions([(obs, subsets, ind._scored_folds(obs))])
+    (conditions,) = ind.train_operation_predictor([(obs, subsets, ind._scored_folds(obs))])
     return ind.cross_validate(obs, subsets, CODEC, conditions)
 
 

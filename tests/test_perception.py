@@ -7,7 +7,7 @@ import pytest
 from hologrid import perception as pc
 from hologrid import ssp, vsa
 
-from oracles import identity_direct
+from oracles import centre_vector_direct, identity_direct, shape_vector_direct
 
 CFG = vsa.VsaConfig(dimension=512, seed=21)
 ENC = ssp.SspEncoder(CFG)
@@ -209,6 +209,26 @@ def test_centre_vector_follows_blur_sigma(monkeypatch):
     assert np.max(np.abs(widened - before)) > 1e-3
     monkeypatch.undo()
     assert np.array_equal(one_object(g).centre_vec, before)
+
+
+def test_encode_object_matches_direct_formulas_bitwise():
+    rng = np.random.default_rng(12)
+    masks = 0
+    for _ in range(12):
+        rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+        g = np.where(rng.random((rows, cols)) < 0.5, rng.integers(1, 10, size=(rows, cols)), 0)
+        g[rng.integers(rows), rng.integers(cols)] = rng.integers(1, 10)
+        for hyp in pc.ObjectHypothesis:
+            for mask in pc.segment(grid(g), hyp):
+                o = pc.encode_object(mask, ENC, PALETTE)
+                assert np.array_equal(o.colour_vec, PALETTE[f"colour:{mask.colour}"])
+                assert np.array_equal(
+                    o.centre_vec, centre_vector_direct(mask.centre_point(), pc.BLUR_SIGMA, ENC.encode_many)
+                )
+                assert np.array_equal(o.shape_vec, shape_vector_direct(mask.cells, ENC.encode_many))
+                assert np.array_equal(o.shape_vec, pc.shape_bundle(mask.offsets(), ENC))
+                masks += 1
+    assert masks > 100
 
 
 def test_square_shape_component_similarity():

@@ -151,6 +151,6 @@ def test_decode_breaks_ties_row_major():
 def test_decode_of_noisy_bundle_still_peaks_at_member():
     a = ENC.encode((2.0, 2.0))
     b = ENC.encode((-2.0, -2.0))
-    v = vsa.bundle([a, a, b], normalize=True)
+    v = vsa.bundle([a, a, b])
     point, _ = ssp.decode(ENC, v, ((-3.0, 3.0), (-3.0, 3.0)), step=1.0)
     assert point == (2.0, 2.0)

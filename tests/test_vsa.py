@@ -104,12 +104,15 @@ def test_unbind_is_bind_with_inverted_factor():
     assert np.allclose(vsa.unbind(c, a), conv_direct(c, invert_direct(a)), atol=1e-10)
 
 
-def test_bundle_sums_and_optionally_normalizes():
+def test_bundle_is_normalized_sum():
     a, b = sym("p"), sym("q")
-    raw = vsa.bundle([a, b])
-    assert np.allclose(raw, a + b)
-    unit = vsa.bundle([a, b], normalize=True)
+    unit = vsa.bundle([a, b])
+    assert np.allclose(unit, (a + b) / np.linalg.norm(a + b))
     assert abs(np.linalg.norm(unit) - 1.0) < 1e-12
+    with pytest.raises(ValueError):
+        vsa.bundle([])
+    with pytest.raises(vsa.DimensionMismatchError):
+        vsa.bundle([a, b[:-2]])
 
 
 def test_bundle_keeps_components_recognizable():
@@ -118,7 +121,7 @@ def test_bundle_keeps_components_recognizable():
     cfg = vsa.VsaConfig(dimension=4096, seed=5)
     a = vsa.random_symbol(cfg, "comp-a")
     b = vsa.random_symbol(cfg, "comp-b")
-    s = vsa.bundle([a, b], normalize=True)
+    s = vsa.bundle([a, b])
     assert vsa.similarity(s, a) > 0.5
     assert abs(vsa.similarity(s, a) - 1 / np.sqrt(2)) < 0.1
 
