@@ -16,9 +16,6 @@ from pathlib import Path
 from . import deduction, harness, induction, ssp, vsa
 from . import perception as pc
 
-DEFAULT_DIMENSION = 4096
-DEFAULT_SEED = 0
-
 
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
@@ -38,13 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dimension",
         type=int,
-        default=_env_int("HOLOGRID_DIMENSION", DEFAULT_DIMENSION),
+        default=_env_int("HOLOGRID_DIMENSION", vsa.DEFAULT_DIMENSION),
         help="hypervector dimension (env HOLOGRID_DIMENSION)",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=_env_int("HOLOGRID_SEED", DEFAULT_SEED),
+        default=_env_int("HOLOGRID_SEED", vsa.DEFAULT_SEED),
         help="base seed for all vocabularies (env HOLOGRID_SEED)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

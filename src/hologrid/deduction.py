@@ -2,10 +2,10 @@
 
 Every input object is considered by every rule (objects outer, rules in
 program order). A rule fires when its condition predictor reports at least
-0.5; the predicted action is executed and the produced object joins the
-output scene. Failures along the way (parameter decode too weak, action
-out of bounds) skip that object/rule pair and leave a trace line instead
-of raising.
+``induction.FIRE_THRESHOLD``; the predicted action is executed and the
+produced object joins the output scene. Failures along the way
+(parameter decode too weak, action out of bounds) skip that object/rule
+pair and leave a trace line instead of raising.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import dsl, perception as pc
+from . import dsl, induction, perception as pc
 from .abduction import AbductionResult, SizeHypothesis, abduce
 from .dsl import Action, ActionError, OperationKind
 from .induction import ParamCodec, Program, induce, make_codec, training_fit
@@ -22,20 +22,13 @@ from .perception import Grid, ObjectHypothesis, Scene
 from .ssp import SspEncoder
 from .vsa import Vocabulary
 
-FIRE_THRESHOLD = 0.5  # a probability of exactly one half still fires
-
 
 @dataclass
 class Prediction:
     """Outcome for one query: the produced grid, or None when unsolved."""
 
-    query_index: int
     grid: Optional[Grid]
     trace: list[str] = field(default_factory=list)
-
-    @property
-    def solved(self) -> bool:
-        return self.grid is not None
 
 
 @dataclass
@@ -66,7 +59,7 @@ def _produce(program: Program, scene: Scene, dims, codec: ParamCodec, trace):
         ctx = dsl.SceneContext(dims=dims, occupied=all_cells - obj.mask.cells)
         for rule in program.rules:
             p = rule.condition.probability(obj)
-            if p < FIRE_THRESHOLD:
+            if p < induction.FIRE_THRESHOLD:
                 continue
             params = {}
             abstained = None
@@ -96,14 +89,13 @@ def solve_query(
     encoder: SspEncoder,
     palette: Vocabulary,
     codec: ParamCodec,
-    query_index: int = 0,
 ) -> Prediction:
     """Perceive one query grid, then answer it with ``answer_scene``."""
     scene = pc.perceive(query, hypothesis, encoder, palette)
-    return answer_scene(program, size, scene, codec, query_index)
+    return answer_scene(program, size, scene, codec)
 
 
-def answer_scene(program: Program, size: SizeHypothesis, scene: Scene, codec: ParamCodec, query_index: int = 0) -> Prediction:
+def answer_scene(program: Program, size: SizeHypothesis, scene: Scene, codec: ParamCodec) -> Prediction:
     """Run the program over an already perceived query scene and render the answer."""
     trace: list[str] = []
     query_dims = tuple(scene.grid.shape)
@@ -118,17 +110,17 @@ def answer_scene(program: Program, size: SizeHypothesis, scene: Scene, codec: Pa
 
     if canvas is not None:
         grid = dsl.render([m for m, _ in produced], canvas)
-        return Prediction(query_index, grid, trace)
+        return Prediction(grid, trace)
 
     extracted = [m for m, kind in produced if kind is OperationKind.EXTRACT]
     if extracted:
-        return Prediction(query_index, dsl.render_extract(extracted[0]), trace)
+        return Prediction(dsl.render_extract(extracted[0]), trace)
     full = dsl.render([m for m, _ in produced], query_dims)
     rows, cols = np.nonzero(full)
     if len(rows) == 0:
-        return Prediction(query_index, full, trace)
+        return Prediction(full, trace)
     crop = full[rows.min() : rows.max() + 1, cols.min() : cols.max() + 1]
-    return Prediction(query_index, crop, trace)
+    return Prediction(crop, trace)
 
 
 def _replay_demos(result: AbductionResult, program: Program, codec: ParamCodec) -> list[bool]:
@@ -160,7 +152,7 @@ def solve_task(task, encoder: SspEncoder, palette: Vocabulary):
             trace=list(result.trace),
         )
         marker = f"unsolved: {result.reason}"
-        return [Prediction(i, None, [marker]) for i in range(len(queries))], diag
+        return [Prediction(None, [marker]) for _ in queries], diag
 
     codec = make_codec(encoder, palette)
     program = induce(result, codec)
@@ -178,7 +170,6 @@ def solve_task(task, encoder: SspEncoder, palette: Vocabulary):
         training_fit=training_fit(result, program, codec),
     )
     predictions = [
-        solve_query(program, result.hypothesis, result.size, q, encoder, palette, codec, i)
-        for i, q in enumerate(queries)
+        solve_query(program, result.hypothesis, result.size, q, encoder, palette, codec) for q in queries
     ]
     return predictions, diag

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .perception import Grid, ObjectMask, to_rc
+from .perception import Grid, ObjectHypothesis, ObjectMask, segment, to_rc
 
 
 class ActionError(ValueError):
@@ -230,36 +230,21 @@ def _grow(mask: ObjectMask, direction: Direction, ctx: SceneContext) -> ObjectMa
 
 
 def _interior_holes(mask: ObjectMask) -> set[tuple[int, int]]:
-    """Bbox cells not in the mask and not reachable from outside the bbox.
+    """Non-mask cells whose 4-connected gap lies wholly inside the mask's bbox.
 
-    Reachability walks 4-connected over non-mask grid cells starting from
-    every non-mask cell outside the bounding box. When the bbox covers the
-    whole grid there is no outside, so every enclosed gap counts.
+    A gap is a 4-connected component of the non-mask cells of the grid. One
+    that reaches outside the bbox is open; when the bbox covers the whole
+    grid there is no outside, so every gap counts.
     """
-    rows, cols = mask.dims
     r0, c0, r1, c1 = mask.bbox()
-    blocked = mask.cells
-    outside = [
-        (r, c)
-        for r in range(rows)
-        for c in range(cols)
-        if (r, c) not in blocked and not (r0 <= r <= r1 and c0 <= c <= c1)
-    ]
-    seen = set(outside)
-    stack = list(outside)
-    while stack:
-        r, c = stack.pop()
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < rows and 0 <= nc < cols and (nr, nc) not in seen and (nr, nc) not in blocked:
-                seen.add((nr, nc))
-                stack.append((nr, nc))
-    return {
-        (r, c)
-        for r in range(r0, r1 + 1)
-        for c in range(c0, c1 + 1)
-        if (r, c) not in blocked and (r, c) not in seen
-    }
+    gaps = np.ones(mask.dims, dtype=np.int64)
+    gaps[tuple(zip(*mask.cells))] = 0
+    holes: set[tuple[int, int]] = set()
+    for gap in segment(gaps, ObjectHypothesis.FOUR_CONNECTED):
+        g0, h0, g1, h1 = gap.bbox()
+        if r0 <= g0 and g1 <= r1 and c0 <= h0 and h1 <= c1:
+            holes |= gap.cells
+    return holes
 
 
 def _fill(mask: ObjectMask, ctx: SceneContext) -> ObjectMask:

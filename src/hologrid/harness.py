@@ -146,19 +146,6 @@ OBJECTS_PER_GRID = 3
 DEMOS_PER_TASK = 5
 
 
-def _connected4(cells: frozenset[tuple[int, int]]) -> bool:
-    start = next(iter(cells))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        r, c = frontier.pop()
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if (nr, nc) in cells and (nr, nc) not in seen:
-                seen.add((nr, nc))
-                frontier.append((nr, nc))
-    return len(seen) == len(cells)
-
-
 def stencil_shapes() -> tuple[frozenset[tuple[int, int]], ...]:
     """Every 4-connected binary pattern of 3..9 cells drawn on a 3x3 stencil.
 
@@ -168,12 +155,10 @@ def stencil_shapes() -> tuple[frozenset[tuple[int, int]], ...]:
     """
     masks = []
     for bits in range(1, 512):
-        cells = frozenset((i // 3, i % 3) for i in range(9) if bits >> i & 1)
-        if not 3 <= len(cells) <= 9:
-            continue
-        if not _connected4(cells):
-            continue
-        masks.append(cells)
+        grid = np.array([bits >> i & 1 for i in range(9)], dtype=np.int64).reshape(3, 3)
+        parts = pc.segment(grid, pc.ObjectHypothesis.FOUR_CONNECTED)
+        if len(parts) == 1 and len(parts[0].cells) >= 3:
+            masks.append(parts[0].cells)
     return tuple(masks)
 
 
@@ -377,8 +362,8 @@ def validate_sort_of_arc(record: TaskRecord) -> list[str]:
 
 @dataclass
 class EvalConfig:
-    dimension: int = 4096
-    seed: int = 0
+    dimension: int = vsa.DEFAULT_DIMENSION
+    seed: int = vsa.DEFAULT_SEED
     workers: int = 1
     split: Optional[str] = None
     trace: bool = False
@@ -471,8 +456,8 @@ def _solve_record(record: TaskRecord, encoder, palette) -> TaskVerdict:
         else:
             query_flags.append(pc.grid_equal(prediction.grid, pc.as_grid(query_out)))
     trace = list(diag.trace)
-    for prediction in predictions:
-        trace.extend(f"query {prediction.query_index}: {line}" for line in prediction.trace)
+    for i, prediction in enumerate(predictions):
+        trace.extend(f"query {i}: {line}" for line in prediction.trace)
     return TaskVerdict(
         task_id=record.id,
         subsplit=record.subsplit,
@@ -503,7 +488,7 @@ def _fingerprint(config: EvalConfig) -> list[tuple[str, str]]:
         ("initial steepness", repr(induction.INITIAL_STEEPNESS)),
         ("decode floor", repr(induction.DECODE_FLOOR)),
         ("same-object similarity", repr(abduction.TAU_SAME)),
-        ("fire threshold", repr(deduction.FIRE_THRESHOLD)),
+        ("fire threshold", repr(induction.FIRE_THRESHOLD)),
         ("node budget", str(abduction.NODE_BUDGET)),
         ("centre blur sigma", repr(pc.BLUR_SIGMA)),
         ("split", config.split if config.split is not None else "all"),

@@ -17,8 +17,8 @@ from typing import Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from . import dsl, ssp, vsa
-from .abduction import AbductionResult, TAU_SAME
+from . import abduction, dsl, ssp, vsa
+from .abduction import AbductionResult
 from .dsl import Amount, Centre, Colour, Direction, OperationKind, ParamValue, Shape
 from .perception import ObjectRepr, shape_bundle
 from .ssp import SspEncoder
@@ -32,6 +32,7 @@ MAX_EPOCHS = 500
 LOSS_FLOOR = 1e-4
 INITIAL_STEEPNESS = 5.0
 DECODE_FLOOR = 0.3
+FIRE_THRESHOLD = 0.5  # a probability of exactly one half still fires
 
 PROGRAM_FORMAT = "hologrid-program"
 PROGRAM_VERSION = 1
@@ -249,7 +250,7 @@ class _SpanConditions:
 
     def fires(self) -> NDArray[np.bool_]:
         z = self.steepness[:, None] * (self.scores - self.threshold[:, None])
-        return _sigmoid(z) >= 0.5
+        return _sigmoid(z) >= FIRE_THRESHOLD
 
 
 def _train_span_conditions(coords, train, labels) -> _SpanConditions:
@@ -518,7 +519,7 @@ def _shortcut_predictor(pairs, slot: str, codec: ParamCodec) -> Optional[Paramet
         sims = [
             float(codec.encode(slot, v) @ property_vector(obj, prop)) for obj, v in pairs
         ]
-        if all(s >= TAU_SAME for s in sims):
+        if all(s >= abduction.TAU_SAME for s in sims):
             return CopyParameter(prop)
     return None
 
@@ -812,7 +813,7 @@ def training_fit(result: AbductionResult, program: Program, codec: ParamCodec) -
         assigned = by_kind.get(rule.kind, [])
         labels = _labels(assigned, index_of)
         for i, obj in enumerate(objects):
-            if (rule.condition.probability(obj) >= 0.5) != bool(labels[i]):
+            if (rule.condition.probability(obj) >= FIRE_THRESHOLD) != bool(labels[i]):
                 return False
         for slot in dsl.PARAM_SLOTS[rule.kind]:
             predictor = rule.parameters.get(slot)

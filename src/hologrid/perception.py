@@ -122,16 +122,22 @@ _FOUR = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _EIGHT = _FOUR + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def _flood_components(grid: Grid, neighbours) -> list[set[tuple[int, int]]]:
-    """Same-colour connected components over nonzero cells."""
+def _flood_components(grid: Grid, neighbours) -> list[tuple[int, set[tuple[int, int]]]]:
+    """(colour, cells) of each same-colour component of the nonzero cells.
+
+    Two cells join when one is the other shifted by an offset in
+    ``neighbours``; with no offsets every cell stands alone. Components
+    come in the row-major order of their first cell.
+    """
+    values = grid.tolist()
+    rows, cols = grid.shape
     seen: set[tuple[int, int]] = set()
     comps = []
-    rows, cols = grid.shape
     for r in range(rows):
         for c in range(cols):
-            if grid[r, c] == 0 or (r, c) in seen:
+            colour = values[r][c]
+            if colour == 0 or (r, c) in seen:
                 continue
-            colour = grid[r, c]
             stack = [(r, c)]
             comp = {(r, c)}
             seen.add((r, c))
@@ -139,65 +145,39 @@ def _flood_components(grid: Grid, neighbours) -> list[set[tuple[int, int]]]:
                 cr, cc = stack.pop()
                 for dr, dc in neighbours:
                     nr, nc = cr + dr, cc + dc
-                    if 0 <= nr < rows and 0 <= nc < cols and (nr, nc) not in seen and grid[nr, nc] == colour:
+                    if 0 <= nr < rows and 0 <= nc < cols and (nr, nc) not in seen and values[nr][nc] == colour:
                         seen.add((nr, nc))
                         comp.add((nr, nc))
                         stack.append((nr, nc))
-            comps.append(comp)
+            comps.append((colour, comp))
     return comps
 
 
-def _runs(grid: Grid, vertical: bool) -> list[set[tuple[int, int]]]:
-    """Maximal same-colour runs along columns (vertical) or rows."""
-    rows, cols = grid.shape
-    out = []
-    outer, inner = (cols, rows) if vertical else (rows, cols)
-    for o in range(outer):
-        run: set[tuple[int, int]] = set()
-        prev = 0
-        for i in range(inner):
-            r, c = (i, o) if vertical else (o, i)
-            v = grid[r, c]
-            if v != prev and run:
-                out.append(run)
-                run = set()
-            if v != 0:
-                run.add((r, c))
-            prev = v
-        if run:
-            out.append(run)
-    return out
+_NEIGHBOURS = {
+    ObjectHypothesis.EIGHT_CONNECTED: _EIGHT,
+    ObjectHypothesis.FOUR_CONNECTED: _FOUR,
+    ObjectHypothesis.VERTICAL: ((-1, 0), (1, 0)),
+    ObjectHypothesis.HORIZONTAL: ((0, -1), (0, 1)),
+    ObjectHypothesis.PIXEL: (),
+}
 
 
 def segment(grid: Grid, hypothesis: ObjectHypothesis) -> list[ObjectMask]:
     """Split a grid's nonzero pixels into object masks under one hypothesis.
 
-    The result is ordered by (min row, min col, colour) of each mask, which
-    fixes object identity everywhere downstream.
+    COLOUR groups every cell of a colour; each other hypothesis is a flood
+    fill over its neighbourhood. The result is ordered by (min row, min col,
+    colour) of each mask, which fixes object identity everywhere downstream.
     """
-    if hypothesis is ObjectHypothesis.EIGHT_CONNECTED:
-        groups = _flood_components(grid, _EIGHT)
-    elif hypothesis is ObjectHypothesis.FOUR_CONNECTED:
-        groups = _flood_components(grid, _FOUR)
-    elif hypothesis is ObjectHypothesis.VERTICAL:
-        groups = _runs(grid, vertical=True)
-    elif hypothesis is ObjectHypothesis.HORIZONTAL:
-        groups = _runs(grid, vertical=False)
-    elif hypothesis is ObjectHypothesis.COLOUR:
+    if hypothesis is ObjectHypothesis.COLOUR:
         groups = [
-            {(int(r), int(c)) for r, c in zip(*np.nonzero(grid == colour))}
+            (colour, {(int(r), int(c)) for r, c in zip(*np.nonzero(grid == colour))})
             for colour in sorted(set(grid[grid > 0].tolist()))
         ]
-    elif hypothesis is ObjectHypothesis.PIXEL:
-        groups = [{(int(r), int(c))} for r, c in zip(*np.nonzero(grid))]
-    else:  # pragma: no cover - exhaustive over the enum
-        raise ValueError(hypothesis)
+    else:
+        groups = _flood_components(grid, _NEIGHBOURS[hypothesis])
     dims = (int(grid.shape[0]), int(grid.shape[1]))
-    masks = [
-        ObjectMask(int(grid[next(iter(g))]), frozenset(g), dims)
-        for g in groups
-        if g
-    ]
+    masks = [ObjectMask(colour, frozenset(cells), dims) for colour, cells in groups]
     return sorted(masks, key=ObjectMask.sort_key)
 
 

@@ -27,6 +27,7 @@ from numpy.typing import NDArray
 HyperVector = NDArray[np.float64]
 
 DEFAULT_DIMENSION = 4096
+DEFAULT_SEED = 0
 
 
 class DimensionMismatchError(ValueError):
@@ -42,7 +43,7 @@ class VsaConfig:
     """Dimension and seed that pin down one algebra instance."""
 
     dimension: int = DEFAULT_DIMENSION
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if self.dimension < 2 or self.dimension % 2 != 0:

@@ -205,3 +205,115 @@ def property_scores_direct(objects, labels) -> np.ndarray:
         s_diff = sum(diff) / len(diff) if diff else 0.0
         scores.append(s_same**2 - s_diff**2)
     return np.array(scores)
+
+
+# Segmentation and hole finding as separate hand-written walks, one per
+# question, each indexing the numpy grid cell by cell.
+
+FOUR_NEIGHBOURS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+EIGHT_NEIGHBOURS = FOUR_NEIGHBOURS + ((-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def flood_components_direct(grid, neighbours) -> list[set]:
+    """Same-colour connected components over nonzero cells, row-major discovery order."""
+    seen = set()
+    comps = []
+    rows, cols = grid.shape
+    for r in range(rows):
+        for c in range(cols):
+            if grid[r, c] == 0 or (r, c) in seen:
+                continue
+            colour = grid[r, c]
+            stack = [(r, c)]
+            comp = {(r, c)}
+            seen.add((r, c))
+            while stack:
+                cr, cc = stack.pop()
+                for dr, dc in neighbours:
+                    nr, nc = cr + dr, cc + dc
+                    if 0 <= nr < rows and 0 <= nc < cols and (nr, nc) not in seen and grid[nr, nc] == colour:
+                        seen.add((nr, nc))
+                        comp.add((nr, nc))
+                        stack.append((nr, nc))
+            comps.append(comp)
+    return comps
+
+
+def runs_direct(grid, vertical: bool) -> list[set]:
+    """Maximal same-colour runs along columns (vertical) or rows, by a scan."""
+    rows, cols = grid.shape
+    out = []
+    outer, inner = (cols, rows) if vertical else (rows, cols)
+    for o in range(outer):
+        run: set = set()
+        prev = 0
+        for i in range(inner):
+            r, c = (i, o) if vertical else (o, i)
+            v = grid[r, c]
+            if v != prev and run:
+                out.append(run)
+                run = set()
+            if v != 0:
+                run.add((r, c))
+            prev = v
+        if run:
+            out.append(run)
+    return out
+
+
+def segment_direct(grid, hypothesis: str) -> list[tuple[int, frozenset]]:
+    """(colour, cells) per object under a hypothesis named by its value
+    ("8-connected", ..., "pixel"), sorted by (min row, min col, colour)."""
+    if hypothesis == "8-connected":
+        groups = flood_components_direct(grid, EIGHT_NEIGHBOURS)
+    elif hypothesis == "4-connected":
+        groups = flood_components_direct(grid, FOUR_NEIGHBOURS)
+    elif hypothesis == "vertical":
+        groups = runs_direct(grid, vertical=True)
+    elif hypothesis == "horizontal":
+        groups = runs_direct(grid, vertical=False)
+    elif hypothesis == "colour":
+        groups = [
+            {(int(r), int(c)) for r, c in zip(*np.nonzero(grid == colour))}
+            for colour in sorted(set(grid[grid > 0].tolist()))
+        ]
+    elif hypothesis == "pixel":
+        groups = [{(int(r), int(c))} for r, c in zip(*np.nonzero(grid))]
+    else:
+        raise ValueError(hypothesis)
+    masks = [(int(grid[next(iter(g))]), frozenset(g)) for g in groups if g]
+
+    def key(mask):
+        colour, cells = mask
+        return (min(r for r, _ in cells), min(c for _, c in cells), colour)
+
+    return sorted(masks, key=key)
+
+
+def interior_holes_direct(cells, dims) -> set:
+    """Bbox cells outside ``cells`` that no 4-connected walk over non-mask
+    cells reaches from a non-mask cell outside the bbox."""
+    rows, cols = dims
+    r0, r1 = min(r for r, _ in cells), max(r for r, _ in cells)
+    c0, c1 = min(c for _, c in cells), max(c for _, c in cells)
+    outside = [
+        (r, c)
+        for r in range(rows)
+        for c in range(cols)
+        if (r, c) not in cells and not (r0 <= r <= r1 and c0 <= c <= c1)
+    ]
+    seen = set(outside)
+    stack = list(outside)
+    while stack:
+        r, c = stack.pop()
+        for dr, dc in FOUR_NEIGHBOURS:
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < rows and 0 <= nc < cols and (nr, nc) not in seen and (nr, nc) not in cells:
+                seen.add((nr, nc))
+                stack.append((nr, nc))
+    return {
+        (r, c)
+        for r in range(r0, r1 + 1)
+        for c in range(c0, c1 + 1)
+        if (r, c) not in cells and (r, c) not in seen
+    }

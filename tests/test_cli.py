@@ -120,7 +120,7 @@ def test_env_defaults(monkeypatch):
     monkeypatch.delenv("HOLOGRID_DIMENSION")
     monkeypatch.delenv("HOLOGRID_SEED")
     args = cli.build_parser().parse_args(["solve", "x.json"])
-    assert args.dimension == cli.DEFAULT_DIMENSION and args.seed == cli.DEFAULT_SEED
+    assert args.dimension == vsa.DEFAULT_DIMENSION and args.seed == vsa.DEFAULT_SEED
 
 
 def test_env_must_be_integer(monkeypatch):

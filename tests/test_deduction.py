@@ -44,7 +44,7 @@ def identity_program():
 def test_vacuous_identity_program_copies_query():
     q = grid([[0, 2, 0], [3, 3, 0], [0, 0, 9]])
     pred = de.solve_query(identity_program(), HYP, SizeHypothesis("identity"), q, ENC, PALETTE, CODEC)
-    assert pred.solved
+    assert pred.grid is not None
     assert np.array_equal(pred.grid, q)
 
 
@@ -104,7 +104,7 @@ def test_solve_task_conditional_move():
     assert diag.ok
     assert diag.demo_replays == [True, True]
     assert any(a.kind is Op.MOVE for a in diag.action_set)
-    assert predictions[0].solved
+    assert predictions[0].grid is not None
     assert np.array_equal(
         predictions[0].grid,
         grid([[0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 7], [0, 0, 0, 0]]),
@@ -141,7 +141,7 @@ def test_replay_reuses_the_scenes_abduction_perceived(monkeypatch):
     monkeypatch.setattr(de, "abduce", counted_abduce)
     predictions, diag = de.solve_task(make_task(demos, queries), ENC, PALETTE)
     assert diag.ok and diag.demo_replays == [True, True, True]
-    assert all(p.solved for p in predictions)
+    assert all(p.grid is not None for p in predictions)
     # After abduction, each query is perceived once and no demo input again.
     (before,) = by_abduction
     assert [pc.as_grid(q).tolist() for q in queries] == [g.tolist() for g in perceived[before:]]
@@ -224,7 +224,7 @@ def test_solve_task_failure_yields_markers_not_exceptions():
     predictions, diag = de.solve_task(task, ENC, PALETTE)
     assert not diag.ok and diag.reason
     assert len(predictions) == 2
-    assert all(not p.solved for p in predictions)
+    assert all(p.grid is None for p in predictions)
     assert all(p.trace and p.trace[0].startswith("unsolved:") for p in predictions)
 
 

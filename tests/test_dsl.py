@@ -9,6 +9,8 @@ import pytest
 from hologrid import dsl, perception as pc
 from hologrid.dsl import Action, Amount, Centre, Colour, Direction, OperationKind as Op, SceneContext, Shape
 
+from oracles import interior_holes_direct
+
 
 def mask(grid_rows, colour=None):
     g = pc.as_grid(grid_rows)
@@ -207,6 +209,29 @@ def test_fill_spans_gap_in_one_row_grid():
     m = mask([[7, 0, 0, 7]])
     out = dsl.apply_action(m, Action.make(Op.FILL), ctx_for(m))
     assert out.cells == frozenset({(0, 0), (0, 1), (0, 2), (0, 3)})
+
+
+def test_interior_holes_match_outside_in_walk():
+    # Masks drawn inside a random sub-rectangle; a third of them pin its
+    # corners to the canvas corners, so the bbox covers the whole grid.
+    rng = np.random.default_rng(11)
+    full = holes = 0
+    for _ in range(600):
+        rows, cols = (int(v) for v in rng.integers(1, 13, size=2))
+        if rng.random() < 1 / 3:
+            r0, c0, r1, c1 = 0, 0, rows - 1, cols - 1
+        else:
+            r0, r1 = sorted(int(v) for v in rng.integers(0, rows, size=2))
+            c0, c1 = sorted(int(v) for v in rng.integers(0, cols, size=2))
+        density = rng.random()
+        cells = {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1) if rng.random() < density}
+        cells |= {(r0, c0), (r1, c1)}
+        m = pc.ObjectMask(1, frozenset(cells), (rows, cols))
+        want = interior_holes_direct(m.cells, m.dims)
+        assert dsl._interior_holes(m) == want
+        full += m.bbox() == (0, 0, rows - 1, cols - 1)
+        holes += bool(want)
+    assert full > 150 and holes > 150
 
 
 def test_hollow_keeps_boundary_ring():

@@ -144,7 +144,7 @@ def test_task_round_trip_is_bit_exact(tmp_path):
 def test_prediction_round_trip_is_bit_exact(tmp_path):
     record = hn.load_arc_json(write_json(tmp_path / "t.json", MINIMAL))[0]
     grids = [np.array([[1, 2], [3, 4]], dtype=np.int64), None]
-    predictions = [de.Prediction(0, grids[0], ["note"]), de.Prediction(1, None, ["unsolved: x"])]
+    predictions = [de.Prediction(grids[0], ["note"]), de.Prediction(None, ["unsolved: x"])]
     # The document `hologrid solve` writes, through JSON text and back.
     doc = json.loads(json.dumps(hn.predictions_to_json(record, predictions)))
     assert doc["id"] == "t"
@@ -174,8 +174,11 @@ def independently_connected(cells) -> bool:
 def test_stencil_shapes_properties():
     masks = hn.stencil_shapes()
     assert len(masks) == len(set(masks))
-    # Pinned count documents the sampling law over drawn stencil patterns.
+    # Pinned count documents the sampling law over drawn stencil patterns;
+    # the digest pins their order, which seeded generators index into.
     assert len(masks) == 197
+    digest = hashlib.sha256(repr([sorted(cells) for cells in masks]).encode()).hexdigest()
+    assert digest == "af0ca150ddaf544a7879c6272caa63dbf6fed777d80aac35f8878307e39a4a71"
     for cells in masks:
         assert 3 <= len(cells) <= 9
         assert all(0 <= r < 3 and 0 <= c < 3 for r, c in cells)
@@ -435,7 +438,7 @@ def test_fingerprint_contents():
     assert pairs["initial steepness"] == repr(ind.INITIAL_STEEPNESS) == "5.0"
     assert pairs["decode floor"] == repr(ind.DECODE_FLOOR) == "0.3"
     assert pairs["same-object similarity"] == repr(ab.TAU_SAME) == "0.95"
-    assert pairs["fire threshold"] == repr(de.FIRE_THRESHOLD) == "0.5"
+    assert pairs["fire threshold"] == repr(ind.FIRE_THRESHOLD) == "0.5"
     assert pairs["node budget"] == str(ab.NODE_BUDGET) == "200000"
     assert pairs["centre blur sigma"] == repr(pc.BLUR_SIGMA) == "0.5"
 

@@ -631,6 +631,20 @@ def demo(inp, out):
     return (pc.as_grid(inp), pc.as_grid(out))
 
 
+def conditional_move_demos():
+    """Colour 2 moves one step right; colour 7 stays."""
+    return [
+        demo(
+            [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 7, 0], [0, 0, 0, 0]],
+            [[0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 7, 0], [0, 0, 0, 0]],
+        ),
+        demo(
+            [[0, 0, 0, 0], [7, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [7, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0]],
+        ),
+    ]
+
+
 def test_induce_recolour_task_builds_vacuous_constant_rule():
     demos = [
         demo([[0, 3, 0], [3, 3, 0], [0, 0, 0]], [[0, 5, 0], [5, 5, 0], [0, 0, 0]]),
@@ -646,16 +660,7 @@ def test_induce_recolour_task_builds_vacuous_constant_rule():
 
 
 def test_induce_conditional_move_task():
-    demos = [
-        demo(
-            [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 7, 0], [0, 0, 0, 0]],
-            [[0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 7, 0], [0, 0, 0, 0]],
-        ),
-        demo(
-            [[0, 0, 0, 0], [7, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]],
-            [[0, 0, 0, 0], [7, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0]],
-        ),
-    ]
+    demos = conditional_move_demos()
     result = ab.abduce(demos, ENC, PALETTE)
     assert result.ok
     program = ind.induce(result, CODEC)
@@ -671,6 +676,36 @@ def test_induce_conditional_move_task():
             assert fired == (o.mask.colour == 2)
             held = ident.condition.probability(o) >= 0.5
             assert held == (o.mask.colour == 7)
+
+
+def test_fire_threshold_is_read_when_called(monkeypatch):
+    result = ab.abduce(conditional_move_demos(), ENC, PALETTE)
+    program = ind.induce(result, CODEC)
+    assert ind.training_fit(result, program, CODEC)
+    groups = [
+        [pixel(2, 1, 1), pixel(7, 1, 5), pixel(7, 4, 4)],
+        [pixel(2, 2, 0), pixel(7, 2, 6), pixel(7, 5, 5)],
+        [pixel(2, 3, 6), pixel(7, 3, 0), pixel(7, 6, 2)],
+    ]
+    obs = make_observations(groups, [[True, False, False]] * 3)
+    subsets = [("centre",), ("colour",)]
+    folds = ind._scored_folds(obs)
+    (trained,) = ind.train_operation_predictor([(obs, subsets, folds)])
+    assert trained.accuracy[1].tolist() == [1.0] * 3
+    # No probability reaches a threshold above one, so no rule fires: the
+    # fit fails and every held-out fold scores its share of negatives.
+    monkeypatch.setattr(ind, "FIRE_THRESHOLD", 1.5)
+    assert not ind.training_fit(result, program, CODEC)
+    (silent,) = ind.train_operation_predictor([(obs, subsets, folds)])
+    assert silent.accuracy == pytest.approx(np.full((2, 3), 2 / 3))
+
+
+def test_same_object_similarity_is_read_when_called(monkeypatch):
+    pairs = [(pixel(2, 1, 1), Colour(2)), (pixel(7, 4, 4), Colour(7)), (pixel(4, 2, 5), Colour(4))]
+    assert isinstance(ind.train_parameter_predictor(pairs, "colour", ("colour",), CODEC), ind.CopyParameter)
+    # No similarity reaches a bar above one, so nothing counts as copied.
+    monkeypatch.setattr(ab, "TAU_SAME", 1.5)
+    assert not isinstance(ind.train_parameter_predictor(pairs, "colour", ("colour",), CODEC), ind.CopyParameter)
 
 
 def test_induce_is_deterministic():
@@ -692,16 +727,7 @@ def test_induce_rejects_failed_explanation():
 
 
 def test_program_json_round_trip():
-    demos = [
-        demo(
-            [[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 7, 0], [0, 0, 0, 0]],
-            [[0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 7, 0], [0, 0, 0, 0]],
-        ),
-        demo(
-            [[0, 0, 0, 0], [7, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]],
-            [[0, 0, 0, 0], [7, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0]],
-        ),
-    ]
+    demos = conditional_move_demos()
     result = ab.abduce(demos, ENC, PALETTE)
     program = ind.induce(result, CODEC)
     doc = ind.program_to_json(program, CFG)

@@ -7,7 +7,7 @@ import pytest
 from hologrid import perception as pc
 from hologrid import ssp, vsa
 
-from oracles import centre_vector_direct, identity_direct, shape_vector_direct
+from oracles import centre_vector_direct, identity_direct, segment_direct, shape_vector_direct
 
 CFG = vsa.VsaConfig(dimension=512, seed=21)
 ENC = ssp.SspEncoder(CFG)
@@ -83,6 +83,22 @@ def test_vertical_runs_split_on_colour_change():
     g = grid([[2], [3], [3]])
     objs = pc.segment(g, pc.ObjectHypothesis.VERTICAL)
     assert [(o.colour, cells(o)) for o in objs] == [(2, {(0, 0)}), (3, {(1, 0), (2, 0)})]
+
+
+def test_segment_matches_separate_walks_on_random_grids():
+    # The oracle answers each hypothesis with its own walk: a numpy-indexed
+    # flood, a run scanner, a colour grouping and a per-pixel split.
+    rng = np.random.default_rng(7)
+    objects = 0
+    for _ in range(120):
+        rows, cols = (int(v) for v in rng.integers(1, 31, size=2))
+        colours = int(rng.integers(1, 10))
+        g = np.where(rng.random((rows, cols)) < rng.random(), rng.integers(1, colours + 1, size=(rows, cols)), 0)
+        for hyp in pc.ObjectHypothesis:
+            got = [(m.colour, m.cells) for m in pc.segment(grid(g), hyp)]
+            assert got == segment_direct(g, hyp.value), hyp
+            objects += len(got)
+    assert objects > 10_000
 
 
 def test_colour_hypothesis_merges_disconnected_same_colour():
