@@ -27,6 +27,7 @@ from .vsa import Vocabulary
 class Prediction:
     """Outcome for one query: the produced grid, or None when unsolved."""
 
+    query_index: int
     grid: Optional[Grid]
     trace: list[str] = field(default_factory=list)
 
@@ -89,13 +90,14 @@ def solve_query(
     encoder: SspEncoder,
     palette: Vocabulary,
     codec: ParamCodec,
+    query_index: int = 0,
 ) -> Prediction:
     """Perceive one query grid, then answer it with ``answer_scene``."""
     scene = pc.perceive(query, hypothesis, encoder, palette)
-    return answer_scene(program, size, scene, codec)
+    return answer_scene(program, size, scene, codec, query_index)
 
 
-def answer_scene(program: Program, size: SizeHypothesis, scene: Scene, codec: ParamCodec) -> Prediction:
+def answer_scene(program: Program, size: SizeHypothesis, scene: Scene, codec: ParamCodec, query_index: int = 0) -> Prediction:
     """Run the program over an already perceived query scene and render the answer."""
     trace: list[str] = []
     query_dims = tuple(scene.grid.shape)
@@ -110,17 +112,17 @@ def answer_scene(program: Program, size: SizeHypothesis, scene: Scene, codec: Pa
 
     if canvas is not None:
         grid = dsl.render([m for m, _ in produced], canvas)
-        return Prediction(grid, trace)
+        return Prediction(query_index, grid, trace)
 
     extracted = [m for m, kind in produced if kind is OperationKind.EXTRACT]
     if extracted:
-        return Prediction(dsl.render_extract(extracted[0]), trace)
+        return Prediction(query_index, dsl.render_extract(extracted[0]), trace)
     full = dsl.render([m for m, _ in produced], query_dims)
     rows, cols = np.nonzero(full)
     if len(rows) == 0:
-        return Prediction(full, trace)
+        return Prediction(query_index, full, trace)
     crop = full[rows.min() : rows.max() + 1, cols.min() : cols.max() + 1]
-    return Prediction(crop, trace)
+    return Prediction(query_index, crop, trace)
 
 
 def _replay_demos(result: AbductionResult, program: Program, codec: ParamCodec) -> list[bool]:
@@ -152,7 +154,7 @@ def solve_task(task, encoder: SspEncoder, palette: Vocabulary):
             trace=list(result.trace),
         )
         marker = f"unsolved: {result.reason}"
-        return [Prediction(None, [marker]) for _ in queries], diag
+        return [Prediction(i, None, [marker]) for i in range(len(queries))], diag
 
     codec = make_codec(encoder, palette)
     program = induce(result, codec)
@@ -170,6 +172,7 @@ def solve_task(task, encoder: SspEncoder, palette: Vocabulary):
         training_fit=training_fit(result, program, codec),
     )
     predictions = [
-        solve_query(program, result.hypothesis, result.size, q, encoder, palette, codec) for q in queries
+        solve_query(program, result.hypothesis, result.size, q, encoder, palette, codec, i)
+        for i, q in enumerate(queries)
     ]
     return predictions, diag

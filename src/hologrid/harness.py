@@ -456,8 +456,8 @@ def _solve_record(record: TaskRecord, encoder, palette) -> TaskVerdict:
         else:
             query_flags.append(pc.grid_equal(prediction.grid, pc.as_grid(query_out)))
     trace = list(diag.trace)
-    for i, prediction in enumerate(predictions):
-        trace.extend(f"query {i}: {line}" for line in prediction.trace)
+    for prediction in predictions:
+        trace.extend(f"query {prediction.query_index}: {line}" for line in prediction.trace)
     return TaskVerdict(
         task_id=record.id,
         subsplit=record.subsplit,

@@ -129,27 +129,30 @@ def _flood_components(grid: Grid, neighbours) -> list[tuple[int, set[tuple[int, 
     ``neighbours``; with no offsets every cell stands alone. Components
     come in the row-major order of their first cell.
     """
-    values = grid.tolist()
+    # Row-major cells inside a zero border, so no offset leaves the list;
+    # a joined cell is zeroed, so it never starts or joins another component.
     rows, cols = grid.shape
-    seen: set[tuple[int, int]] = set()
+    width = cols + 2
+    padded = np.zeros((rows + 2, width), dtype=grid.dtype)
+    padded[1:-1, 1:-1] = grid
+    values = padded.ravel().tolist()
+    steps = [dr * width + dc for dr, dc in neighbours]
     comps = []
-    for r in range(rows):
-        for c in range(cols):
-            colour = values[r][c]
-            if colour == 0 or (r, c) in seen:
-                continue
-            stack = [(r, c)]
-            comp = {(r, c)}
-            seen.add((r, c))
-            while stack:
-                cr, cc = stack.pop()
-                for dr, dc in neighbours:
-                    nr, nc = cr + dr, cc + dc
-                    if 0 <= nr < rows and 0 <= nc < cols and (nr, nc) not in seen and values[nr][nc] == colour:
-                        seen.add((nr, nc))
-                        comp.add((nr, nc))
-                        stack.append((nr, nc))
-            comps.append((colour, comp))
+    for first, colour in enumerate(values):
+        if colour == 0:
+            continue
+        values[first] = 0
+        comp = [first]
+        stack = [first]
+        while stack:
+            i = stack.pop()
+            for step in steps:
+                j = i + step
+                if values[j] == colour:
+                    values[j] = 0
+                    comp.append(j)
+                    stack.append(j)
+        comps.append((colour, {(i // width - 1, i % width - 1) for i in comp}))
     return comps
 
 

@@ -144,7 +144,7 @@ def test_task_round_trip_is_bit_exact(tmp_path):
 def test_prediction_round_trip_is_bit_exact(tmp_path):
     record = hn.load_arc_json(write_json(tmp_path / "t.json", MINIMAL))[0]
     grids = [np.array([[1, 2], [3, 4]], dtype=np.int64), None]
-    predictions = [de.Prediction(grids[0], ["note"]), de.Prediction(None, ["unsolved: x"])]
+    predictions = [de.Prediction(0, grids[0], ["note"]), de.Prediction(1, None, ["unsolved: x"])]
     # The document `hologrid solve` writes, through JSON text and back.
     doc = json.loads(json.dumps(hn.predictions_to_json(record, predictions)))
     assert doc["id"] == "t"
