@@ -33,6 +33,7 @@ OP_COST = 10
 PARAM_COST = 1
 TAU_SAME = 0.95
 NODE_BUDGET = 200_000  # branch-and-bound nodes per hitting-set search
+NOVEL_GENERATE_SHARE = 0.5  # above this share of one-off generate actions, a hypothesis is rejected
 
 
 @dataclass(frozen=True)
@@ -345,7 +346,7 @@ def _explain_under_hypothesis(demos, hyp, size, encoder, palette) -> AbductionRe
     if total_outputs:
         if cost / total_outputs > OP_COST + PARAM_COST:
             return "explanation cost exceeds the per-object budget"
-        if _novel_generate_fraction(assignments, in_scenes) > 0.5:
+        if _novel_generate_fraction(assignments, in_scenes) > NOVEL_GENERATE_SHARE:
             return "most output objects need one-off generate actions"
 
     return AbductionResult(

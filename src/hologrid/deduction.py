@@ -87,13 +87,11 @@ def solve_query(
     hypothesis: ObjectHypothesis,
     size: SizeHypothesis,
     query: Grid,
-    encoder: SspEncoder,
-    palette: Vocabulary,
     codec: ParamCodec,
     query_index: int = 0,
 ) -> Prediction:
     """Perceive one query grid, then answer it with ``answer_scene``."""
-    scene = pc.perceive(query, hypothesis, encoder, palette)
+    scene = pc.perceive(query, hypothesis, codec.encoder, codec.palette)
     return answer_scene(program, size, scene, codec, query_index)
 
 
@@ -172,7 +170,7 @@ def solve_task(task, encoder: SspEncoder, palette: Vocabulary):
         training_fit=training_fit(result, program, codec),
     )
     predictions = [
-        solve_query(program, result.hypothesis, result.size, q, encoder, palette, codec, i)
+        solve_query(program, result.hypothesis, result.size, q, codec, i)
         for i, q in enumerate(queries)
     ]
     return predictions, diag

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -146,12 +147,15 @@ OBJECTS_PER_GRID = 3
 DEMOS_PER_TASK = 5
 
 
+@cache
 def stencil_shapes() -> tuple[frozenset[tuple[int, int]], ...]:
     """Every 4-connected binary pattern of 3..9 cells drawn on a 3x3 stencil.
 
     Patterns are kept in their drawn stencil position (translates count
     separately), so uniform sampling over this tuple weights a shape by
-    the number of placements it has inside the stencil.
+    the number of placements it has inside the stencil. Built on first
+    call and kept for the process: segmenting all 511 stencil fillings
+    takes longer than generating a sort-of-arc task from them.
     """
     masks = []
     for bits in range(1, 512):
@@ -491,6 +495,7 @@ def _fingerprint(config: EvalConfig) -> list[tuple[str, str]]:
         ("fire threshold", repr(induction.FIRE_THRESHOLD)),
         ("node budget", str(abduction.NODE_BUDGET)),
         ("centre blur sigma", repr(pc.BLUR_SIGMA)),
+        ("novel generate share", repr(abduction.NOVEL_GENERATE_SHARE)),
         ("split", config.split if config.split is not None else "all"),
         ("trace", "on" if config.trace else "off"),
     ]

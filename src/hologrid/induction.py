@@ -602,34 +602,49 @@ class _SpanBasis:
         return self._spans[subset]
 
 
-def _demo_objects(result: AbductionResult):
-    """Every demo input object, flattened, with its demo, the flat index of each
-    (demo, object in demo) pair, and each demo's output dims."""
-    keys = [(d, i) for d, scene in enumerate(result.input_scenes) for i in range(len(scene.objects))]
-    objects = [result.input_scenes[d].objects[i] for d, i in keys]
-    index_of = {key: n for n, key in enumerate(keys)}
-    out_dims = {d: tuple(scene.grid.shape) for d, scene in enumerate(result.output_scenes)}
-    return objects, [d for d, _ in keys], index_of, out_dims
-
-
-def _labels(assigned, index_of) -> NDArray[np.bool_]:
-    """Which objects the given assignments act on."""
-    labels = np.zeros(len(index_of), dtype=bool)
-    labels[[index_of[(a.demo_index, a.input_index)] for a in assigned]] = True
-    return labels
-
-
 @dataclass
 class _RuleObservations:
     """Everything rule learning needs about one operation kind."""
 
     kind: OperationKind
     objects: list[ObjectRepr]  # all demo input objects, flattened
-    demo_of: list[int]
+    demo_of: NDArray[np.int64]
     labels: NDArray[np.bool_]  # was this object subject to the operation?
     pairs_by_slot: dict[str, list[tuple[int, ParamValue]]]  # object index -> value
     out_dims: dict[int, tuple[int, int]]
     basis: _SpanBasis  # over ``objects``, shared by the kinds of one task
+
+    def folds(self) -> list[int]:
+        """Demos to hold out in turn; a fold is skipped when no positive is left to train on."""
+        return [d for d in np.unique(self.demo_of).tolist() if self.labels[self.demo_of != d].any()]
+
+    def pairs(self, slot: str) -> list[tuple[ObjectRepr, ParamValue]]:
+        """The (object, value) observations of one parameter slot."""
+        return [(self.objects[i], v) for i, v in self.pairs_by_slot[slot]]
+
+
+def _observations(result: AbductionResult) -> dict[OperationKind, _RuleObservations]:
+    """One record per operation kind over the flattened demo input objects.
+
+    The action set's kinds come first, in its order, which is the order of
+    the program's rules; every other kind follows with no positives.
+    """
+    keys = [(d, i) for d, scene in enumerate(result.input_scenes) for i in range(len(scene.objects))]
+    objects = [result.input_scenes[d].objects[i] for d, i in keys]
+    index_of = {key: n for n, key in enumerate(keys)}
+    demo_of = np.array([d for d, _ in keys], dtype=np.int64)
+    out_dims = {d: tuple(scene.grid.shape) for d, scene in enumerate(result.output_scenes)}
+    basis = _SpanBasis(objects)
+    assigned: dict[OperationKind, list] = {kind: [] for kind in [a.kind for a in result.action_set] + list(OperationKind)}
+    for a in result.assignments:
+        assigned[a.action.kind].append((index_of[(a.demo_index, a.input_index)], a.action))
+    observations = {}
+    for kind, acted in assigned.items():
+        labels = np.zeros(len(objects), dtype=bool)
+        labels[[i for i, _ in acted]] = True
+        pairs_by_slot = {slot: [(i, action.param(slot)) for i, action in acted] for slot in dsl.PARAM_SLOTS[kind]}
+        observations[kind] = _RuleObservations(kind, objects, demo_of, labels, pairs_by_slot, out_dims, basis)
+    return observations
 
 
 @dataclass
@@ -653,12 +668,6 @@ class _KindConditions:
         return OperationPredictor(subset, weights, float(fit.steepness[run]), float(fit.threshold[run]))
 
 
-def _scored_folds(obs: _RuleObservations) -> list[int]:
-    """Demos to hold out in turn; a fold is skipped when no positive is left to train on."""
-    demo_of = np.asarray(obs.demo_of)
-    return [d for d in sorted(set(obs.demo_of)) if obs.labels[demo_of != d].any()]
-
-
 def train_operation_predictor(plans) -> list[_KindConditions]:
     """Every condition training of a task in one batch.
 
@@ -670,7 +679,7 @@ def train_operation_predictor(plans) -> list[_KindConditions]:
     """
     results, runs = [], []  # runs: (kind, subset, fold or None for the full fit, training rows)
     for k, (obs, subsets, folds) in enumerate(plans):
-        held = [np.asarray(obs.demo_of) == d for d in folds]
+        held = [obs.demo_of == d for d in folds]
         accuracy = np.tile([np.mean(obs.labels[h]) for h in held], (len(subsets), 1))
         results.append(_KindConditions(accuracy, {}))
         if obs.labels.all():
@@ -717,15 +726,14 @@ def _fold_score(obs: _RuleObservations, subset, held_out, condition: float, code
     return float(np.mean(components))
 
 
-def cross_validate(obs: _RuleObservations, subsets, codec: ParamCodec, conditions: _KindConditions) -> PropertySubset:
+def cross_validate(obs: _RuleObservations, subsets, folds, codec: ParamCodec, conditions: _KindConditions) -> PropertySubset:
     """Leave-one-demonstration-out selection among candidate subsets.
 
     ``conditions`` carries the condition accuracies, trained by
-    ``train_operation_predictor`` over the same subsets and ``_scored_folds``.
-    Single-demonstration tasks fall back to the top-ranked candidate; ties
-    keep the heuristic ranking order.
+    ``train_operation_predictor`` over the same subsets and ``folds``
+    (``obs.folds()``). Without a fold, as in single-demonstration tasks, the
+    top-ranked candidate wins; ties keep the heuristic ranking order.
     """
-    folds = _scored_folds(obs)
     best_subset, best_score = subsets[0], -1.0
     for s, subset in enumerate(subsets):
         fold_scores = [
@@ -738,59 +746,37 @@ def cross_validate(obs: _RuleObservations, subsets, codec: ParamCodec, condition
     return best_subset
 
 
-def _needs_subset_search(obs: _RuleObservations, codec: ParamCodec) -> bool:
-    """True when some predictor will actually train on property bundles."""
-    if not obs.labels.all():
-        return True
-    for slot, pairs in obs.pairs_by_slot.items():
-        sample = [(obs.objects[i], v) for i, v in pairs]
-        if _shortcut_predictor(sample, slot, codec) is None:
-            return True
-    return False
-
-
 def induce(result: AbductionResult, codec: ParamCodec) -> Program:
     """Turn a successful explanation into a program of per-operation rules."""
     if not result.ok:
         raise InductionError("cannot induce rules from a failed explanation")
-    objects, demo_of, index_of, out_dims = _demo_objects(result)
-    basis = _SpanBasis(objects)
-
-    kinds: list[OperationKind] = []
-    for action in result.action_set:
-        if action.kind not in kinds:
-            kinds.append(action.kind)
-
     plans = []
-    for kind in kinds:
-        assigned = [a for a in result.assignments if a.action.kind is kind]
-        if not assigned:
+    for obs in _observations(result).values():
+        if not obs.labels.any():
             continue
-        labels = _labels(assigned, index_of)
-        pairs_by_slot = {
-            slot: [(index_of[(a.demo_index, a.input_index)], a.action.param(slot)) for a in assigned]
-            for slot in dsl.PARAM_SLOTS[kind]
-        }
-        obs = _RuleObservations(kind, objects, demo_of, labels, pairs_by_slot, out_dims, basis)
-        subsets = rank_properties(basis, [bool(x) for x in labels])
-        folds = _scored_folds(obs) if _needs_subset_search(obs, codec) else []
+        subsets = rank_properties(obs.basis, [bool(x) for x in obs.labels])
+        # Subsets matter only when some predictor trains on property bundles.
+        searched = not obs.labels.all() or any(
+            _shortcut_predictor(obs.pairs(slot), slot, codec) is None for slot in obs.pairs_by_slot
+        )
+        folds = obs.folds() if searched else []
         # Without a fold to score, the top-ranked subset is the only candidate.
         plans.append((obs, subsets if folds else subsets[:1], folds))
 
     rules = []
     for (obs, subsets, folds), conditions in zip(plans, train_operation_predictor(plans)):
-        subset = cross_validate(obs, subsets, codec, conditions) if folds else subsets[0]
+        subset = cross_validate(obs, subsets, folds, codec, conditions) if folds else subsets[0]
         try:
             condition = conditions.predictor(obs, subset)
         except ValueError:
-            condition = OperationPredictor(subset=canonical_subset(subset))
+            condition = OperationPredictor(subset=subset)
         parameters: dict[str, ParameterPredictor] = {}
-        for slot, pairs in obs.pairs_by_slot.items():
-            full = [(obs.objects[i], v) for i, v in pairs]
+        for slot in obs.pairs_by_slot:
+            pairs = obs.pairs(slot)
             try:
-                parameters[slot] = train_parameter_predictor(full, slot, subset, codec)
+                parameters[slot] = train_parameter_predictor(pairs, slot, subset, codec)
             except ValueError:
-                parameters[slot] = ConstantParameter(full[0][1])
+                parameters[slot] = ConstantParameter(pairs[0][1])
         rules.append(Rule(obs.kind, condition, parameters))
     return Program(tuple(rules))
 
@@ -805,24 +791,18 @@ def training_fit(result: AbductionResult, program: Program, codec: ParamCodec) -
     """
     if not result.ok:
         return False
-    objects, demo_of, index_of, out_dims = _demo_objects(result)
-    by_kind: dict[OperationKind, list] = {}
-    for a in result.assignments:
-        by_kind.setdefault(a.action.kind, []).append(a)
+    observations = _observations(result)
     for rule in program.rules:
-        assigned = by_kind.get(rule.kind, [])
-        labels = _labels(assigned, index_of)
-        for i, obj in enumerate(objects):
-            if (rule.condition.probability(obj) >= FIRE_THRESHOLD) != bool(labels[i]):
+        obs = observations[rule.kind]
+        for obj, label in zip(obs.objects, obs.labels):
+            if (rule.condition.probability(obj) >= FIRE_THRESHOLD) != label:
                 return False
-        for slot in dsl.PARAM_SLOTS[rule.kind]:
+        for slot, indexed in obs.pairs_by_slot.items():
             predictor = rule.parameters.get(slot)
             if predictor is None:
                 return False
-            for a in assigned:
-                i = index_of[(a.demo_index, a.input_index)]
-                expected = a.action.param(slot)
-                if predictor.predict(objects[i], out_dims[demo_of[i]], codec) != expected:
+            for i, expected in indexed:
+                if predictor.predict(obs.objects[i], obs.out_dims[obs.demo_of[i]], codec) != expected:
                     return False
     return True
 

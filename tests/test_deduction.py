@@ -43,18 +43,16 @@ def identity_program():
 
 def test_vacuous_identity_program_copies_query():
     q = grid([[0, 2, 0], [3, 3, 0], [0, 0, 9]])
-    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("identity"), q, ENC, PALETTE, CODEC)
+    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("identity"), q, CODEC)
     assert pred.grid is not None
     assert np.array_equal(pred.grid, q)
 
 
 def test_zero_object_query_renders_empty_canvas():
     q = grid([[0, 0], [0, 0], [0, 0]])
-    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("identity"), q, ENC, PALETTE, CODEC)
+    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("identity"), q, CODEC)
     assert pred.grid.shape == (3, 2) and not pred.grid.any()
-    pred = de.solve_query(
-        identity_program(), HYP, SizeHypothesis("constant", (2, 5)), q, ENC, PALETTE, CODEC
-    )
+    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("constant", (2, 5)), q, CODEC)
     assert pred.grid.shape == (2, 5) and not pred.grid.any()
 
 
@@ -68,21 +66,21 @@ def test_probability_exactly_half_fires():
     program = Program(
         (Rule(Op.RECOLOUR, condition, {"colour": ind.ConstantParameter(Colour(8))}),)
     )
-    pred = de.solve_query(program, HYP, SizeHypothesis("identity"), q, ENC, PALETTE, CODEC)
+    pred = de.solve_query(program, HYP, SizeHypothesis("identity"), q, CODEC)
     assert np.array_equal(pred.grid, grid([[8, 8, 0], [0, 0, 0], [0, 0, 0]]))
     assert any("fired p=0.500" in line for line in pred.trace)
 
 
 def test_function_size_without_extract_crops_to_content():
     q = grid([[0, 0, 0, 0], [0, 0, 6, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("function"), q, ENC, PALETTE, CODEC)
+    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("function"), q, CODEC)
     assert pred.grid.shape == (1, 1)
     assert pred.grid[0, 0] == 6
 
 
 def test_function_size_with_no_firings_keeps_query_dims():
     q = grid([[0, 0], [0, 0]])
-    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("function"), q, ENC, PALETTE, CODEC)
+    pred = de.solve_query(identity_program(), HYP, SizeHypothesis("function"), q, CODEC)
     assert pred.grid.shape == (2, 2) and not pred.grid.any()
 
 
@@ -241,6 +239,6 @@ def test_rule_failures_are_traced_and_skipped():
             ),
         )
     )
-    pred = de.solve_query(program, HYP, SizeHypothesis("identity"), q, ENC, PALETTE, CODEC)
+    pred = de.solve_query(program, HYP, SizeHypothesis("identity"), q, CODEC)
     assert pred.grid.shape == (3, 3) and not pred.grid.any()
     assert any("failed" in line for line in pred.trace)

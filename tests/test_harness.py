@@ -173,6 +173,7 @@ def independently_connected(cells) -> bool:
 
 def test_stencil_shapes_properties():
     masks = hn.stencil_shapes()
+    assert masks is hn.stencil_shapes()
     assert len(masks) == len(set(masks))
     # Pinned count documents the sampling law over drawn stencil patterns;
     # the digest pins their order, which seeded generators index into.
@@ -441,6 +442,7 @@ def test_fingerprint_contents():
     assert pairs["fire threshold"] == repr(ind.FIRE_THRESHOLD) == "0.5"
     assert pairs["node budget"] == str(ab.NODE_BUDGET) == "200000"
     assert pairs["centre blur sigma"] == repr(pc.BLUR_SIGMA) == "0.5"
+    assert pairs["novel generate share"] == repr(ab.NOVEL_GENERATE_SHARE) == "0.5"
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,8 @@ def random_observations(rng, dim=64):
     ]
     labels = rng.random(len(objects)) < rng.uniform(0.2, 0.8)
     return ind._RuleObservations(
-        Op.MOVE, objects, demo_of, labels, {}, {d: (7, 7) for d in set(demo_of)}, ind._SpanBasis(objects)
+        Op.MOVE, objects, np.array(demo_of, dtype=np.int64), labels, {}, {d: (7, 7) for d in set(demo_of)},
+        ind._SpanBasis(objects),
     )
 
 
@@ -281,7 +282,7 @@ def test_span_training_matches_direct_oracle_on_random_folds():
         obs = random_observations(rng)
         if obs.labels.all() or not obs.labels.any():
             continue
-        folds = ind._scored_folds(obs)
+        folds = obs.folds()
         (conditions,) = ind.train_operation_predictor([(obs, ALL_SUBSETS, folds)])
         demo_of = np.array(obs.demo_of)
         runs = []  # (subset index, held-out demo) of every trained fold
@@ -582,7 +583,7 @@ def make_observations(groups, labels_by_demo):
     return ind._RuleObservations(
         kind=Op.MOVE,
         objects=objects,
-        demo_of=demo_of,
+        demo_of=np.array(demo_of, dtype=np.int64),
         labels=np.array(labels, dtype=bool),
         pairs_by_slot={},
         out_dims={d: (7, 7) for d in range(len(groups))},
@@ -592,8 +593,9 @@ def make_observations(groups, labels_by_demo):
 
 def cross_validate(obs, subsets):
     """Subset selection as ``induce`` runs it: conditions trained first, in one batch."""
-    (conditions,) = ind.train_operation_predictor([(obs, subsets, ind._scored_folds(obs))])
-    return ind.cross_validate(obs, subsets, CODEC, conditions)
+    folds = obs.folds()
+    (conditions,) = ind.train_operation_predictor([(obs, subsets, folds)])
+    return ind.cross_validate(obs, subsets, folds, CODEC, conditions)
 
 
 def test_cross_validation_picks_generalizing_subset():
@@ -689,7 +691,7 @@ def test_fire_threshold_is_read_when_called(monkeypatch):
     ]
     obs = make_observations(groups, [[True, False, False]] * 3)
     subsets = [("centre",), ("colour",)]
-    folds = ind._scored_folds(obs)
+    folds = obs.folds()
     (trained,) = ind.train_operation_predictor([(obs, subsets, folds)])
     assert trained.accuracy[1].tolist() == [1.0] * 3
     # No probability reaches a threshold above one, so no rule fires: the
@@ -698,6 +700,36 @@ def test_fire_threshold_is_read_when_called(monkeypatch):
     assert not ind.training_fit(result, program, CODEC)
     (silent,) = ind.train_operation_predictor([(obs, subsets, folds)])
     assert silent.accuracy == pytest.approx(np.full((2, 3), 2 / 3))
+
+
+def test_training_fit_rejects_rules_that_disagree_with_the_explanation():
+    result = ab.abduce(conditional_move_demos(), ENC, PALETTE)
+    program = ind.induce(result, CODEC)
+    assert ind.training_fit(result, program, CODEC)
+    kinds = [r.kind for r in program.rules]
+    move = program.rules[kinds.index(Op.MOVE)]
+
+    def with_move(rule):
+        rules = list(program.rules)
+        rules[kinds.index(Op.MOVE)] = rule
+        return ind.Program(tuple(rules))
+
+    # A vacuous rule fires on objects the explanation never recoloured.
+    unused = ind.Rule(Op.RECOLOUR, ind.OperationPredictor(("colour",)), {"colour": ind.ConstantParameter(Colour(5))})
+    assert not ind.training_fit(result, ind.Program(program.rules + (unused,)), CODEC)
+    wrong_amount = ind.Rule(Op.MOVE, move.condition, {"amount": ind.ConstantParameter(Amount(0, 1))})
+    assert not ind.training_fit(result, with_move(wrong_amount), CODEC)
+    assert not ind.training_fit(result, with_move(ind.Rule(Op.MOVE, move.condition, {})), CODEC)
+
+
+def test_novel_generate_share_is_read_when_called(monkeypatch):
+    # No share of novel generate actions stays at or below -1, so every
+    # hypothesis that reaches the check is rejected by it.
+    monkeypatch.setattr(ab, "NOVEL_GENERATE_SHARE", -1)
+    result = ab.abduce(conditional_move_demos(), ENC, PALETTE)
+    assert not result.ok
+    assert len(result.trace) == len(pc.ObjectHypothesis)
+    assert all(line.endswith("(most output objects need one-off generate actions)") for line in result.trace)
 
 
 def test_same_object_similarity_is_read_when_called(monkeypatch):
