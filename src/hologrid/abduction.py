@@ -151,10 +151,6 @@ def candidate_operations(colour_sim: float, centre_sim: float, shape_sim: float)
 # ---------------------------------------------------------------- hitting set
 
 
-def _solution_key(actions) -> tuple:
-    return tuple(sorted(a.sort_key() for a in actions))
-
-
 def minimum_hitting_set(partial_sets):
     """Exact minimum-cost hitting set by branch and bound.
 
@@ -168,93 +164,72 @@ def minimum_hitting_set(partial_sets):
     sets = [frozenset(s) for s in partial_sets]
     if any(not s for s in sets):
         raise ValueError("cannot hit an empty candidate set")
+    # The search runs on action numbers given in ``sort_key`` order. Distinct
+    # actions have distinct keys, so sorted number tuples compare exactly as
+    # the sorted encodings they stand for: every ordering and tie-break
+    # below is the one on encodings.
+    actions = sorted(frozenset().union(*sets), key=lambda a: a.sort_key())
+    number = {a: i for i, a in enumerate(actions)}
     # Identical sets are one constraint; supersets are implied by subsets.
-    unique = []
-    for s in sorted(set(sets), key=lambda s: (len(s), sorted(a.sort_key() for a in s))):
-        if not any(keep < s for keep in unique):
+    unique: list[tuple[int, ...]] = []
+    for s in sorted({tuple(sorted(number[a] for a in s)) for s in sets}, key=lambda t: (len(t), t)):
+        if not any(set(keep).issubset(s) for keep in unique):
             unique.append(s)
     if not unique:
         return frozenset(), 0, True
 
-    def cost_of(actions) -> int:
-        kinds = {a.kind for a in actions}
-        return OP_COST * len(kinds) + PARAM_COST * len(actions)
-
-    coverage: dict = {}
+    kind_number: dict = {}
+    kind_bit = [1 << kind_number.setdefault(a.kind, len(kind_number)) for a in actions]
+    coverage = [0] * len(actions)  # bitmask of the sets each action hits
     for idx, s in enumerate(unique):
         for a in s:
-            coverage.setdefault(a, 0)
             coverage[a] |= 1 << idx
+    reach = []  # bitmask of the sets that share a candidate with each set
+    for s in unique:
+        mask = 0
+        for a in s:
+            mask |= coverage[a]
+        reach.append(mask)
     full_mask = (1 << len(unique)) - 1
 
     # Greedy warm start gives the search a finite bound immediately.
-    greedy: set = set()
+    greedy: list[int] = []
     covered = 0
-    ordered_actions = sorted(coverage, key=lambda a: a.sort_key())
     while covered != full_mask:
-        gains = [bin(coverage[a] & ~covered).count("1") for a in ordered_actions]
-        best_a = ordered_actions[int(np.argmax(gains))]
-        greedy.add(best_a)
-        covered |= coverage[best_a]
-    best_actions = frozenset(greedy)
-    best_cost = cost_of(best_actions)
-    best_key = _solution_key(best_actions)
-
-    set_actions = [sorted(s, key=lambda a: a.sort_key()) for s in unique]
+        pick = max(range(len(actions)), key=lambda a: (coverage[a] & ~covered).bit_count())
+        greedy.append(pick)
+        covered |= coverage[pick]
+    greedy_kinds = len({actions[a].kind for a in greedy})
+    best = (OP_COST * greedy_kinds + PARAM_COST * len(greedy), tuple(sorted(greedy)))
     nodes = 0
-    exhausted = False
 
-    def lower_bound(uncovered_mask: int, current_cost: int) -> int:
-        # Greedily pack sets that share no candidate action: each needs its
-        # own new action, so their count is an admissible increment.
-        packed = 0
-        remaining = uncovered_mask
-        for idx in range(len(unique)):
-            bit = 1 << idx
-            if remaining & bit:
-                packed += PARAM_COST
-                union = 0
-                for a in set_actions[idx]:
-                    union |= coverage[a]
-                remaining &= ~union
-        return current_cost + packed
-
-    def search(uncovered_mask: int, chosen: list, kinds: set, current_cost: int) -> None:
-        nonlocal best_actions, best_cost, best_key, nodes, exhausted
-        if exhausted:
-            return
+    def search(uncovered: int, chosen: list[int], kinds: int, cost: int) -> None:
+        nonlocal best, nodes
         nodes += 1
         if nodes > NODE_BUDGET:
-            exhausted = True
             return
-        if uncovered_mask == 0:
-            key = _solution_key(chosen)
-            if current_cost < best_cost or (current_cost == best_cost and key < best_key):
-                best_actions = frozenset(chosen)
-                best_cost = current_cost
-                best_key = key
+        if uncovered == 0:
+            best = min(best, (cost, tuple(sorted(chosen))))
             return
-        if lower_bound(uncovered_mask, current_cost) > best_cost:
+        # Greedily pack sets that share no candidate action: each needs its
+        # own new action, so their count is an admissible increment.
+        bound, remaining = cost, uncovered
+        while remaining:
+            bound += PARAM_COST
+            remaining &= ~reach[(remaining & -remaining).bit_length() - 1]
+        if bound > best[0]:
             return
-        # Branch on the uncovered set with the fewest candidates.
-        pick = -1
-        pick_size = None
-        for idx in range(len(unique)):
-            if uncovered_mask & (1 << idx):
-                size = len(set_actions[idx])
-                if pick_size is None or size < pick_size:
-                    pick, pick_size = idx, size
-        for action in set_actions[pick]:
-            extra = PARAM_COST + (0 if action.kind in kinds else OP_COST)
-            if current_cost + extra > best_cost:
+        # Branch on the first uncovered set, the one with the fewest candidates.
+        for a in unique[(uncovered & -uncovered).bit_length() - 1]:
+            extra = PARAM_COST + (0 if kinds & kind_bit[a] else OP_COST)
+            if cost + extra > best[0]:
                 continue
-            kinds_after = kinds | {action.kind}
-            chosen.append(action)
-            search(uncovered_mask & ~coverage[action], chosen, kinds_after, current_cost + extra)
+            chosen.append(a)
+            search(uncovered & ~coverage[a], chosen, kinds | kind_bit[a], cost + extra)
             chosen.pop()
 
-    search(full_mask, [], set(), 0)
-    return best_actions, best_cost, not exhausted
+    search(full_mask, [], 0, 0)
+    return frozenset(actions[a] for a in best[1]), best[0], nodes <= NODE_BUDGET
 
 
 # ---------------------------------------------------------------- abduction

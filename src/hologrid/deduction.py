@@ -33,18 +33,14 @@ class Prediction:
 
 
 @dataclass
-class TaskDiagnostics:
-    """What the solver believed while working on a task."""
+class TaskDiagnostics(AbductionResult):
+    """What the solver believed on a task.
 
-    ok: bool
-    reason: Optional[str]
-    hypothesis: Optional[ObjectHypothesis]
-    size: SizeHypothesis
-    action_set: tuple[Action, ...] = ()
-    cost: int = 0
-    optimal: bool = True  # False: the hitting set is the best found within the node budget
+    The explanation of its demos, plus the demo replay flags, the induced
+    program and whether that program refits its own training data.
+    """
+
     demo_replays: list[bool] = field(default_factory=list)
-    trace: list[str] = field(default_factory=list)
     program: Optional[Program] = None
     training_fit: bool = False
 
@@ -143,32 +139,15 @@ def solve_task(task, encoder: SspEncoder, palette: Vocabulary):
     demos = [(pc.as_grid(i), pc.as_grid(o)) for i, o in task.train]
     queries = [pc.as_grid(q) for q, _ in task.test]
     result = abduce(demos, encoder, palette)
+    diag = TaskDiagnostics(**vars(result))
     if not result.ok:
-        diag = TaskDiagnostics(
-            ok=False,
-            reason=result.reason,
-            hypothesis=None,
-            size=result.size,
-            trace=list(result.trace),
-        )
         marker = f"unsolved: {result.reason}"
         return [Prediction(i, None, [marker]) for i in range(len(queries))], diag
 
     codec = make_codec(encoder, palette)
-    program = induce(result, codec)
-    diag = TaskDiagnostics(
-        ok=True,
-        reason=None,
-        hypothesis=result.hypothesis,
-        size=result.size,
-        action_set=result.action_set,
-        cost=result.cost,
-        optimal=result.optimal,
-        demo_replays=_replay_demos(result, program, codec),
-        trace=list(result.trace),
-        program=program,
-        training_fit=training_fit(result, program, codec),
-    )
+    program = diag.program = induce(result, codec)
+    diag.demo_replays = _replay_demos(result, program, codec)
+    diag.training_fit = training_fit(result, program, codec)
     predictions = [
         solve_query(program, result.hypothesis, result.size, q, codec, i)
         for i, q in enumerate(queries)

@@ -135,8 +135,8 @@ class Action:
                 return value
         raise KeyError(slot)
 
-    def describe(self) -> str:
-        """Stable text encoding, also used as the deterministic sort key."""
+    def sort_key(self) -> str:
+        """Stable text encoding; distinct actions get distinct keys."""
         parts = []
         for name, value in self.params:
             if isinstance(value, Colour):
@@ -151,9 +151,6 @@ class Action:
                 cells = ";".join(f"{dr:g},{dc:g}" for dr, dc in sorted(value.offsets))
                 parts.append(f"{name}=[{cells}]")
         return f"{self.kind.value}({', '.join(parts)})"
-
-    def sort_key(self) -> str:
-        return self.describe()
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,117 @@ def hitting_sets_brute_force(partial_sets, cost_fn):
     return best_cost, best
 
 
+def _solution_key_direct(actions) -> tuple:
+    return tuple(sorted(a.sort_key() for a in actions))
+
+
+def minimum_hitting_set_direct(partial_sets, op_cost, param_cost, node_budget):
+    """Exact minimum-cost hitting set by branch and bound.
+
+    Cost charges ``op_cost`` per distinct operation kind plus ``param_cost``
+    per distinct action, so one shared parameterization beats many one-off
+    ones. Equal-cost solutions resolve to the lexicographically smallest
+    action encoding. Returns (actions, cost, optimal); ``optimal`` goes
+    False only if the search used up ``node_budget`` nodes, in which case
+    the best hitting set found so far is returned.
+
+    This is the search written directly on action objects and their
+    ``sort_key`` strings: it recomputes every bound from the sets and
+    formats keys at every leaf. The library's numbered search must return
+    exactly what it returns, including ties and budget cuts.
+    """
+    sets = [frozenset(s) for s in partial_sets]
+    if any(not s for s in sets):
+        raise ValueError("cannot hit an empty candidate set")
+    # Identical sets are one constraint; supersets are implied by subsets.
+    unique = []
+    for s in sorted(set(sets), key=lambda s: (len(s), sorted(a.sort_key() for a in s))):
+        if not any(keep < s for keep in unique):
+            unique.append(s)
+    if not unique:
+        return frozenset(), 0, True
+
+    def cost_of(actions) -> int:
+        kinds = {a.kind for a in actions}
+        return op_cost * len(kinds) + param_cost * len(actions)
+
+    coverage: dict = {}
+    for idx, s in enumerate(unique):
+        for a in s:
+            coverage.setdefault(a, 0)
+            coverage[a] |= 1 << idx
+    full_mask = (1 << len(unique)) - 1
+
+    # Greedy warm start gives the search a finite bound immediately.
+    greedy: set = set()
+    covered = 0
+    ordered_actions = sorted(coverage, key=lambda a: a.sort_key())
+    while covered != full_mask:
+        gains = [bin(coverage[a] & ~covered).count("1") for a in ordered_actions]
+        best_a = ordered_actions[int(np.argmax(gains))]
+        greedy.add(best_a)
+        covered |= coverage[best_a]
+    best_actions = frozenset(greedy)
+    best_cost = cost_of(best_actions)
+    best_key = _solution_key_direct(best_actions)
+
+    set_actions = [sorted(s, key=lambda a: a.sort_key()) for s in unique]
+    nodes = 0
+    exhausted = False
+
+    def lower_bound(uncovered_mask: int, current_cost: int) -> int:
+        # Greedily pack sets that share no candidate action: each needs its
+        # own new action, so their count is an admissible increment.
+        packed = 0
+        remaining = uncovered_mask
+        for idx in range(len(unique)):
+            bit = 1 << idx
+            if remaining & bit:
+                packed += param_cost
+                union = 0
+                for a in set_actions[idx]:
+                    union |= coverage[a]
+                remaining &= ~union
+        return current_cost + packed
+
+    def search(uncovered_mask: int, chosen: list, kinds: set, current_cost: int) -> None:
+        nonlocal best_actions, best_cost, best_key, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > node_budget:
+            exhausted = True
+            return
+        if uncovered_mask == 0:
+            key = _solution_key_direct(chosen)
+            if current_cost < best_cost or (current_cost == best_cost and key < best_key):
+                best_actions = frozenset(chosen)
+                best_cost = current_cost
+                best_key = key
+            return
+        if lower_bound(uncovered_mask, current_cost) > best_cost:
+            return
+        # Branch on the uncovered set with the fewest candidates.
+        pick = -1
+        pick_size = None
+        for idx in range(len(unique)):
+            if uncovered_mask & (1 << idx):
+                size = len(set_actions[idx])
+                if pick_size is None or size < pick_size:
+                    pick, pick_size = idx, size
+        for action in set_actions[pick]:
+            extra = param_cost + (0 if action.kind in kinds else op_cost)
+            if current_cost + extra > best_cost:
+                continue
+            kinds_after = kinds | {action.kind}
+            chosen.append(action)
+            search(uncovered_mask & ~coverage[action], chosen, kinds_after, current_cost + extra)
+            chosen.pop()
+
+    search(full_mask, [], set(), 0)
+    return best_actions, best_cost, not exhausted
+
+
 PROPERTY_VECTORS = ("colour_vec", "centre_vec", "shape_vec")
 
 

@@ -12,7 +12,12 @@ from hologrid import perception as pc
 from hologrid import ssp, vsa
 from hologrid.dsl import Action, Amount, Colour, OperationKind as Op
 
-from oracles import hitting_sets_brute_force, similarity_matrices_direct, softmax_direct
+from oracles import (
+    hitting_sets_brute_force,
+    minimum_hitting_set_direct,
+    similarity_matrices_direct,
+    softmax_direct,
+)
 
 CFG = vsa.VsaConfig(dimension=512, seed=33)
 ENC = ssp.SspEncoder(CFG)
@@ -226,6 +231,48 @@ def test_hitting_set_matches_brute_force_on_random_instances():
         assert cost == best_cost
         assert all(actions & s for s in sets)
         assert cost_fn(actions) == best_cost
+
+
+def random_hitting_instance(rng, max_actions=15, max_sets=11):
+    kinds = [f"k{i}" for i in range(int(rng.integers(1, 5)))]
+    universe = [
+        Tok(kinds[int(rng.integers(0, len(kinds)))], f"t{i}") for i in range(int(rng.integers(1, max_actions + 1)))
+    ]
+    sets = []
+    for _ in range(int(rng.integers(0, max_sets + 1))):
+        size = int(rng.integers(1, min(5, len(universe)) + 1))
+        sets.append({universe[i] for i in rng.choice(len(universe), size=size, replace=False)})
+    return sets
+
+
+@pytest.mark.parametrize("budget", [200_000, 50, 7, 1])
+def test_hitting_set_matches_the_direct_search_under_every_budget(monkeypatch, budget):
+    monkeypatch.setattr(ab, "NODE_BUDGET", budget)
+    rng = np.random.default_rng(budget)
+    cut = 0
+    for _ in range(1500):
+        sets = random_hitting_instance(rng)
+        got = ab.minimum_hitting_set(sets)
+        assert got == minimum_hitting_set_direct(sets, ab.OP_COST, ab.PARAM_COST, budget)
+        cut += not got[2]
+    assert (cut == 0) if budget == 200_000 else (cut > 0)
+
+
+def test_hitting_set_breaks_ties_among_several_optima_as_the_direct_search():
+    # Every action gets a twin of the same kind in exactly the same sets, so
+    # each optimum has at least one equal-cost counterpart; the answer must
+    # be the smallest encoding among all of them.
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        sets = random_hitting_instance(rng, max_actions=6, max_sets=6)
+        sets = [s | {Tok(a.kind, a.tag + "~") for a in s} for s in sets]
+        actions, cost, optimal = ab.minimum_hitting_set(sets)
+        reference = minimum_hitting_set_direct(sets, ab.OP_COST, ab.PARAM_COST, ab.NODE_BUDGET)
+        assert (actions, cost, optimal) == reference
+        if sets:
+            best_cost, optima = hitting_sets_brute_force(sets, cost_fn)
+            assert optimal and cost == best_cost and len(optima) > 1
+            assert actions == min(optima, key=lambda o: sorted(a.sort_key() for a in o))
 
 
 # ---------------------------------------------------------------- abduce

@@ -45,6 +45,37 @@ def test_actions_are_hashable_and_comparable():
     assert len({a1, a2, a3}) == 2
 
 
+def test_distinct_actions_have_distinct_sort_keys():
+    # The hitting set numbers actions in sort_key order and breaks ties on
+    # those numbers, which matches the order on encodings only while no two
+    # distinct actions share a key.
+    rng = np.random.default_rng(17)
+    halves = [h / 2 for h in range(-59, 60)]
+    points = [(x, y) for x in halves for y in halves]
+    shapes: dict = {}
+    while len(shapes) < 300:
+        picks = rng.integers(0, 6, size=(int(rng.integers(1, 10)), 2))
+        cells = frozenset((int(r), int(c)) for r, c in picks)
+        shapes.setdefault(Shape(pc.ObjectMask(1, cells, (6, 6)).offsets()), None)
+    shapes = list(shapes)
+    colours = [Colour(v) for v in range(1, 10)]
+    actions = [Action.make(kind) for kind in Op if not dsl.PARAM_SLOTS[kind]]
+    actions += [Action.make(Op.RECOLOUR, colour=c) for c in colours]
+    actions += [Action.make(Op.RECENTRE, centre=Centre(x, y)) for x, y in points]
+    actions += [Action.make(Op.MOVE, amount=Amount(x, y)) for x, y in points]
+    actions += [Action.make(kind, direction=d) for kind in (Op.GRAVITY, Op.GROW) for d in Direction]
+    actions += [Action.make(Op.RESHAPE, shape=s) for s in shapes]
+    for c in colours:
+        for s in shapes:
+            x, y = points[int(rng.integers(0, len(points)))]
+            actions.append(Action.make(Op.GENERATE, colour=c, centre=Centre(x, y), shape=s))
+    for x, y in points:
+        c, s = colours[int(rng.integers(0, 9))], shapes[int(rng.integers(0, len(shapes)))]
+        actions.append(Action.make(Op.GENERATE, colour=c, centre=Centre(x, y), shape=s))
+    assert {a.kind for a in actions} == set(Op)
+    assert len({a.sort_key() for a in actions}) == len(set(actions))
+
+
 def test_colour_param_validates_range():
     with pytest.raises(ValueError):
         Colour(0)
