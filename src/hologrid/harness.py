@@ -598,7 +598,7 @@ def export_heatmaps(record: TaskRecord, object_index: int, out_dir, encoder, pal
 
     colour_lines = ["colour,value"]
     for c in range(pc.NUM_COLOURS):
-        sim = vsa.similarity(obj.colour_vec, palette[f"colour:{c}"])
+        sim = vsa.similarity(obj.colour_vec, palette[c])
         colour_lines.append(f"{c},{sim:.9g}")
     colour_path = out / "colour.csv"
     colour_path.write_text("\n".join(colour_lines) + "\n", encoding="utf-8")

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from . import abduction, dsl, ssp, vsa
 from .abduction import AbductionResult
-from .dsl import Amount, Centre, Colour, Direction, OperationKind, ParamValue, Shape
+from .dsl import Amount, Centre, Colour, Direction, OperationKind, ParamValue
 from .perception import ObjectRepr, shape_bundle
 from .ssp import SspEncoder
 from .vsa import HyperVector, Vocabulary, VsaConfig
@@ -106,7 +106,7 @@ def rank_properties(basis: _SpanBasis, labels) -> list[PropertySubset]:
         combinations(PROPERTY_ORDER, 2),
         key=lambda pr: (-(scores[pr[0]] + scores[pr[1]]), pr),
     )
-    ranked.extend(canonical_subset(pr) for pr in pairs)
+    ranked.extend(pairs)
     ranked.append(PROPERTY_ORDER)
     return ranked
 
@@ -336,29 +336,29 @@ class ParamCodec:
 
     encoder: SspEncoder
     palette: Vocabulary
-    directions: Vocabulary
-    colours: Vocabulary
+    directions: Vocabulary  # keyed by Direction
+    colours: Vocabulary  # keyed by Colour, 1..9
 
     def encode(self, slot: str, value: ParamValue) -> HyperVector:
         if slot == "colour":
-            return self.palette[f"colour:{value.value}"]
+            return self.colours[value]
         if slot == "centre":
             return self.encoder.encode((value.x, value.y))
         if slot == "amount":
             return self.encoder.encode((value.dx, value.dy))
         if slot == "direction":
-            return self.directions[value.value]
+            return self.directions[value]
         if slot == "shape":
             return shape_bundle(value.offsets, self.encoder)
         raise KeyError(slot)
 
-    def decode(self, slot: str, vector: HyperVector, dims, shape_values, shapes: Optional[Vocabulary]):
+    def decode(self, slot: str, vector: HyperVector, dims, shapes: Optional[Vocabulary]):
         """Nearest valid slot value, or None when the signal is too weak.
 
-        ``dims`` bounds the lattice for the continuous slots. Discrete slots
-        go through vocabulary cleanup with a confidence floor; shapes against
-        ``shapes``, the ``shape_vocabulary`` of the candidate ``shape_values``
-        (both None outside the shape slot).
+        ``dims`` bounds the lattice for the continuous slots. A discrete slot
+        keeps the value its cleanup table recalls when the similarity reaches
+        ``DECODE_FLOOR``; the shape slot's table is ``shapes``, the
+        ``shape_vocabulary`` of the candidate shapes (None when there are none).
         """
         if slot in ("centre", "amount"):
             rows, cols = dims
@@ -368,44 +368,34 @@ class ParamCodec:
                 region = ((-(cols - 1), cols - 1), (-(rows - 1), rows - 1))
             (x, y), _ = ssp.decode(self.encoder, vector, region, step=0.5)
             return Centre(x, y) if slot == "centre" else Amount(x, y)
+        table = {"colour": self.colours, "direction": self.directions, "shape": shapes}[slot]
+        if table is None:
+            return None
         try:
             unit = vsa.normalize(vector)
         except ValueError:
             return None
-        if slot == "colour":
-            name, sim = self.colours.cleanup(unit)
-            return Colour(int(name.split(":")[1])) if sim >= DECODE_FLOOR else None
-        if slot == "direction":
-            name, sim = self.directions.cleanup(unit)
-            return Direction(name) if sim >= DECODE_FLOOR else None
-        if slot == "shape":
-            if not shape_values:
-                return None
-            name, sim = shapes.cleanup(unit)
-            return shape_values[int(name.split(":")[1])] if sim >= DECODE_FLOOR else None
-        raise KeyError(slot)
+        value, sim = table.cleanup(unit)
+        return value if sim >= DECODE_FLOOR else None
 
 
 def shape_vocabulary(shape_values, encoder: SspEncoder) -> Vocabulary:
-    """Cleanup table of the candidate shapes, entry i named ``shape:i``."""
+    """Cleanup table of the candidate shapes, keyed by ``Shape``."""
     vocab = Vocabulary(encoder.config)
-    for i, shape in enumerate(shape_values):
-        vocab.add_vector(f"shape:{i}", shape_bundle(shape.offsets, encoder))
-    return vocab
-
-
-def direction_vocabulary(config: VsaConfig) -> Vocabulary:
-    vocab = Vocabulary(config)
-    for d in Direction:
-        vocab.add_vector(d.value, vsa.random_symbol(config, f"direction:{d.value}"))
+    for shape in shape_values:
+        vocab.add_vector(shape, shape_bundle(shape.offsets, encoder))
     return vocab
 
 
 def make_codec(encoder: SspEncoder, palette: Vocabulary) -> ParamCodec:
-    colours = Vocabulary(encoder.config)
+    config = encoder.config
+    directions = Vocabulary(config)
+    for d in Direction:
+        directions.add_vector(d, vsa.random_symbol(config, f"direction:{d.value}"))
+    colours = Vocabulary(config)
     for c in range(1, 10):
-        colours.add_vector(f"colour:{c}", palette[f"colour:{c}"])
-    return ParamCodec(encoder, palette, direction_vocabulary(encoder.config), colours)
+        colours.add_vector(Colour(c), palette[c])
+    return ParamCodec(encoder, palette, directions, colours)
 
 
 # --------------------------------------------------------------------------
@@ -447,8 +437,7 @@ class LinearParameter:
     base: HyperVector
     inputs: NDArray[np.float64]  # (m, N), training bundles as rows
     correction: NDArray[np.float64]  # (m, N); W = circulant(base) + correction.T @ inputs
-    shape_values: Optional[tuple[Shape, ...]] = None
-    # shape_vocabulary(shape_values), built once when the predictor is trained or loaded
+    # The shape slot's candidate shapes, in first-seen order, as their cleanup table
     shapes: Optional[Vocabulary] = field(default=None, repr=False, compare=False)
 
     def apply(self, x: HyperVector) -> HyperVector:
@@ -456,7 +445,7 @@ class LinearParameter:
 
     def predict(self, obj: ObjectRepr, dims, codec: ParamCodec) -> Optional[ParamValue]:
         raw = self.apply(subset_vector(obj, self.subset))
-        return codec.decode(self.slot, raw, dims, self.shape_values, self.shapes)
+        return codec.decode(self.slot, raw, dims, self.shapes)
 
 
 ParameterPredictor = Union[ConstantParameter, CopyParameter, LinearParameter]
@@ -536,11 +525,8 @@ def train_parameter_predictor(pairs, slot: str, subset: PropertySubset, codec: P
     inputs = subset_matrix([obj for obj, _ in pairs], subset)
     targets = np.stack([codec.encode(slot, v) for _, v in pairs])
     base, correction = _train_linear_factors(inputs, targets)
-    if slot != "shape":
-        return LinearParameter(slot, subset, base, inputs, correction)
-    shape_values = tuple(dict.fromkeys(values))
-    shapes = shape_vocabulary(shape_values, codec.encoder)
-    return LinearParameter(slot, subset, base, inputs, correction, shape_values, shapes)
+    shapes = shape_vocabulary(dict.fromkeys(values), codec.encoder) if slot == "shape" else None
+    return LinearParameter(slot, subset, base, inputs, correction, shapes)
 
 
 # --------------------------------------------------------------------------
@@ -824,8 +810,8 @@ def _predictor_to_json(pred: ParameterPredictor):
         "inputs": pred.inputs.tolist(),
         "correction": pred.correction.tolist(),
     }
-    if pred.shape_values is not None:
-        doc["shape_values"] = [dsl.param_value_to_json(s) for s in pred.shape_values]
+    if pred.shapes is not None:
+        doc["shape_values"] = [dsl.param_value_to_json(s) for s in pred.shapes.keys()]
     return doc
 
 
@@ -845,7 +831,6 @@ def _predictor_from_json(doc, config: VsaConfig) -> ParameterPredictor:
             base=np.array(doc["base"], dtype=np.float64),
             inputs=np.array(doc["inputs"], dtype=np.float64),
             correction=np.array(doc["correction"], dtype=np.float64),
-            shape_values=shape_values or None,
             shapes=shape_vocabulary(shape_values, SspEncoder(config)) if shape_values else None,
         )
     raise ValueError(f"unknown parameter predictor variant {variant!r}")

@@ -35,22 +35,35 @@ class GridError(ValueError):
 
 
 def as_grid(data) -> Grid:
-    """Validate and convert nested lists / arrays into a grid."""
+    """Validate and convert nested lists / arrays of integers into a grid.
+
+    A float, bool, string or any other non-integer cell is refused, never
+    truncated or coerced; an int64 array is returned as it is.
+    """
     try:
-        arr = np.asarray(data, dtype=np.int64)
+        arr = np.asarray(data)
     except (TypeError, ValueError) as exc:
         raise GridError(f"grid is not rectangular: {exc}") from None
     if arr.ndim != 2 or arr.size == 0:
         raise GridError(f"grid must be a non-empty 2-D array, got shape {arr.shape}")
     if arr.shape[0] > MAX_SIDE or arr.shape[1] > MAX_SIDE:
         raise GridError(f"grid sides may not exceed {MAX_SIDE}, got {arr.shape}")
+    if isinstance(data, np.ndarray):
+        if arr.dtype.kind not in "iu":
+            raise GridError(f"grid values must be integers, got a {arr.dtype} array")
+    else:
+        # Cell by cell: numpy would read a bool among integers as 0 or 1.
+        for r, row in enumerate(data):
+            for c, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise GridError(f"grid values must be integers, got {v!r} at row {r}, column {c}")
     bad = np.argwhere((arr < 0) | (arr >= NUM_COLOURS))
     if bad.size:
         r, c = (int(v) for v in bad[0])
         raise GridError(
             f"grid values must be colour indices 0..9, got {int(arr[r, c])} at row {r}, column {c}"
         )
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def grid_equal(a: Grid, b: Grid) -> bool:
@@ -223,10 +236,10 @@ class Scene:
 
 
 def build_palette(config: VsaConfig) -> Vocabulary:
-    """Vocabulary of the ten colour symbols (index 0 included for cleanup maps)."""
+    """The ten colour symbols keyed by colour index (0 included for cleanup maps)."""
     vocab = Vocabulary(config)
     for colour in range(NUM_COLOURS):
-        vocab.add(f"colour:{colour}")
+        vocab.add_vector(colour, vsa.random_symbol(config, f"colour:{colour}"))
     return vocab
 
 
@@ -242,7 +255,7 @@ def encode_object(mask: ObjectMask, encoder: SspEncoder, palette: Vocabulary) ->
     The shape vector is the ``shape_bundle`` of the cell offsets from the
     midpoint, making it invariant to translation by construction.
     """
-    colour_vec = palette[f"colour:{mask.colour}"]
+    colour_vec = palette[mask.colour]
     cx, cy = mask.centre_point()
     stencil = np.array([(cx + dx, cy + dy) for dx, dy in _BLUR_OFFSETS])
     blurred = _blur_weights(BLUR_SIGMA) @ encoder.encode_many(stencil)

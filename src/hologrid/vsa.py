@@ -19,6 +19,7 @@ keyed by SHA-256 so the mapping is stable across processes and platforms.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,41 +131,28 @@ def bundle(vectors) -> HyperVector:
 
 
 class Vocabulary:
-    """Ordered name -> vector table used for cleanup (nearest-symbol recall)."""
+    """Ordered value -> vector table; cleanup (nearest-symbol recall) returns the value."""
 
     def __init__(self, config: VsaConfig):
         self.config = config
-        self._vectors: dict[str, HyperVector] = {}
+        self._vectors: dict[Hashable, HyperVector] = {}
         self._matrix: HyperVector | None = None  # stacked entries, until the next one is added
 
-    def add(self, name: str) -> HyperVector:
-        """Add (or fetch) the deterministic random symbol for ``name``."""
-        if name not in self._vectors:
-            self._vectors[name] = random_symbol(self.config, name)
-            self._matrix = None
-        return self._vectors[name]
-
-    def add_vector(self, name: str, vector: HyperVector) -> HyperVector:
-        """Register an externally constructed vector under ``name``."""
+    def add_vector(self, value: Hashable, vector: HyperVector) -> None:
+        """Register ``vector`` as the symbol of ``value``; the first registration stays."""
         if vector.shape != (self.config.dimension,):
             raise DimensionMismatchError(
                 f"vocabulary entries must have shape ({self.config.dimension},)"
             )
-        if name not in self._vectors:
-            self._vectors[name] = np.asarray(vector, dtype=np.float64)
+        if value not in self._vectors:
+            self._vectors[value] = np.asarray(vector, dtype=np.float64)
             self._matrix = None
-        return self._vectors[name]
 
-    def __getitem__(self, name: str) -> HyperVector:
-        return self._vectors[name]
+    def __getitem__(self, value: Hashable) -> HyperVector:
+        return self._vectors[value]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._vectors
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    def names(self) -> list[str]:
+    def keys(self) -> list:
+        """The values the entries stand for, in insertion order."""
         return list(self._vectors)
 
     def matrix(self) -> HyperVector:
@@ -174,10 +162,10 @@ class Vocabulary:
             self._matrix.setflags(write=False)
         return self._matrix
 
-    def cleanup(self, v: HyperVector) -> tuple[str, float]:
-        """Most similar entry and its similarity; insertion order wins ties."""
+    def cleanup(self, v: HyperVector) -> tuple[Hashable, float]:
+        """Value of the most similar entry and its similarity; insertion order wins ties."""
         if not self._vectors:
             raise EmptyVocabularyError("cleanup against an empty vocabulary")
         sims = self.matrix() @ v
         idx = int(np.argmax(sims))
-        return self.names()[idx], float(sims[idx])
+        return self.keys()[idx], float(sims[idx])

@@ -428,3 +428,29 @@ def interior_holes_direct(cells, dims) -> set:
         for c in range(c0, c1 + 1)
         if (r, c) not in cells and (r, c) not in seen
     }
+
+
+def name_decode_direct(slot, vector, names, matrix, floor, colour_of, direction_of, shape_values):
+    """Discrete-slot decode through symbol names, the way names used to be parsed.
+
+    Row i of ``matrix`` is the table entry named ``names[i]``: ``colour:<c>``
+    for colours, the direction's own value (``up``, ...) for directions and
+    ``shape:<i>`` for the i-th of ``shape_values``. The nearest entry (first
+    on ties) is kept when its similarity reaches ``floor``, and its name is
+    parsed back into a value with ``colour_of`` or ``direction_of``.
+    """
+    norm = float(np.linalg.norm(vector))
+    if norm == 0.0 or not np.isfinite(norm):
+        return None
+    if slot == "shape" and not shape_values:
+        return None
+    sims = np.asarray(matrix) @ (vector / norm)
+    best = int(np.argmax(sims))
+    if sims[best] < floor:
+        return None
+    name = names[best]
+    if slot == "colour":
+        return colour_of(int(name.split(":")[1]))
+    if slot == "direction":
+        return direction_of(name)
+    return shape_values[int(name.split(":")[1])]

@@ -112,6 +112,15 @@ def test_bad_pixel_file_reports_cell(tmp_path, capsys):
     assert "row 0, column 0" in err
 
 
+@pytest.mark.parametrize("cell", ["1.5", '"3"', "true", "1e300", str(2**70)])
+def test_solve_refuses_cells_that_are_not_colour_integers(tmp_path, capsys, cell):
+    path = tmp_path / "cell.json"
+    path.write_text('{"train": [{"input": [[0, %s]], "output": [[0, 1]]}], "test": [{"input": [[0, 1]]}]}' % cell)
+    rc = cli.main(["--dimension", "256", "solve", str(path)])
+    assert rc == 1
+    assert "row 0, column 1" in capsys.readouterr().err
+
+
 def test_env_defaults(monkeypatch):
     monkeypatch.setenv("HOLOGRID_DIMENSION", "256")
     monkeypatch.setenv("HOLOGRID_SEED", "9")

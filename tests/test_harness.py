@@ -63,6 +63,15 @@ def test_load_rejects_ragged_rows(tmp_path):
         hn.load_arc_json(path)
 
 
+@pytest.mark.parametrize("cell", ["1.5", '"3"', "true", "1e300", str(2**70)])
+def test_load_rejects_cells_that_are_not_colour_integers(tmp_path, cell):
+    path = tmp_path / "cell.json"
+    path.write_text('{"train": [{"input": [[0, %s]], "output": [[0]]}], "test": [{"input": [[0]]}]}' % cell)
+    with pytest.raises(hn.TaskLoadError) as err:
+        hn.load_arc_json(path)
+    assert "cell.json" in str(err.value) and "row 0, column 1" in str(err.value)
+
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -443,6 +452,11 @@ def test_fingerprint_contents():
     assert pairs["node budget"] == str(ab.NODE_BUDGET) == "200000"
     assert pairs["centre blur sigma"] == repr(pc.BLUR_SIGMA) == "0.5"
     assert pairs["novel generate share"] == repr(ab.NOVEL_GENERATE_SHARE) == "0.5"
+
+
+def test_readme_lists_every_fingerprint_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert [key for key, _ in hn._fingerprint(hn.EvalConfig()) if key not in readme] == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hologrid import abduction as ab
 from hologrid import induction as ind, perception as pc
 from hologrid import ssp, vsa
 from hologrid.deduction import solve_task
-from hologrid.dsl import Amount, Centre, Colour, OperationKind as Op, Shape
+from hologrid.dsl import Amount, Centre, Colour, Direction, OperationKind as Op, Shape
 from hologrid.harness import TaskRecord
 
 from oracles import (
@@ -19,6 +19,7 @@ from oracles import (
     conv_direct,
     linear_loss_direct,
     logistic_loss_direct,
+    name_decode_direct,
     property_scores_direct,
 )
 
@@ -448,7 +449,7 @@ def test_linear_parameter_shape_vocabulary_decode():
     pairs = [(o, shapes[i % 2]) for i, o in enumerate(objs)]
     pred = ind.train_parameter_predictor(pairs, "shape", ("colour",), CODEC)
     assert isinstance(pred, ind.LinearParameter)
-    assert pred.shape_values == (shapes[0], shapes[1])
+    assert pred.shapes.keys() == [shapes[0], shapes[1]]
     assert pred.predict(pixel(2, 6, 6), (7, 7), CODEC) == shapes[0]
     assert pred.predict(pixel(7, 0, 0), (7, 7), CODEC) == shapes[1]
 
@@ -463,10 +464,70 @@ def test_linear_shape_parameter_survives_program_json():
     doc = json.loads(json.dumps(ind.program_to_json(ind.Program((rule,)), CFG)))
     back = ind.program_from_json(doc, CFG).rules[0].parameters["shape"]
     # The shape cleanup table is rebuilt at load time, entry for entry.
-    assert back.shape_values == pred.shape_values
+    assert back.shapes.keys() == pred.shapes.keys()
     assert np.array_equal(back.shapes.matrix(), pred.shapes.matrix())
     for probe in (pixel(2, 6, 6), pixel(7, 0, 0)):
         assert back.predict(probe, (7, 7), CODEC) == pred.predict(probe, (7, 7), CODEC)
+
+
+def decode(slot, vector, shape_values=()):
+    shapes = ind.shape_vocabulary(shape_values, ENC) if shape_values else None
+    return CODEC.decode(slot, vector, (7, 7), shapes)
+
+
+def discrete_values():
+    bar = Shape(obj([[0, 0, 0], [3, 3, 3], [0, 0, 0]]).mask.offsets())
+    corner = Shape(obj([[3, 0], [3, 3]]).mask.offsets())
+    shapes = (Shape(square(1, 0, 0).mask.offsets()), Shape(pixel(1, 0, 0).mask.offsets()), bar, corner)
+    return {
+        "colour": [Colour(c) for c in range(1, 10)],
+        "direction": list(Direction),
+        "shape": list(shapes),
+    }
+
+
+@pytest.mark.parametrize("slot", ["colour", "direction", "shape"])
+def test_decode_keeps_a_discrete_value_only_from_the_floor_up(slot):
+    values = discrete_values()[slot]
+    shape_values = tuple(values) if slot == "shape" else ()
+    table = np.stack([CODEC.encode(slot, v) for v in values])
+    # A unit direction orthogonal to every entry: a probe's similarity to
+    # entry k is then its weight on entry k, and every other entry scores lower.
+    basis, _ = np.linalg.qr(table.T)
+    away = np.random.default_rng(3).standard_normal(CFG.dimension)
+    away -= basis @ (basis.T @ away)
+    away /= np.linalg.norm(away)
+    for value, entry in zip(values, table):
+        assert decode(slot, entry, shape_values) == value
+        for sim, want in ((ind.DECODE_FLOOR + 0.01, value), (ind.DECODE_FLOOR - 0.01, None)):
+            probe = sim * entry + np.sqrt(1.0 - sim * sim) * away
+            assert decode(slot, probe, shape_values) == want
+
+
+def test_decode_matches_the_name_parsing_oracle():
+    values = discrete_values()
+    shape_values = tuple(values["shape"])
+    named = {
+        "colour": [(f"colour:{c}", vsa.random_symbol(CFG, f"colour:{c}")) for c in range(1, 10)],
+        "direction": [(d.value, vsa.random_symbol(CFG, f"direction:{d.value}")) for d in Direction],
+        "shape": [(f"shape:{i}", pc.shape_bundle(s.offsets, ENC)) for i, s in enumerate(shape_values)],
+    }
+    rng = np.random.default_rng(11)
+    n = CFG.dimension
+    outcomes = set()
+    for slot, table in named.items():
+        names = [name for name, _ in table]
+        matrix = np.stack([vec for _, vec in table])
+        probes = [np.zeros(n)] + [rng.standard_normal(n) for _ in range(20)]
+        probes += [vec + s * rng.standard_normal(n) / np.sqrt(n) for _, vec in table for s in (0.5, 1.5, 2.5, 3.5)]
+        for candidates in ((shape_values, ()) if slot == "shape" else ((),)):
+            for probe in probes:
+                want = name_decode_direct(
+                    slot, probe, names, matrix, ind.DECODE_FLOOR, Colour, Direction, candidates
+                )
+                assert decode(slot, probe, candidates) == want
+                outcomes.add((slot, want is None))
+    assert outcomes == {(slot, none) for slot in named for none in (True, False)}
 
 
 def test_parameter_loss_matches_naive_oracle():

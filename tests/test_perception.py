@@ -36,6 +36,25 @@ def test_as_grid_validates():
         pc.as_grid([])
 
 
+@pytest.mark.parametrize("cell", [1.5, 1.0, "3", True, None, 1e300, 2**70])
+def test_as_grid_rejects_cells_that_are_not_colour_integers(cell):
+    with pytest.raises(pc.GridError, match="row 0, column 1"):
+        pc.as_grid([[0, cell]])
+
+
+@pytest.mark.parametrize("cells", [[[0, 1.5]], [[0, 1.0]], [[True]], [["3"]]])
+def test_as_grid_rejects_arrays_that_are_not_integer(cells):
+    with pytest.raises(pc.GridError):
+        pc.as_grid(np.array(cells))
+
+
+def test_as_grid_keeps_integer_arrays():
+    grid = np.array([[0, 3], [9, 1]], dtype=np.int64)
+    assert pc.as_grid(grid) is grid
+    narrow = pc.as_grid(np.array([[0, 3]], dtype=np.uint8))
+    assert narrow.dtype == np.int64 and narrow.tolist() == [[0, 3]]
+
+
 def test_centred_coordinates():
     assert pc.to_xy(0, 0, (3, 3)) == (-1.0, 1.0)
     assert pc.to_xy(2, 2, (3, 3)) == (1.0, -1.0)
@@ -190,7 +209,9 @@ def one_object(g, hyp=pc.ObjectHypothesis.EIGHT_CONNECTED):
 
 def test_colour_vector_is_palette_symbol():
     obj = one_object([[0, 0], [0, 6]])
-    assert np.array_equal(obj.colour_vec, PALETTE["colour:6"])
+    assert np.array_equal(obj.colour_vec, PALETTE[6])
+    # Keyed by colour index; each vector is the random symbol named "colour:<c>".
+    assert np.array_equal(PALETTE[6], vsa.random_symbol(CFG, "colour:6"))
 
 
 def test_single_pixel_shape_is_bind_identity():
@@ -237,7 +258,7 @@ def test_encode_object_matches_direct_formulas_bitwise():
         for hyp in pc.ObjectHypothesis:
             for mask in pc.segment(grid(g), hyp):
                 o = pc.encode_object(mask, ENC, PALETTE)
-                assert np.array_equal(o.colour_vec, PALETTE[f"colour:{mask.colour}"])
+                assert np.array_equal(o.colour_vec, PALETTE[mask.colour])
                 assert np.array_equal(
                     o.centre_vec, centre_vector_direct(mask.centre_point(), pc.BLUR_SIGMA, ENC.encode_many)
                 )

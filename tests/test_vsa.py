@@ -134,7 +134,7 @@ def test_normalize_rejects_zero_vector():
 def test_vocabulary_cleanup_picks_most_similar():
     vocab = vsa.Vocabulary(CFG)
     for name in ("apple", "pear", "plum"):
-        vocab.add(name)
+        vocab.add_vector(name, sym(name))
     noisy = vsa.normalize(vocab["pear"] + 0.2 * vocab["plum"])
     name, score = vocab.cleanup(noisy)
     assert name == "pear"
@@ -153,9 +153,9 @@ def test_vocabulary_cleanup_breaks_ties_by_insertion_order():
 
 def test_vocabulary_cleanup_sees_entries_added_after_a_cleanup():
     vocab = vsa.Vocabulary(CFG)
-    vocab.add("old")
+    vocab.add_vector("old", sym("old"))
     assert vocab.cleanup(sym("new"))[0] == "old"
-    vocab.add("new")
+    vocab.add_vector("new", sym("new"))
     name, score = vocab.cleanup(sym("new"))
     assert name == "new" and score == pytest.approx(1.0, abs=1e-12)
     vocab.add_vector("copy", sym("old") * 2.0)
@@ -168,10 +168,12 @@ def test_vocabulary_cleanup_empty_is_an_error():
         vsa.Vocabulary(CFG).cleanup(sym("anything"))
 
 
-def test_vocabulary_names_keep_insertion_order():
+def test_vocabulary_keys_are_values_in_insertion_order():
     vocab = vsa.Vocabulary(CFG)
-    for name in ("z", "a", "m"):
-        vocab.add(name)
-    assert vocab.names() == ["z", "a", "m"]
-    assert "a" in vocab
-    assert len(vocab) == 3
+    values = ("z", 3, ("m", 1))
+    for value in values:
+        vocab.add_vector(value, sym(repr(value)))
+    vocab.add_vector(3, sym("another"))  # the first registration of a value stays
+    assert vocab.keys() == list(values)
+    assert np.array_equal(vocab[3], sym("3"))
+    assert vocab.cleanup(sym("('m', 1)")) == (("m", 1), pytest.approx(1.0, abs=1e-12))
