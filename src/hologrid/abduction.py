@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dsl
 from .dsl import Action, OperationKind, SceneContext
-from .perception import Grid, ObjectHypothesis, ObjectRepr, Scene, perceive
+from .perception import PROPERTIES, Grid, ObjectHypothesis, ObjectRepr, Scene, perceive
 from .ssp import SspEncoder
 from .vsa import Vocabulary
 
@@ -59,16 +59,16 @@ def choose_size_hypothesis(demos: list[tuple[Grid, Grid]]) -> SizeHypothesis:
 
 
 def similarity_matrices(outs: list[ObjectRepr], ins: list[ObjectRepr]) -> np.ndarray:
-    """Colour, centre and shape similarities of every (output, input) pair.
+    """Property similarities of every (output, input) pair.
 
-    Shape (3, len(outs), len(ins)), one dot-product matrix per property.
-    Their sum over the first axis divided by 3 is the combined similarity
-    that ranks hypotheses and matches objects.
+    Shape (3, len(outs), len(ins)), one dot-product matrix per property in
+    ``PROPERTIES`` order. Their sum over the first axis divided by 3 is the
+    combined similarity that ranks hypotheses and matches objects.
     """
     return np.stack(
         [
-            np.stack([getattr(o, pick) for o in outs]) @ np.stack([getattr(i, pick) for i in ins]).T
-            for pick in ("colour_vec", "centre_vec", "shape_vec")
+            np.stack([o.vector(p) for o in outs]) @ np.stack([i.vector(p) for i in ins]).T
+            for p in PROPERTIES
         ]
     )
 

@@ -123,9 +123,8 @@ def _replay_demos(result: AbductionResult, program: Program, codec: ParamCodec) 
     """Run the induced program back over each demo input scene; exact-match flags."""
     flags = []
     for scene, out_scene in zip(result.input_scenes, result.output_scenes):
-        want = out_scene.grid
         got = answer_scene(program, result.size, scene, codec).grid
-        flags.append(got is not None and got.shape == want.shape and bool(np.array_equal(got, want)))
+        flags.append(got is not None and pc.grid_equal(got, out_scene.grid))
     return flags
 
 

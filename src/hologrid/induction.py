@@ -20,11 +20,9 @@ from numpy.typing import NDArray
 from . import abduction, dsl, ssp, vsa
 from .abduction import AbductionResult
 from .dsl import Amount, Centre, Colour, Direction, OperationKind, ParamValue
-from .perception import ObjectRepr, shape_bundle
+from .perception import PROPERTIES, ObjectRepr, shape_bundle
 from .ssp import SspEncoder
 from .vsa import HyperVector, Vocabulary, VsaConfig
-
-PROPERTY_ORDER = ("colour", "centre", "shape")
 
 # Full-batch gradient descent budget, shared by both predictor families.
 LEARNING_RATE = 0.05
@@ -49,25 +47,15 @@ class InductionError(ValueError):
 
 
 def canonical_subset(names) -> PropertySubset:
-    subset = tuple(p for p in PROPERTY_ORDER if p in set(names))
+    subset = tuple(p for p in PROPERTIES if p in set(names))
     if not subset or len(subset) != len(set(names)):
         raise InductionError(f"not a property subset: {names!r}")
     return subset
 
 
-def property_vector(obj: ObjectRepr, name: str) -> HyperVector:
-    if name == "colour":
-        return obj.colour_vec
-    if name == "centre":
-        return obj.centre_vec
-    if name == "shape":
-        return obj.shape_vec
-    raise KeyError(name)
-
-
 def subset_vector(obj: ObjectRepr, subset: PropertySubset) -> HyperVector:
     """Bundle of the selected property vectors."""
-    return vsa.bundle([property_vector(obj, name) for name in subset])
+    return vsa.bundle([obj.vector(name) for name in subset])
 
 
 def subset_matrix(objects, subset: PropertySubset) -> NDArray[np.float64]:
@@ -82,10 +70,11 @@ def property_scores(basis: _SpanBasis, labels) -> NDArray[np.float64]:
     Missing pair classes contribute zero. Similarities are read from the
     task's ``_SpanBasis``, one label per basis object.
     """
+    labels = np.asarray(labels)
     idx_a, idx_b = np.triu_indices(len(labels), k=1)
-    same = np.array([labels[i] == labels[j] for i, j in zip(idx_a, idx_b)], dtype=bool)
-    scores = np.zeros(len(PROPERTY_ORDER))
-    for k, name in enumerate(PROPERTY_ORDER):
+    same = labels[idx_a] == labels[idx_b]
+    scores = np.zeros(len(PROPERTIES))
+    for k, name in enumerate(PROPERTIES):
         sims = basis.gram(name)[idx_a, idx_b]
         s_same = float(sims[same].mean()) if same.any() else 0.0
         s_diff = float(sims[~same].mean()) if (~same).any() else 0.0
@@ -99,15 +88,15 @@ def rank_properties(basis: _SpanBasis, labels) -> list[PropertySubset]:
     Singletons in descending score order, then pairs by score sum, then the
     full triple; ties keep the canonical colour/centre/shape order.
     """
-    scores = {name: s for name, s in zip(PROPERTY_ORDER, property_scores(basis, labels))}
-    singles = sorted(PROPERTY_ORDER, key=lambda p: (-scores[p], PROPERTY_ORDER.index(p)))
+    scores = {name: s for name, s in zip(PROPERTIES, property_scores(basis, labels))}
+    singles = sorted(PROPERTIES, key=lambda p: (-scores[p], PROPERTIES.index(p)))
     ranked: list[PropertySubset] = [(p,) for p in singles]
     pairs = sorted(
-        combinations(PROPERTY_ORDER, 2),
+        combinations(PROPERTIES, 2),
         key=lambda pr: (-(scores[pr[0]] + scores[pr[1]]), pr),
     )
     ranked.extend(pairs)
-    ranked.append(PROPERTY_ORDER)
+    ranked.append(PROPERTIES)
     return ranked
 
 
@@ -154,10 +143,6 @@ class OperationPredictor:
     weights: Optional[HyperVector] = None
     steepness: float = INITIAL_STEEPNESS
     threshold: float = 0.0
-
-    @property
-    def vacuous(self) -> bool:
-        return self.weights is None
 
     def probability(self, obj: ObjectRepr) -> float:
         if self.weights is None:
@@ -381,20 +366,13 @@ class ParamCodec:
 
 def shape_vocabulary(shape_values, encoder: SspEncoder) -> Vocabulary:
     """Cleanup table of the candidate shapes, keyed by ``Shape``."""
-    vocab = Vocabulary(encoder.config)
-    for shape in shape_values:
-        vocab.add_vector(shape, shape_bundle(shape.offsets, encoder))
-    return vocab
+    return Vocabulary(encoder.config, ((s, shape_bundle(s.offsets, encoder)) for s in shape_values))
 
 
 def make_codec(encoder: SspEncoder, palette: Vocabulary) -> ParamCodec:
     config = encoder.config
-    directions = Vocabulary(config)
-    for d in Direction:
-        directions.add_vector(d, vsa.random_symbol(config, f"direction:{d.value}"))
-    colours = Vocabulary(config)
-    for c in range(1, 10):
-        colours.add_vector(Colour(c), palette[c])
+    directions = Vocabulary(config, ((d, vsa.random_symbol(config, f"direction:{d.value}")) for d in Direction))
+    colours = Vocabulary(config, ((Colour(c), palette[c]) for c in range(1, 10)))
     return ParamCodec(encoder, palette, directions, colours)
 
 
@@ -494,22 +472,15 @@ def _train_linear_factors(inputs, targets):
     return base, correction
 
 
-def _copy_source_property(slot: str) -> Optional[str]:
-    return slot if slot in PROPERTY_ORDER else None
-
-
 def _shortcut_predictor(pairs, slot: str, codec: ParamCodec) -> Optional[ParameterPredictor]:
     """Constant when every value matches, copy when values track a property."""
     values = [v for _, v in pairs]
     if all(v == values[0] for v in values):
         return ConstantParameter(values[0])
-    prop = _copy_source_property(slot)
-    if prop is not None:
-        sims = [
-            float(codec.encode(slot, v) @ property_vector(obj, prop)) for obj, v in pairs
-        ]
+    if slot in PROPERTIES:
+        sims = [float(codec.encode(slot, v) @ obj.vector(slot)) for obj, v in pairs]
         if all(s >= abduction.TAU_SAME for s in sims):
-            return CopyParameter(prop)
+            return CopyParameter(slot)
     return None
 
 
@@ -544,9 +515,6 @@ class Rule:
 class Program:
     rules: tuple[Rule, ...]
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
 
 class _SpanBasis:
     """Span coordinates of every property subset over one task's demo objects.
@@ -566,7 +534,7 @@ class _SpanBasis:
 
     @cached_property
     def _cross(self):
-        props = np.array([[property_vector(o, p) for o in self.objects] for p in PROPERTY_ORDER])
+        props = np.array([[o.vector(p) for o in self.objects] for p in PROPERTIES])
         flat = props.reshape(-1, props.shape[-1])
         m = len(self.objects)
         blocks = (flat @ flat.T).reshape(3, m, 3, m).transpose(0, 2, 1, 3)
@@ -574,14 +542,14 @@ class _SpanBasis:
 
     def gram(self, name: str) -> NDArray[np.float64]:
         """Similarities between the objects' ``name`` vectors, (M, M)."""
-        k = PROPERTY_ORDER.index(name)
+        k = PROPERTIES.index(name)
         return self._cross[0][k, k]
 
     def span(self, subset: PropertySubset) -> _Span:
         """Span coordinates of the subset bundles, from their Gram matrix."""
         if subset not in self._spans:
             blocks, ids = self._cross
-            k = [PROPERTY_ORDER.index(p) for p in subset]
+            k = [PROPERTIES.index(p) for p in subset]
             raw = blocks[np.ix_(k, k)].sum(axis=(0, 1))
             norms = np.sqrt(np.diagonal(raw))
             self._spans[subset] = _Span.of(raw / np.outer(norms, norms), _row_ids(ids[k].T))
@@ -740,7 +708,7 @@ def induce(result: AbductionResult, codec: ParamCodec) -> Program:
     for obs in _observations(result).values():
         if not obs.labels.any():
             continue
-        subsets = rank_properties(obs.basis, [bool(x) for x in obs.labels])
+        subsets = rank_properties(obs.basis, obs.labels)
         # Subsets matter only when some predictor trains on property bundles.
         searched = not obs.labels.all() or any(
             _shortcut_predictor(obs.pairs(slot), slot, codec) is None for slot in obs.pairs_by_slot
@@ -815,12 +783,12 @@ def _predictor_to_json(pred: ParameterPredictor):
     return doc
 
 
-def _predictor_from_json(doc, config: VsaConfig) -> ParameterPredictor:
+def _predictor_from_json(doc, encoder: SspEncoder) -> ParameterPredictor:
     variant = doc["variant"]
     if variant == "constant":
         return ConstantParameter(dsl.param_value_from_json(doc["value"]))
     if variant == "copy":
-        if doc["property"] not in PROPERTY_ORDER:
+        if doc["property"] not in PROPERTIES:
             raise ValueError(f"unknown copied property {doc['property']!r}")
         return CopyParameter(doc["property"])
     if variant == "linear":
@@ -831,7 +799,7 @@ def _predictor_from_json(doc, config: VsaConfig) -> ParameterPredictor:
             base=np.array(doc["base"], dtype=np.float64),
             inputs=np.array(doc["inputs"], dtype=np.float64),
             correction=np.array(doc["correction"], dtype=np.float64),
-            shapes=shape_vocabulary(shape_values, SspEncoder(config)) if shape_values else None,
+            shapes=shape_vocabulary(shape_values, encoder) if shape_values else None,
         )
     raise ValueError(f"unknown parameter predictor variant {variant!r}")
 
@@ -866,6 +834,7 @@ def program_from_json(doc, config: VsaConfig) -> Program:
         raise ValueError("not a recognized program document")
     if doc.get("dimension") != config.dimension or doc.get("seed") != config.seed:
         raise ValueError("program was built under a different vector configuration")
+    encoder = SspEncoder(config)  # one per document, shared by its linear shape predictors
     rules = []
     for rd in doc["rules"]:
         cond = rd["condition"]
@@ -876,6 +845,6 @@ def program_from_json(doc, config: VsaConfig) -> Program:
             steepness=float(cond["steepness"]),
             threshold=float(cond["threshold"]),
         )
-        parameters = {s: _predictor_from_json(p, config) for s, p in rd["parameters"].items()}
+        parameters = {s: _predictor_from_json(p, encoder) for s, p in rd["parameters"].items()}
         rules.append(Rule(OperationKind(rd["kind"]), condition, parameters))
     return Program(tuple(rules))

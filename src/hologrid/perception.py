@@ -212,6 +212,10 @@ def _blur_weights(sigma: float) -> NDArray[np.float64]:
     return weights
 
 
+# The object properties, each carried by one vector, in canonical order.
+PROPERTIES = ("colour", "centre", "shape")
+
+
 @dataclass
 class ObjectRepr:
     """An object plus its three holographic property vectors."""
@@ -220,6 +224,12 @@ class ObjectRepr:
     colour_vec: HyperVector
     centre_vec: HyperVector
     shape_vec: HyperVector
+
+    def vector(self, name: str) -> HyperVector:
+        """The vector of property ``name``, one of ``PROPERTIES``."""
+        if name not in PROPERTIES:
+            raise KeyError(name)
+        return getattr(self, f"{name}_vec")
 
     def signature(self):
         """Exact identity of the object up to the grid frame: colour, centre, shape."""
@@ -237,10 +247,7 @@ class Scene:
 
 def build_palette(config: VsaConfig) -> Vocabulary:
     """The ten colour symbols keyed by colour index (0 included for cleanup maps)."""
-    vocab = Vocabulary(config)
-    for colour in range(NUM_COLOURS):
-        vocab.add_vector(colour, vsa.random_symbol(config, f"colour:{colour}"))
-    return vocab
+    return Vocabulary(config, ((c, vsa.random_symbol(config, f"colour:{c}")) for c in range(NUM_COLOURS)))
 
 
 def encode_object(mask: ObjectMask, encoder: SspEncoder, palette: Vocabulary) -> ObjectRepr:

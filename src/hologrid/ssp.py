@@ -45,20 +45,7 @@ class SspEncoder:
         half[:, -1] = 0.0
         self._half_phases = half
         self._half_phases.setflags(write=False)
-        self._full_phases: np.ndarray | None = None
         self._phasor_cache: dict = {}
-
-    @property
-    def phase_matrix(self) -> NDArray[np.float64]:
-        """Full 2 x N phase matrix (the half spectrum mirrored with sign flip)."""
-        if self._full_phases is None:
-            n = self.config.dimension
-            full = np.zeros((2, n))
-            full[:, : n // 2 + 1] = self._half_phases
-            full[:, n // 2 + 1 :] = -self._half_phases[:, 1 : n // 2][:, ::-1]
-            full.setflags(write=False)
-            self._full_phases = full
-        return self._full_phases
 
     def encode(self, point) -> HyperVector:
         """Encode one point; returns a real unitary unit-norm vector."""

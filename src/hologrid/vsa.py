@@ -131,22 +131,18 @@ def bundle(vectors) -> HyperVector:
 
 
 class Vocabulary:
-    """Ordered value -> vector table; cleanup (nearest-symbol recall) returns the value."""
+    """Ordered value -> vector table, built whole; cleanup (nearest-symbol recall) returns the value."""
 
-    def __init__(self, config: VsaConfig):
+    def __init__(self, config: VsaConfig, entries):
+        """``entries`` are (value, vector) pairs; the first vector given for a value stays."""
         self.config = config
         self._vectors: dict[Hashable, HyperVector] = {}
-        self._matrix: HyperVector | None = None  # stacked entries, until the next one is added
-
-    def add_vector(self, value: Hashable, vector: HyperVector) -> None:
-        """Register ``vector`` as the symbol of ``value``; the first registration stays."""
-        if vector.shape != (self.config.dimension,):
-            raise DimensionMismatchError(
-                f"vocabulary entries must have shape ({self.config.dimension},)"
-            )
-        if value not in self._vectors:
-            self._vectors[value] = np.asarray(vector, dtype=np.float64)
-            self._matrix = None
+        for value, vector in entries:
+            if vector.shape != (config.dimension,):
+                raise DimensionMismatchError(f"vocabulary entries must have shape ({config.dimension},)")
+            self._vectors.setdefault(value, np.asarray(vector, dtype=np.float64))
+        self._matrix = np.array(list(self._vectors.values())).reshape(len(self._vectors), config.dimension)
+        self._matrix.setflags(write=False)
 
     def __getitem__(self, value: Hashable) -> HyperVector:
         return self._vectors[value]
@@ -157,15 +153,12 @@ class Vocabulary:
 
     def matrix(self) -> HyperVector:
         """Entries stacked in insertion order, shape (len, N); read-only."""
-        if self._matrix is None:
-            self._matrix = np.stack(list(self._vectors.values()))
-            self._matrix.setflags(write=False)
         return self._matrix
 
     def cleanup(self, v: HyperVector) -> tuple[Hashable, float]:
         """Value of the most similar entry and its similarity; insertion order wins ties."""
         if not self._vectors:
             raise EmptyVocabularyError("cleanup against an empty vocabulary")
-        sims = self.matrix() @ v
+        sims = self._matrix @ v
         idx = int(np.argmax(sims))
         return self.keys()[idx], float(sims[idx])

@@ -49,10 +49,17 @@ def is_unitary_direct(v: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(np.abs(spectrum(v)) - 1.0)) < tol)
 
 
-def ssp_encode_direct(phase_matrix: np.ndarray, point) -> np.ndarray:
-    """Spatial encoding from the phase matrix by the full-ifft definition."""
-    x = np.asarray(point, dtype=np.float64)
-    phases = phase_matrix.T @ x  # (N,)
+def ssp_encode_direct(axis_symbols, point) -> np.ndarray:
+    """Spatial encoding by the full-ifft definition.
+
+    Row d of the 2 x N phase matrix is the full-spectrum phase of
+    ``axis_symbols[d]``, with the DC and Nyquist phases set to zero.
+    """
+    phase_matrix = np.angle(np.fft.fft(np.asarray(axis_symbols, dtype=np.float64), axis=1))
+    n = phase_matrix.shape[1]
+    phase_matrix[:, 0] = 0.0
+    phase_matrix[:, n // 2] = 0.0
+    phases = phase_matrix.T @ np.asarray(point, dtype=np.float64)  # (N,)
     return np.real(np.fft.ifft(np.exp(1j * phases)))
 
 

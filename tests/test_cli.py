@@ -34,7 +34,7 @@ def test_solve_writes_predictions_and_program(tmp_path):
     assert doc["predictions"][0] == [[0, 0, 0], [0, 0, 6], [0, 0, 0]]
     config = vsa.VsaConfig(dimension=512, seed=33)
     program = ind.program_from_json(json.loads(prog.read_text()), config)
-    assert len(program) >= 1
+    assert len(program.rules) >= 1
 
 
 def test_solve_prints_to_stdout(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_rank_properties_layout():
     assert all(len(s) == 1 for s in ranked[:3])
     assert all(len(s) == 2 for s in ranked[3:6])
     assert ranked[6] == ("colour", "centre", "shape")
-    assert {s[0] for s in ranked[:3]} == set(ind.PROPERTY_ORDER)
+    assert {s[0] for s in ranked[:3]} == set(pc.PROPERTIES)
 
 
 def test_subset_vector_is_normalized_bundle():
@@ -112,7 +112,7 @@ def test_subset_vector_matches_sequential_sum_bitwise():
             objects.extend(pc.perceive(pc.as_grid(g), hyp, ENC, PALETTE).objects)
     for o in objects:
         for subset in ALL_SUBSETS:
-            expected = bundle_direct([ind.property_vector(o, p) for p in subset])
+            expected = bundle_direct([o.vector(p) for p in subset])
             assert np.array_equal(ind.subset_vector(o, subset), expected)
 
 
@@ -137,7 +137,7 @@ def train_condition(positives, negatives, subset):
 
 def test_vacuous_predictor_when_no_negatives():
     pred = train_condition([pixel(2, 1, 1)], [], ("colour",))
-    assert pred.vacuous
+    assert pred.weights is None
     assert pred.probability(pixel(8, 5, 5)) == 1.0
 
 
@@ -145,7 +145,7 @@ def test_learned_predictor_separates_colours():
     positives = [pixel(2, r, c) for r, c in [(0, 0), (2, 3), (5, 1)]]
     negatives = [pixel(7, r, c) for r, c in [(1, 5), (4, 4), (6, 0)]]
     pred = train_condition(positives, negatives, ("colour",))
-    assert not pred.vacuous
+    assert pred.weights is not None
     assert_matches_direct(
         pred.weights, pred.steepness, pred.threshold,
         bundles(positives, ("colour",)), bundles(negatives, ("colour",)),
@@ -266,7 +266,7 @@ def random_observations(rng, dim=64):
     demos = int(rng.integers(2, 5))
     demo_of = sorted(int(d) for d in rng.integers(0, demos, size=int(rng.integers(4, 13))))
     objects = [
-        pc.ObjectRepr(None, *(pools[p][rng.integers(len(pools[p]))] for p in ind.PROPERTY_ORDER))
+        pc.ObjectRepr(None, *(pools[p][rng.integers(len(pools[p]))] for p in pc.PROPERTIES))
         for _ in demo_of
     ]
     labels = rng.random(len(objects)) < rng.uniform(0.2, 0.8)
@@ -715,10 +715,10 @@ def test_induce_recolour_task_builds_vacuous_constant_rule():
     ]
     result = ab.abduce(demos, ENC, PALETTE)
     program = ind.induce(result, CODEC)
-    assert len(program) == 1
+    assert len(program.rules) == 1
     rule = program.rules[0]
     assert rule.kind is Op.RECOLOUR
-    assert rule.condition.vacuous
+    assert rule.condition.weights is None
     assert rule.parameters["colour"] == ind.ConstantParameter(Colour(5))
 
 
@@ -731,7 +731,7 @@ def test_induce_conditional_move_task():
     assert set(kinds) == {Op.IDENTITY, Op.MOVE}
     move = program.rules[kinds.index(Op.MOVE)]
     ident = program.rules[kinds.index(Op.IDENTITY)]
-    assert not move.condition.vacuous
+    assert move.condition.weights is not None
     assert "colour" in move.condition.subset
     for scene in result.input_scenes:
         for o in scene.objects:
@@ -856,6 +856,6 @@ def test_program_json_rejects_unknown_copied_property():
         "parameters": {"colour": {"variant": "copy", "property": "size"}},
     }
     doc = {"format": ind.PROGRAM_FORMAT, "version": ind.PROGRAM_VERSION, "dimension": CFG.dimension, "seed": CFG.seed}
-    assert len(ind.program_from_json({**doc, "rules": []}, CFG)) == 0
+    assert len(ind.program_from_json({**doc, "rules": []}, CFG).rules) == 0
     with pytest.raises(ValueError):
         ind.program_from_json({**doc, "rules": [rule]}, CFG)

@@ -282,6 +282,15 @@ def test_encodings_are_unit_norm():
         assert abs(np.linalg.norm(v) - 1.0) < 1e-9
 
 
+def test_object_vector_reads_each_property_and_refuses_others():
+    obj = one_object([[0, 4], [4, 4]])
+    fields = (obj.colour_vec, obj.centre_vec, obj.shape_vec)
+    for name, field in zip(pc.PROPERTIES, fields, strict=True):
+        assert obj.vector(name) is field
+    with pytest.raises(KeyError):
+        obj.vector("shape_vec")
+
+
 def test_perceive_keeps_mask_order_and_grid():
     g = pc.as_grid([[1, 0, 2]])
     scene = pc.perceive(g, pc.ObjectHypothesis.PIXEL, ENC, PALETTE)

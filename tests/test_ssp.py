@@ -12,29 +12,28 @@ CFG = vsa.VsaConfig(dimension=512, seed=13)
 ENC = ssp.SspEncoder(CFG)
 
 
-def test_phase_matrix_shape_and_symmetry():
-    theta = ENC.phase_matrix
-    n = CFG.dimension
-    assert theta.shape == (2, n)
-    # DC and Nyquist phases are zero, remaining bins mirror with a sign flip.
-    assert np.all(theta[:, 0] == 0.0)
-    assert np.all(theta[:, n // 2] == 0.0)
-    for k in range(1, n // 2):
-        assert np.allclose(theta[:, n - k], -theta[:, k])
+def test_encodings_pin_dc_and_nyquist_to_one():
+    # Zero phase at both real bins keeps every encoding real and unitary.
+    for p in ((0.0, 0.0), (3.25, -1.5), (-7.0, 0.5)):
+        spec = np.fft.rfft(ENC.encode(p))
+        assert spec[0] == pytest.approx(1.0, abs=1e-12)
+        assert spec[-1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_phase_matrix_is_deterministic():
+def test_encoding_is_a_function_of_the_config():
+    points = np.array([(0.5, -2.0), (3.0, 4.5), (-6.25, 1.0)])
     again = ssp.SspEncoder(vsa.VsaConfig(dimension=512, seed=13))
-    assert np.array_equal(ENC.phase_matrix, again.phase_matrix)
+    assert np.array_equal(ENC.encode_many(points), again.encode_many(points))
     other = ssp.SspEncoder(vsa.VsaConfig(dimension=512, seed=14))
-    assert not np.array_equal(ENC.phase_matrix, other.phase_matrix)
+    assert not np.array_equal(ENC.encode_many(points), other.encode_many(points))
 
 
 def test_encode_matches_full_ifft_oracle():
+    axes = [vsa.random_symbol(CFG, f"spatial-axis-{d}") for d in range(2)]
     rng = np.random.default_rng(0)
     for _ in range(10):
         p = rng.uniform(-8, 8, 2)
-        direct = ssp_encode_direct(ENC.phase_matrix, p)
+        direct = ssp_encode_direct(axes, p)
         assert np.max(np.abs(ENC.encode(p) - direct)) < 1e-10
 
 

@@ -132,9 +132,7 @@ def test_normalize_rejects_zero_vector():
 
 
 def test_vocabulary_cleanup_picks_most_similar():
-    vocab = vsa.Vocabulary(CFG)
-    for name in ("apple", "pear", "plum"):
-        vocab.add_vector(name, sym(name))
+    vocab = vsa.Vocabulary(CFG, [(name, sym(name)) for name in ("apple", "pear", "plum")])
     noisy = vsa.normalize(vocab["pear"] + 0.2 * vocab["plum"])
     name, score = vocab.cleanup(noisy)
     assert name == "pear"
@@ -142,38 +140,29 @@ def test_vocabulary_cleanup_picks_most_similar():
 
 
 def test_vocabulary_cleanup_breaks_ties_by_insertion_order():
-    vocab = vsa.Vocabulary(CFG)
     v = sym("shared")
-    vocab.add_vector("first", v)
-    vocab.add_vector("second", v.copy())
+    vocab = vsa.Vocabulary(CFG, [("first", v), ("second", v.copy())])
     name, score = vocab.cleanup(v)
     assert name == "first"
     assert score == pytest.approx(1.0, abs=1e-12)
 
 
-def test_vocabulary_cleanup_sees_entries_added_after_a_cleanup():
-    vocab = vsa.Vocabulary(CFG)
-    vocab.add_vector("old", sym("old"))
-    assert vocab.cleanup(sym("new"))[0] == "old"
-    vocab.add_vector("new", sym("new"))
-    name, score = vocab.cleanup(sym("new"))
-    assert name == "new" and score == pytest.approx(1.0, abs=1e-12)
-    vocab.add_vector("copy", sym("old") * 2.0)
-    assert vocab.cleanup(sym("old"))[0] == "copy"
-    assert vocab.matrix().shape == (3, CFG.dimension)
-
-
 def test_vocabulary_cleanup_empty_is_an_error():
     with pytest.raises(vsa.EmptyVocabularyError):
-        vsa.Vocabulary(CFG).cleanup(sym("anything"))
+        vsa.Vocabulary(CFG, []).cleanup(sym("anything"))
 
 
 def test_vocabulary_keys_are_values_in_insertion_order():
-    vocab = vsa.Vocabulary(CFG)
     values = ("z", 3, ("m", 1))
-    for value in values:
-        vocab.add_vector(value, sym(repr(value)))
-    vocab.add_vector(3, sym("another"))  # the first registration of a value stays
+    # The first vector given for a value stays.
+    vocab = vsa.Vocabulary(CFG, [*((value, sym(repr(value))) for value in values), (3, sym("another"))])
     assert vocab.keys() == list(values)
     assert np.array_equal(vocab[3], sym("3"))
+    assert vocab.matrix().shape == (3, CFG.dimension)
+    assert np.array_equal(vocab.matrix()[1], sym("3"))
     assert vocab.cleanup(sym("('m', 1)")) == (("m", 1), pytest.approx(1.0, abs=1e-12))
+
+
+def test_vocabulary_refuses_entries_of_another_dimension():
+    with pytest.raises(vsa.DimensionMismatchError):
+        vsa.Vocabulary(CFG, [("ok", sym("ok")), ("short", np.ones(CFG.dimension // 2))])
