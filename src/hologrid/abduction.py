@@ -93,22 +93,27 @@ def rank_object_hypotheses(
     input objects are softmaxed together with the 0/1 anchors; the max is
     that object's confidence. A hypothesis yielding no output objects at
     all cannot be scored and sinks to -inf. Ties keep declaration order.
+
+    Demos run outside and hypotheses inside, so each grid's distinct
+    centres and shapes are encoded once for all six segmentations; every
+    hypothesis still collects its terms in demo order.
     """
-    scored = []
-    for hyp in ObjectHypothesis:
-        terms: list[float] = []
-        for in_grid, out_grid in demos:
-            ins = perceive(in_grid, hyp, encoder, palette).objects
-            outs = perceive(out_grid, hyp, encoder, palette).objects
+    terms: dict[ObjectHypothesis, list[float]] = {hyp: [] for hyp in ObjectHypothesis}
+    for in_grid, out_grid in demos:
+        # One cache per grid, shared by its six segmentations only.
+        in_cache: dict = {}
+        out_cache: dict = {}
+        for hyp in ObjectHypothesis:
+            ins = perceive(in_grid, hyp, encoder, palette, in_cache).objects
+            outs = perceive(out_grid, hyp, encoder, palette, out_cache).objects
             if not outs:
                 continue
             if ins:
                 matrix = similarity_matrices(outs, ins).sum(axis=0) / 3.0
-                terms.extend(padded_max_softmax(row) for row in matrix)
+                terms[hyp].extend(padded_max_softmax(row) for row in matrix)
             else:
-                terms.extend(padded_max_softmax([]) for _ in outs)
-        score = float(np.mean(terms)) if terms else float("-inf")
-        scored.append((hyp, score))
+                terms[hyp].extend(padded_max_softmax([]) for _ in outs)
+    scored = [(hyp, float(np.mean(t)) if t else float("-inf")) for hyp, t in terms.items()]
     order = {hyp: i for i, hyp in enumerate(ObjectHypothesis)}
     return sorted(scored, key=lambda pair: (-pair[1], order[pair[0]]))
 

@@ -250,7 +250,9 @@ def build_palette(config: VsaConfig) -> Vocabulary:
     return Vocabulary(config, ((c, vsa.random_symbol(config, f"colour:{c}")) for c in range(NUM_COLOURS)))
 
 
-def encode_object(mask: ObjectMask, encoder: SspEncoder, palette: Vocabulary) -> ObjectRepr:
+def encode_object(
+    mask: ObjectMask, encoder: SspEncoder, palette: Vocabulary, cache: dict | None = None
+) -> ObjectRepr:
     """Build the colour / centre / shape vectors for one mask.
 
     The centre vector is a Gaussian-blurred stamp of the bbox midpoint: a
@@ -261,13 +263,24 @@ def encode_object(mask: ObjectMask, encoder: SspEncoder, palette: Vocabulary) ->
 
     The shape vector is the ``shape_bundle`` of the cell offsets from the
     midpoint, making it invariant to translation by construction.
+
+    ``cache`` maps each centre point and each offset set already encoded
+    to its vector. A hit returns the vector this function built for that
+    key with the same encoder, so it is bit-identical to a fresh encoding.
     """
     colour_vec = palette[mask.colour]
-    cx, cy = mask.centre_point()
-    stencil = np.array([(cx + dx, cy + dy) for dx, dy in _BLUR_OFFSETS])
-    blurred = _blur_weights(BLUR_SIGMA) @ encoder.encode_many(stencil)
-    centre_vec = vsa.normalize(blurred)
-    shape_vec = shape_bundle(mask.offsets(), encoder)
+    cache = {} if cache is None else cache
+    centre = mask.centre_point()
+    centre_vec = cache.get(centre)
+    if centre_vec is None:
+        cx, cy = centre
+        stencil = np.array([(cx + dx, cy + dy) for dx, dy in _BLUR_OFFSETS])
+        blurred = _blur_weights(BLUR_SIGMA) @ encoder.encode_many(stencil)
+        centre_vec = cache[centre] = vsa.normalize(blurred)
+    offsets = mask.offsets()
+    shape_vec = cache.get(offsets)
+    if shape_vec is None:
+        shape_vec = cache[offsets] = shape_bundle(offsets, encoder)
     return ObjectRepr(mask=mask, colour_vec=colour_vec, centre_vec=centre_vec, shape_vec=shape_vec)
 
 
@@ -277,8 +290,17 @@ def shape_bundle(offsets, encoder: SspEncoder) -> HyperVector:
     return vsa.bundle(encoder.encode_many(pts))
 
 
-def perceive(grid: Grid, hypothesis: ObjectHypothesis, encoder: SspEncoder, palette: Vocabulary) -> Scene:
-    """Segment and encode a grid under one hypothesis."""
+def perceive(
+    grid: Grid, hypothesis: ObjectHypothesis, encoder: SspEncoder, palette: Vocabulary, cache: dict | None = None
+) -> Scene:
+    """Segment and encode a grid under one hypothesis.
+
+    Each distinct centre and shape is encoded once per call, or once per
+    ``cache`` when the caller passes one (see ``encode_object``). The
+    solver keeps one per grid and drops it once the grid has been seen
+    under every hypothesis, so no cache grows with the task.
+    """
+    cache = {} if cache is None else cache
     masks = segment(grid, hypothesis)
-    objects = [encode_object(m, encoder, palette) for m in masks]
+    objects = [encode_object(m, encoder, palette, cache) for m in masks]
     return Scene(grid=grid, hypothesis=hypothesis, objects=objects)

@@ -309,6 +309,31 @@ def similarity_matrices_direct(outs, ins) -> np.ndarray:
     return sims
 
 
+def rank_hypotheses_direct(demos, hypotheses, objects_of, similarity_matrices, padded_max_softmax):
+    """Segmentation hypotheses ranked by mean best-match confidence, one
+    hypothesis at a time over every demo (the original loop order).
+
+    ``objects_of(grid, hyp)`` gives a grid's encoded objects; the similarity
+    and softmax steps are passed in so that scores can be compared with ``==``.
+    """
+    scored = []
+    for hyp in hypotheses:
+        terms = []
+        for in_grid, out_grid in demos:
+            ins = objects_of(in_grid, hyp)
+            outs = objects_of(out_grid, hyp)
+            if not outs:
+                continue
+            if ins:
+                matrix = similarity_matrices(outs, ins).sum(axis=0) / 3.0
+                terms.extend(padded_max_softmax(row) for row in matrix)
+            else:
+                terms.extend(padded_max_softmax([]) for _ in outs)
+        scored.append((hyp, float(np.mean(terms)) if terms else float("-inf")))
+    order = {hyp: i for i, hyp in enumerate(hypotheses)}
+    return sorted(scored, key=lambda pair: (-pair[1], order[pair[0]]))
+
+
 def property_scores_direct(objects, labels) -> np.ndarray:
     """Per property: squared mean similarity of same-label pairs minus that of
     different-label pairs, one np.dot per pair; a missing pair class counts 0."""

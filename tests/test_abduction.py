@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hologrid import abduction as ab
+from hologrid import deduction
 from hologrid import harness as hn
 from hologrid import perception as pc
 from hologrid import ssp, vsa
@@ -15,6 +16,7 @@ from hologrid.dsl import Action, Amount, Colour, OperationKind as Op
 from oracles import (
     hitting_sets_brute_force,
     minimum_hitting_set_direct,
+    rank_hypotheses_direct,
     similarity_matrices_direct,
     softmax_direct,
 )
@@ -103,6 +105,79 @@ def test_similarity_matrices_match_pairwise_dot_oracle():
             sims = ab.similarity_matrices(outs, ins)
             assert sims.shape == (3, len(outs), len(ins))
             assert np.max(np.abs(sims - similarity_matrices_direct(outs, ins))) < 1e-12
+
+
+def fresh_objects(grid, hyp):
+    """Every object encoded on its own, sharing no vector with another."""
+    return [pc.encode_object(m, ENC, PALETTE) for m in pc.segment(grid, hyp)]
+
+
+def rank_direct(demos):
+    return rank_hypotheses_direct(
+        demos, list(pc.ObjectHypothesis), fresh_objects, ab.similarity_matrices, ab.padded_max_softmax
+    )
+
+
+def arc30_demos(rng, count=3, objects=6):
+    """30x30 grids of small random objects, all moved by one shared step."""
+    step = (int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
+    demos = []
+    for _ in range(count):
+        inp = np.zeros((30, 30), dtype=np.int64)
+        for _ in range(objects):
+            r, c = (int(v) for v in rng.integers(1, 26, size=2))
+            patch = rng.random((3, 3)) < 0.6
+            patch[1, 1] = True
+            inp[r : r + 3, c : c + 3][patch] = int(rng.integers(1, 10))
+        demos.append((inp, np.roll(inp, step, axis=(0, 1))))
+    return demos
+
+
+def test_rank_matches_the_hypothesis_outer_oracle_exactly():
+    rng = np.random.default_rng(8)
+    cases = [task.train for task in hn.generate_sort_of_arc(4, seed=3)]
+    cases += [arc30_demos(rng) for _ in range(3)]
+    blank = np.zeros((4, 4), dtype=np.int64)
+    dot = blank.copy()
+    dot[1, 2] = 6
+    cases.append([(dot, blank)])  # no output objects anywhere: every score is -inf
+    cases.append([(blank, dot), (dot, dot)])  # an output with no input objects
+    cases.append([(dot, blank)] + arc30_demos(rng, count=1))  # one demo with an empty output
+    for demos in cases:
+        ranked = ab.rank_object_hypotheses(demos, ENC, PALETTE)
+        assert ranked == rank_direct(demos)
+    assert all(score == float("-inf") for _, score in ab.rank_object_hypotheses([(dot, blank)], ENC, PALETTE))
+
+
+def test_rank_perceives_each_grid_under_each_hypothesis_with_one_cache_per_grid(monkeypatch):
+    # perfbench times and counts perception through both module-level names.
+    task = hn.generate_sort_of_arc(1, seed=5)[0]
+    demos = task.train
+    calls = []
+
+    def recording(perceive):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return perceive(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ab, "perceive", recording(ab.perceive))
+    monkeypatch.setattr(pc, "perceive", recording(pc.perceive))
+    ab.rank_object_hypotheses(demos, ENC, PALETTE)
+    assert len(calls) == len(pc.ObjectHypothesis) * 2 * len(demos)
+    grids = [g for pair in demos for g in pair]
+    for grid in grids:
+        mine = [args for args in calls if args[0] is grid]
+        assert [args[1] for args in mine] == list(pc.ObjectHypothesis)
+        # One cache object per grid, never handed to another grid.
+        assert len({id(args[4]) for args in mine}) == 1
+    assert len({id(args[4]) for args in calls}) == len(grids)
+    # A whole task adds the chosen hypothesis's demo grids and each query.
+    calls.clear()
+    _, diagnostics = deduction.solve_task(task, ENC, PALETTE)
+    assert diagnostics.ok
+    assert len(calls) == (len(pc.ObjectHypothesis) + 1) * 2 * len(task.train) + len(task.test)
 
 
 def obj(rows):

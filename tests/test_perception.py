@@ -268,6 +268,76 @@ def test_encode_object_matches_direct_formulas_bitwise():
     assert masks > 100
 
 
+def random_box_mask(rng, dims, corners):
+    """A mask holding the corners of a random box plus random cells inside it."""
+    h, w = (int(v) for v in rng.integers(1, 6, size=2))
+    r0 = int(rng.integers(dims[0] - h + 1))
+    c0 = int(rng.integers(dims[1] - w + 1))
+    box = [(r0 + r, c0 + c) for r in range(h) for c in range(w)]
+    kept = {cell for cell in box if rng.random() < 0.5}
+    if corners:
+        kept |= {(r0, c0), (r0, c0 + w - 1), (r0 + h - 1, c0), (r0 + h - 1, c0 + w - 1)}
+    kept = kept or {box[0]}
+    return pc.ObjectMask(int(rng.integers(1, 10)), frozenset(kept), dims)
+
+
+def shifted(mask, dr, dc):
+    return pc.ObjectMask(mask.colour, frozenset((r + dr, c + dc) for r, c in mask.cells), mask.dims)
+
+
+def assert_same_vectors(a, b):
+    for name in pc.PROPERTIES:
+        assert np.array_equal(a.vector(name), b.vector(name)), name
+
+
+@pytest.mark.parametrize("dims", [(30, 30), (20, 20)])
+def test_shared_cache_vectors_equal_fresh_encodings_bitwise(dims):
+    rng = np.random.default_rng(dims[0])
+    masks = []
+    same_centre = same_shape = 0
+    for _ in range(40):
+        mask = random_box_mask(rng, dims, corners=True)
+        masks.append(mask)
+        # Same box corners, other inside cells: one centre, two shapes.
+        (r0, c0, r1, c1) = mask.bbox()
+        other = {cell for cell in mask.cells if cell[0] in (r0, r1) and cell[1] in (c0, c1)}
+        other |= {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1) if rng.random() < 0.5}
+        twin = pc.ObjectMask(mask.colour, frozenset(other), dims)
+        if twin.offsets() != mask.offsets():
+            assert twin.centre_point() == mask.centre_point()
+            masks.append(twin)
+            same_centre += 1
+        # A translate: one shape, two centres.
+        dr = int(rng.integers(-r0, dims[0] - r1))
+        dc = int(rng.integers(-c0, dims[1] - c1))
+        if (dr, dc) != (0, 0):
+            masks.append(shifted(mask, dr, dc))
+            same_shape += 1
+        masks.append(random_box_mask(rng, dims, corners=False))
+    assert same_centre > 10 and same_shape > 10
+    order = rng.permutation(len(masks))
+    cache: dict = {}
+    cached = {int(i): pc.encode_object(masks[i], ENC, PALETTE, cache) for i in order}
+    for i, mask in enumerate(masks):
+        assert_same_vectors(cached[i], pc.encode_object(mask, ENC, PALETTE))
+        assert cache[mask.centre_point()] is cached[i].centre_vec
+        assert cache[mask.offsets()] is cached[i].shape_vec
+    distinct = {m.centre_point() for m in masks} | {m.offsets() for m in masks}
+    assert len(cache) == len(distinct) < 2 * len(masks)
+
+
+@pytest.mark.parametrize("dims", [(30, 30), (20, 20)])
+def test_one_cache_across_six_hypotheses_matches_fresh_encodings(dims):
+    rng = np.random.default_rng(dims[1] + 1)
+    g = np.where(rng.random(dims) < 0.3, rng.integers(1, 4, size=dims), 0)
+    cache: dict = {}
+    for hyp in pc.ObjectHypothesis:
+        scene = pc.perceive(grid(g), hyp, ENC, PALETTE, cache)
+        assert [o.mask for o in scene.objects] == pc.segment(grid(g), hyp)
+        for o in scene.objects:
+            assert_same_vectors(o, pc.encode_object(o.mask, ENC, PALETTE))
+
+
 def test_square_shape_component_similarity():
     # A 2x2 square's shape bundles four offset encodings; each corner offset
     # should sit near 1/2 similarity (four roughly orthogonal components).
