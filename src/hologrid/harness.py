@@ -596,18 +596,27 @@ def export_heatmaps(record: TaskRecord, object_index: int, out_dir, encoder, pal
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    colour_lines = ["colour,value"]
-    for c in range(pc.NUM_COLOURS):
-        sim = vsa.similarity(obj.colour_vec, palette[c])
-        colour_lines.append(f"{c},{sim:.9g}")
-    colour_path = out / "colour.csv"
-    colour_path.write_text("\n".join(colour_lines) + "\n", encoding="utf-8")
-
     rows, cols = grid.shape
     half_x = (cols - 1) / 2.0
     half_y = (rows - 1) / 2.0
-    centre_path = out / "centre.csv"
-    ssp.similarity_map(encoder, obj.centre_vec, ((-half_x, half_x), (-half_y, half_y)), 1.0).save(centre_path)
-    shape_path = out / "shape.csv"
-    ssp.similarity_map(encoder, obj.shape_vec, ((-5.0, 5.0), (-5.0, 5.0)), 0.5).save(shape_path)
-    return [colour_path, centre_path, shape_path]
+    colours = ((c, vsa.similarity(obj.colour_vec, palette[c])) for c in range(pc.NUM_COLOURS))
+    paths = [_write_csv(out / "colour.csv", "colour,value", colours)]
+    maps = [
+        ("centre.csv", obj.centre_vec, ((-half_x, half_x), (-half_y, half_y)), 1.0),
+        ("shape.csv", obj.shape_vec, ((-5.0, 5.0), (-5.0, 5.0)), 0.5),
+    ]
+    for name, vec, region, step in maps:
+        xs, ys, values = ssp.similarity_map(encoder, vec, region, step)
+        points = ((x, y, values[i, j]) for i, x in enumerate(xs) for j, y in enumerate(ys))
+        paths.append(_write_csv(out / name, "x,y,value", points))
+    return paths
+
+
+def _write_csv(path: Path, header: str, rows) -> Path:
+    """Header, then one line per row, every number to nine significant digits.
+
+    Map rows come x-slowest, so exports are byte-reproducible.
+    """
+    lines = [header, *(",".join(f"{x:.9g}" for x in row) for row in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path

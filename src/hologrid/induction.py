@@ -783,6 +783,17 @@ def _predictor_to_json(pred: ParameterPredictor):
     return doc
 
 
+def _array_field(doc, name: str, shape) -> NDArray[np.float64]:
+    """``doc[name]`` as a float array of ``shape``, where None matches any length."""
+    try:
+        arr = np.array(doc[name], dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{name} is not a rectangular array of numbers") from None
+    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def _predictor_from_json(doc, encoder: SspEncoder) -> ParameterPredictor:
     variant = doc["variant"]
     if variant == "constant":
@@ -793,12 +804,14 @@ def _predictor_from_json(doc, encoder: SspEncoder) -> ParameterPredictor:
         return CopyParameter(doc["property"])
     if variant == "linear":
         shape_values = tuple(dsl.param_value_from_json(s) for s in doc.get("shape_values") or ())
+        n = encoder.config.dimension
+        inputs = _array_field(doc, "inputs", (None, n))
         return LinearParameter(
             slot=doc["slot"],
             subset=canonical_subset(doc["subset"]),
-            base=np.array(doc["base"], dtype=np.float64),
-            inputs=np.array(doc["inputs"], dtype=np.float64),
-            correction=np.array(doc["correction"], dtype=np.float64),
+            base=_array_field(doc, "base", (n,)),
+            inputs=inputs,
+            correction=_array_field(doc, "correction", inputs.shape),
             shapes=shape_vocabulary(shape_values, encoder) if shape_values else None,
         )
     raise ValueError(f"unknown parameter predictor variant {variant!r}")
@@ -838,10 +851,9 @@ def program_from_json(doc, config: VsaConfig) -> Program:
     rules = []
     for rd in doc["rules"]:
         cond = rd["condition"]
-        weights = cond["weights"]
         condition = OperationPredictor(
             subset=canonical_subset(cond["subset"]),
-            weights=None if weights is None else np.array(weights, dtype=np.float64),
+            weights=None if cond["weights"] is None else _array_field(cond, "weights", (config.dimension,)),
             steepness=float(cond["steepness"]),
             threshold=float(cond["threshold"]),
         )

@@ -11,6 +11,8 @@ same algebra as discrete symbols.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -23,6 +25,10 @@ class NonUnitaryError(ValueError):
 
 
 _UNITARY_TOL = 1e-6
+
+# The half-cell lattice every readout scans: -29.5 ... 29.5 in steps of 0.5
+# holds every centre (within 14.5) and every amount (within 29) of a 30x30 grid.
+_LATTICE = np.arange(-59, 60) * 0.5
 
 
 class SspEncoder:
@@ -45,7 +51,6 @@ class SspEncoder:
         half[:, -1] = 0.0
         self._half_phases = half
         self._half_phases.setflags(write=False)
-        self._phasor_cache: dict = {}
 
     def encode(self, point) -> HyperVector:
         """Encode one point; returns a real unitary unit-norm vector."""
@@ -60,23 +65,27 @@ class SspEncoder:
         phases = pts @ self._half_phases
         return np.fft.irfft(np.exp(1j * phases), n, axis=1)
 
-    def _axis_phasors(self, dim: int, lo: float, hi: float, step: float):
-        """exp(i * theta_d * t) for every lattice value t, cached."""
-        key = (dim, float(lo), float(hi), float(step))
-        hit = self._phasor_cache.get(key)
-        if hit is not None:
-            return hit
-        values = _lattice_axis(lo, hi, step)
-        phasors = np.exp(1j * np.outer(values, self._half_phases[dim]))
-        self._phasor_cache[key] = (values, phasors)
-        return values, phasors
+    @cached_property
+    def _lattice(self):
+        """Phasors exp(i * theta_d * t) of both axes on ``_LATTICE``, and the half-spectrum weights.
+
+        Built on the first readout, shape (2, 119, N/2 + 1). Dot products
+        through the half spectrum double every bin except DC and Nyquist.
+        """
+        phasors = np.exp(1j * np.stack([np.outer(_LATTICE, theta) for theta in self._half_phases]))
+        weights = np.full(self.config.dimension // 2 + 1, 2.0)
+        weights[0] = 1.0
+        weights[-1] = 1.0
+        return phasors, weights
 
 
-def _lattice_axis(lo: float, hi: float, step: float) -> NDArray[np.float64]:
-    if not (step > 0) or hi < lo:
-        raise ValueError("lattice needs hi >= lo and a positive step")
-    count = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(count)
+def _lattice_slice(lo: float, hi: float, step: float) -> slice:
+    """The entries lo, lo + step, ..., hi of ``_LATTICE``; raises off the lattice."""
+    first, stride, last = (lo - _LATTICE[0]) / 0.5, step / 0.5, (hi - _LATTICE[0]) / 0.5
+    on_lattice = all(float(k).is_integer() for k in (first, stride, last))
+    if not (on_lattice and 0 <= first <= last < len(_LATTICE) and stride > 0 and (last - first) % stride == 0):
+        raise ValueError(f"readout axis {lo}..{hi} step {step} is off the half-cell lattice within 29.5")
+    return slice(int(first), int(last) + 1, int(stride))
 
 
 def fractional_power(v: HyperVector, exponent: float) -> HyperVector:
@@ -93,54 +102,19 @@ def fractional_power(v: HyperVector, exponent: float) -> HyperVector:
     return np.fft.irfft(np.exp(1j * np.angle(f) * exponent), n)
 
 
-class SimilarityMap:
-    """Similarity of one vector against a 2-D lattice of encoded points."""
-
-    def __init__(self, xs: NDArray[np.float64], ys: NDArray[np.float64], values: NDArray[np.float64]):
-        self.xs = xs
-        self.ys = ys
-        self.values = values
-
-    def to_csv(self) -> str:
-        """CSV text: header x,y,value then one row per lattice point.
-
-        Points appear in row-major order (x varies slowest) and numbers
-        carry nine significant digits, so exports are byte-reproducible.
-        """
-        lines = ["x,y,value"]
-        for i, x in enumerate(self.xs):
-            for j, y in enumerate(self.ys):
-                lines.append(f"{x:.9g},{y:.9g},{self.values[i, j]:.9g}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
-
-
-def _lattice_similarities(encoder: SspEncoder, v: HyperVector, region, step: float):
-    (x_lo, x_hi), (y_lo, y_hi) = region
-    xs, ex = encoder._axis_phasors(0, x_lo, x_hi, step)
-    ys, ey = encoder._axis_phasors(1, y_lo, y_hi, step)
-    n = encoder.config.dimension
-    spec = np.fft.rfft(v)
-    # Dot product through the half spectrum: double every bin except DC
-    # and Nyquist, then the lattice similarity factorizes per axis.
-    weights = np.full(n // 2 + 1, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    u = weights * np.conj(spec) / n
-    values = np.real((ex * u) @ ey.T)
-    return xs, ys, values
-
-
-def similarity_map(encoder: SspEncoder, v: HyperVector, region, step: float) -> SimilarityMap:
+def similarity_map(encoder: SspEncoder, v: HyperVector, region, step: float):
     """Similarities of ``v`` against every lattice point of ``region``.
 
-    ``region`` is ((x_lo, x_hi), (y_lo, y_hi)) with inclusive endpoints.
+    ``region`` is ((x_lo, x_hi), (y_lo, y_hi)) with inclusive endpoints on
+    the half-cell lattice within 29.5, and ``step`` a multiple of 0.5.
+    Returns (xs, ys, values) with values[i, j] the similarity at (xs[i], ys[j]).
     """
-    xs, ys, values = _lattice_similarities(encoder, v, region, step)
-    return SimilarityMap(xs, ys, values)
+    (x_lo, x_hi), (y_lo, y_hi) = region
+    sx, sy = _lattice_slice(x_lo, x_hi, step), _lattice_slice(y_lo, y_hi, step)
+    phasors, weights = encoder._lattice
+    u = weights * np.conj(np.fft.rfft(v)) / encoder.config.dimension
+    # The lattice similarity factorizes per axis.
+    return _LATTICE[sx], _LATTICE[sy], np.real((phasors[0, sx] * u) @ phasors[1, sy].T)
 
 
 def decode(encoder: SspEncoder, v: HyperVector, region, step: float) -> tuple[tuple[float, float], float]:
@@ -148,7 +122,6 @@ def decode(encoder: SspEncoder, v: HyperVector, region, step: float) -> tuple[tu
 
     Ties resolve to the first point in row-major order (x slowest).
     """
-    xs, ys, values = _lattice_similarities(encoder, v, region, step)
-    flat = int(np.argmax(values))
-    i, j = np.unravel_index(flat, values.shape)
+    xs, ys, values = similarity_map(encoder, v, region, step)
+    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     return (float(xs[i]), float(ys[j])), float(values[i, j])

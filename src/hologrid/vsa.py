@@ -151,10 +151,6 @@ class Vocabulary:
         """The values the entries stand for, in insertion order."""
         return list(self._vectors)
 
-    def matrix(self) -> HyperVector:
-        """Entries stacked in insertion order, shape (len, N); read-only."""
-        return self._matrix
-
     def cleanup(self, v: HyperVector) -> tuple[Hashable, float]:
         """Value of the most similar entry and its similarity; insertion order wins ties."""
         if not self._vectors:

@@ -486,3 +486,24 @@ def name_decode_direct(slot, vector, names, matrix, floor, colour_of, direction_
     if slot == "direction":
         return direction_of(name)
     return shape_values[int(name.split(":")[1])]
+
+
+def lattice_similarities_direct(half_phases, v, region, step):
+    """Similarity map by the per-region formula: a fresh phasor table per axis.
+
+    ``half_phases`` is the encoder's 2 x (N/2 + 1) half-spectrum phase
+    matrix. Each axis lists lo, lo + step, ..., hi and tabulates
+    exp(i * theta_d * t) for exactly those values; the dot product runs
+    through the half spectrum with DC and Nyquist counted once.
+    """
+    axes = []
+    for d, (lo, hi) in enumerate(region):
+        values = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+        axes.append((values, np.exp(1j * np.outer(values, half_phases[d]))))
+    n = 2 * (half_phases.shape[1] - 1)
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
+    weights[-1] = 1.0
+    u = weights * np.conj(np.fft.rfft(v)) / n
+    (xs, ex), (ys, ey) = axes
+    return xs, ys, np.real((ex * u) @ ey.T)

@@ -511,6 +511,67 @@ def test_export_heatmaps_square_shape_peaks(tmp_path):
     assert far_field < min(corners)
 
 
+def pin_grids():
+    odd = np.zeros((5, 7), dtype=np.int64)
+    odd[1, 2:5] = 3
+    odd[3, 1] = 3
+    odd[2:4, 5] = 3
+    even = np.zeros((6, 8), dtype=np.int64)
+    even[1:3, 1:3] = 6
+    even[4, 6] = 2
+    return odd, even
+
+
+@pytest.mark.parametrize(
+    "index,digests",
+    [
+        (
+            0,
+            [
+                "e8b9fa47c2111ede8c69479dd105c3531c82e4b2e571b50a6bcc4b3f42160577",
+                "233df8954b3f328bb81a656ae4046117c693ffb68e3896ae53cfeda01dcbefca",
+                "563c8de88f8a99d4c2a70dcd98a45a54aca84d5df23401620c5e5682383812f6",
+            ],
+        ),
+        (
+            1,
+            [
+                "ff9ba882e47ea75043ddb6b4aa07cd0f724f3569ac595c0e43871f405a97fda5",
+                "c0a0be5fdc088d838a2d4693346400529fdbb8a525e205901ea6721bd487771c",
+                "eb3a0144cbfe583b747812223bd22eebec588d91ad8d62f7e5ed5e2150f52a2c",
+            ],
+        ),
+    ],
+)
+def test_export_heatmaps_bytes_are_pinned(tmp_path, index, digests):
+    # One odd-sided grid (integer centre lattice) and one even-sided grid
+    # (half-integer centre lattice); every byte of all three panels is fixed.
+    grid = pin_grids()[index]
+    record = hn.TaskRecord("pinned", [(grid, grid)], [(grid, None)])
+    paths = hn.export_heatmaps(record, 0, tmp_path / "maps", ENC, PALETTE)
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == digests
+
+
+def test_export_heatmaps_csv_format(tmp_path):
+    grid = np.zeros((3, 3), dtype=np.int64)
+    grid[1, 1] = 5
+    record = hn.TaskRecord("format", [(grid, grid)], [(grid, None)])
+    first = hn.export_heatmaps(record, 0, tmp_path / "a", ENC, PALETTE)
+    second = hn.export_heatmaps(record, 0, tmp_path / "b", ENC, PALETTE)
+    text = first[1].read_text(encoding="utf-8")
+    lines = text.strip().split("\n")
+    assert lines[0] == "x,y,value"
+    assert len(lines) == 1 + 9
+    # Row-major: x varies slowest, y fastest.
+    assert lines[1].startswith("-1,-1,")
+    assert lines[2].startswith("-1,0,")
+    assert lines[4].startswith("0,-1,")
+    # Values carry nine significant digits and the export is reproducible.
+    assert [p.read_bytes() for p in first] == [p.read_bytes() for p in second]
+    first_value = lines[1].split(",")[2]
+    assert len(first_value.replace("-", "").replace(".", "").lstrip("0")) <= 9
+
+
 def test_export_heatmaps_object_index_bounds(tmp_path):
     grid = np.zeros((4, 4), dtype=np.int64)
     grid[1, 1] = 2

@@ -465,7 +465,10 @@ def test_linear_shape_parameter_survives_program_json():
     back = ind.program_from_json(doc, CFG).rules[0].parameters["shape"]
     # The shape cleanup table is rebuilt at load time, entry for entry.
     assert back.shapes.keys() == pred.shapes.keys()
-    assert np.array_equal(back.shapes.matrix(), pred.shapes.matrix())
+    assert np.array_equal(
+        np.stack([back.shapes[k] for k in back.shapes.keys()]),
+        np.stack([pred.shapes[k] for k in pred.shapes.keys()]),
+    )
     for probe in (pixel(2, 6, 6), pixel(7, 0, 0)):
         assert back.predict(probe, (7, 7), CODEC) == pred.predict(probe, (7, 7), CODEC)
 
@@ -847,6 +850,44 @@ def test_program_json_rejects_config_mismatch():
     bad["format"] = "something-else"
     with pytest.raises(ValueError):
         ind.program_from_json(bad, CFG)
+
+
+def linear_program_doc():
+    shapes = [Shape(square(1, 0, 0).mask.offsets()), Shape(pixel(1, 0, 0).mask.offsets())]
+    objs = [pixel(2, 1, 1), pixel(7, 5, 5), pixel(2, 3, 1), pixel(7, 1, 5)]
+    pred = ind.train_parameter_predictor(
+        [(o, shapes[i % 2]) for i, o in enumerate(objs)], "shape", ("colour",), CODEC
+    )
+    condition = ind.OperationPredictor(subset=("colour",), weights=vsa.normalize(np.ones(CFG.dimension)))
+    rule = ind.Rule(Op.GENERATE, condition, {"shape": pred})
+    return json.loads(json.dumps(ind.program_to_json(ind.Program((rule,)), CFG)))
+
+
+def truncate_rows(rows):
+    return [row[:-1] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "field,part,mangle",
+    [
+        ("weights", "condition", lambda v: v[:-1]),
+        ("base", "shape", lambda v: v[:-1]),
+        ("base", "shape", lambda v: [v]),
+        ("inputs", "shape", truncate_rows),
+        ("inputs", "shape", lambda v: v[0]),
+        ("inputs", "shape", lambda v: [v[0], v[1][:-1]]),
+        ("correction", "shape", truncate_rows),
+        ("correction", "shape", lambda v: v[:-1]),
+    ],
+)
+def test_program_json_rejects_vectors_of_the_wrong_length(field, part, mangle):
+    doc = linear_program_doc()
+    assert len(ind.program_from_json(doc, CFG).rules) == 1
+    rule = doc["rules"][0]
+    section = rule["condition"] if part == "condition" else rule["parameters"][part]
+    section[field] = mangle(section[field])
+    with pytest.raises(ValueError, match=field):
+        ind.program_from_json(doc, CFG)
 
 
 def test_program_json_rejects_unknown_copied_property():

@@ -6,7 +6,13 @@ import pytest
 
 from hologrid import ssp, vsa
 
-from oracles import fractional_power_direct, identity_direct, is_unitary_direct, ssp_encode_direct
+from oracles import (
+    fractional_power_direct,
+    identity_direct,
+    is_unitary_direct,
+    lattice_similarities_direct,
+    ssp_encode_direct,
+)
 
 CFG = vsa.VsaConfig(dimension=512, seed=13)
 ENC = ssp.SspEncoder(CFG)
@@ -103,32 +109,69 @@ def test_encode_many_matches_single_encodes():
 
 def test_similarity_map_values_match_pointwise_encoding():
     v = ENC.encode((1.0, -0.5))
-    smap = ssp.similarity_map(ENC, v, ((-2.0, 2.0), (-2.0, 2.0)), step=0.5)
-    assert smap.xs.shape == (9,) and smap.ys.shape == (9,)
+    xs, ys, values = ssp.similarity_map(ENC, v, ((-2.0, 2.0), (-2.0, 2.0)), step=0.5)
+    assert xs.shape == (9,) and ys.shape == (9,)
     for i in (0, 3, 8):
         for j in (1, 4, 7):
-            expected = vsa.similarity(v, ENC.encode((smap.xs[i], smap.ys[j])))
-            assert smap.values[i, j] == pytest.approx(expected, abs=1e-9)
+            expected = vsa.similarity(v, ENC.encode((xs[i], ys[j])))
+            assert values[i, j] == pytest.approx(expected, abs=1e-9)
     # The encoded point itself is on the lattice and must be the peak.
-    peak = np.unravel_index(np.argmax(smap.values), smap.values.shape)
-    assert (smap.xs[peak[0]], smap.ys[peak[1]]) == (1.0, -0.5)
+    peak = np.unravel_index(np.argmax(values), values.shape)
+    assert (xs[peak[0]], ys[peak[1]]) == (1.0, -0.5)
 
 
-def test_similarity_map_csv_format():
-    v = ENC.encode((0.5, 0.5))
-    smap = ssp.similarity_map(ENC, v, ((0.0, 1.0), (0.0, 1.0)), step=0.5)
-    text = smap.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 1 + 9
-    # Row-major: x varies slowest, y fastest.
-    assert lines[1].startswith("0,0,")
-    assert lines[2].startswith("0,0.5,")
-    assert lines[4].startswith("0.5,0,")
-    # Values carry nine significant digits and the export is reproducible.
-    assert text == smap.to_csv()
-    first_value = lines[1].split(",")[2]
-    assert len(first_value.replace("-", "").replace(".", "").lstrip("0")) <= 9
+def grid_readout_regions(rows, cols):
+    """The centre (steps 0.5 and 1.0) and amount regions of a rows x cols grid."""
+    cx, cy = (cols - 1) / 2, (rows - 1) / 2
+    centre = ((-cx, cx), (-cy, cy))
+    amount = ((-(cols - 1), cols - 1), (-(rows - 1), rows - 1))
+    return [(centre, 0.5), (centre, 1.0), (amount, 0.5)]
+
+
+@pytest.mark.parametrize("dimension", [256, 1024])
+def test_readouts_match_the_per_region_formula_bitwise(dimension):
+    enc = ssp.SspEncoder(vsa.VsaConfig(dimension=dimension, seed=5))
+    v = np.random.default_rng(dimension).standard_normal(dimension)
+    for rows in range(1, 31):
+        for cols in range(1, 31):
+            for region, step in grid_readout_regions(rows, cols):
+                want = lattice_similarities_direct(enc._half_phases, v, region, step)
+                got = ssp.similarity_map(enc, v, region, step)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (rows, cols, region, step)
+                i, j = np.unravel_index(np.argmax(want[2]), want[2].shape)
+                assert ssp.decode(enc, v, region, step) == ((want[0][i], want[1][j]), want[2][i, j])
+    # Every readout of every grid size reads one table, built once.
+    phasors, weights = enc._lattice
+    assert phasors.shape == (2, 119, dimension // 2 + 1)
+    assert weights.shape == (dimension // 2 + 1,)
+    assert sorted(vars(enc)) == ["_half_phases", "_lattice", "config"]
+
+
+@pytest.mark.parametrize(
+    "region,step",
+    [
+        (((-0.25, 0.25), (0.0, 0.0)), 0.5),  # off the half-cell lattice
+        (((0.0, 1.0), (0.0, 1.0)), 0.75),  # step not a multiple of 0.5
+        (((0.0, 1.5), (0.0, 1.0)), 1.0),  # hi not reached from lo by whole steps
+        (((1.0, 0.0), (0.0, 1.0)), 0.5),  # hi below lo
+        (((0.0, 0.0), (0.0, 1.0)), 0.0),  # no step
+        (((-30.0, 0.0), (0.0, 0.0)), 0.5),  # beyond -29.5
+        (((0.0, 0.0), (0.0, 30.0)), 0.5),  # beyond 29.5
+    ],
+)
+def test_readout_refuses_regions_off_the_table(region, step):
+    with pytest.raises(ValueError):
+        ssp.similarity_map(ENC, ENC.encode((0.0, 0.0)), region, step)
+    with pytest.raises(ValueError):
+        ssp.decode(ENC, ENC.encode((0.0, 0.0)), region, step)
+
+
+def test_readout_table_is_built_on_first_readout():
+    enc = ssp.SspEncoder(CFG)
+    enc.encode_many(np.array([[0.5, 1.0]]))
+    assert "_lattice" not in vars(enc)
+    ssp.decode(enc, enc.encode((0.5, 1.0)), ((-29.5, 29.5), (-29.5, 29.5)), step=0.5)
+    assert "_lattice" in vars(enc)
 
 
 def test_decode_recovers_lattice_points():

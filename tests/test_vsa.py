@@ -158,8 +158,9 @@ def test_vocabulary_keys_are_values_in_insertion_order():
     vocab = vsa.Vocabulary(CFG, [*((value, sym(repr(value))) for value in values), (3, sym("another"))])
     assert vocab.keys() == list(values)
     assert np.array_equal(vocab[3], sym("3"))
-    assert vocab.matrix().shape == (3, CFG.dimension)
-    assert np.array_equal(vocab.matrix()[1], sym("3"))
+    stacked = np.stack([vocab[k] for k in vocab.keys()])
+    assert stacked.shape == (3, CFG.dimension)
+    assert np.array_equal(stacked[1], sym("3"))
     assert vocab.cleanup(sym("('m', 1)")) == (("m", 1), pytest.approx(1.0, abs=1e-12))
 
 
