@@ -94,18 +94,17 @@ def rank_object_hypotheses(
     that object's confidence. A hypothesis yielding no output objects at
     all cannot be scored and sinks to -inf. Ties keep declaration order.
 
-    Demos run outside and hypotheses inside, so each grid's distinct
-    centres and shapes are encoded once for all six segmentations; every
-    hypothesis still collects its terms in demo order.
+    Demos run outside and hypotheses inside, so each demo pair's distinct
+    centres and shapes are encoded once for both grids and all six
+    segmentations; every hypothesis still collects its terms in demo order.
     """
     terms: dict[ObjectHypothesis, list[float]] = {hyp: [] for hyp in ObjectHypothesis}
     for in_grid, out_grid in demos:
-        # One cache per grid, shared by its six segmentations only.
-        in_cache: dict = {}
-        out_cache: dict = {}
+        # One cache per demo pair, shared by its two grids' segmentations only.
+        cache: dict = {}
         for hyp in ObjectHypothesis:
-            ins = perceive(in_grid, hyp, encoder, palette, in_cache).objects
-            outs = perceive(out_grid, hyp, encoder, palette, out_cache).objects
+            ins = perceive(in_grid, hyp, encoder, palette, cache).objects
+            outs = perceive(out_grid, hyp, encoder, palette, cache).objects
             if not outs:
                 continue
             if ins:
@@ -271,8 +270,11 @@ def _explain_under_hypothesis(demos, hyp, size, encoder, palette) -> AbductionRe
     Returns the accepted explanation, still without a trace, or the reason
     the hypothesis is rejected.
     """
-    in_scenes = [perceive(inp, hyp, encoder, palette) for inp, _ in demos]
-    out_scenes = [perceive(out, hyp, encoder, palette) for _, out in demos]
+    in_scenes, out_scenes = [], []
+    for inp, out in demos:
+        cache: dict = {}  # one per demo pair, as in the ranking
+        in_scenes.append(perceive(inp, hyp, encoder, palette, cache))
+        out_scenes.append(perceive(out, hyp, encoder, palette, cache))
 
     items = []  # (demo_idx, out_idx, in_idx, candidate action set)
     for demo_idx, (in_scene, out_scene) in enumerate(zip(in_scenes, out_scenes)):

@@ -237,6 +237,46 @@ class _SpanConditions:
         z = self.steepness[:, None] * (self.scores - self.threshold[:, None])
         return _sigmoid(z) >= FIRE_THRESHOLD
 
+    def with_mirrors(self, mirror) -> "_SpanConditions":
+        """The full batch of runs that ``_mirror_runs`` returned ``mirror`` for.
+
+        This batch holds the runs where ``mirror`` is -1, in order; each
+        other run f is run ``mirror[f]`` with weights, threshold and scores
+        negated and steepness kept.
+        """
+        own = mirror < 0
+        source = np.empty(len(mirror), dtype=np.int64)
+        source[own] = np.arange(own.sum())
+        source[~own] = source[mirror[~own]]
+        sign = np.where(own, 1.0, -1.0)
+        return _SpanConditions(
+            self.weights[source] * sign[:, None],
+            self.steepness[source],
+            self.threshold[source] * sign,
+            self.scores[source] * sign[:, None],
+            self.refused[source],
+        )
+
+
+def _mirror_runs(coords, train, labels, cancelled) -> NDArray[np.int64]:
+    """The earlier run each run mirrors, or -1.
+
+    Run g mirrors run f when both have the same span coordinates and
+    training rows, g's training labels are the complement of f's, and f's
+    classes do not cancel (f then starts from its positive prototype, which
+    g's would not negate).
+    """
+    mirror = np.full(len(train), -1)
+    trained: dict[tuple[bytes, bytes, bytes], int] = {}
+    for f, (rows, used, wanted) in enumerate(zip(coords, train, labels)):
+        key = (rows.tobytes(), used.tobytes())
+        partner = trained.get(key + ((~wanted[used]).tobytes(),))
+        if partner is not None and not cancelled[partner]:
+            mirror[f] = partner
+        else:
+            trained.setdefault(key + (wanted[used].tobytes(),), f)
+    return mirror
+
 
 def _train_span_conditions(coords, train, labels) -> _SpanConditions:
     """Condition training for a batch of runs, each in the span of its rows.
@@ -250,6 +290,13 @@ def _train_span_conditions(coords, train, labels) -> _SpanConditions:
     R^N: weights renormalized after each step, steepness clamped at 1e-3.
     Each run takes ``MAX_EPOCHS`` full-batch steps unless its loss falls
     below ``LOSS_FLOOR`` first, from which point its row is frozen.
+
+    A run that mirrors an earlier one (``_mirror_runs``) is not trained.
+    Complementing the labels negates the starting weights, scores and
+    threshold, and then every step negates the residuals and the update
+    while the loss and the steepness stay equal, bit for bit. So the
+    mirrored run is the earlier run with weights, threshold and scores
+    negated and the same steepness.
     """
     train = np.asarray(train, dtype=bool)
     runs, m = train.shape
@@ -266,7 +313,12 @@ def _train_span_conditions(coords, train, labels) -> _SpanConditions:
     diff = combine(pos - neg.astype(np.float64))
     # Both classes bundle to the same point: start from the positive prototype
     # and let the threshold carry the fit.
-    diff = np.where((norm(diff) < 1e-12)[:, None], combine(pos.astype(np.float64)), diff)
+    cancelled = norm(diff) < 1e-12
+    mirror = _mirror_runs(coords, train, labels, cancelled)
+    if (mirror >= 0).any():
+        own = mirror < 0
+        return _train_span_conditions(coords[own], train[own], labels[own]).with_mirrors(mirror)
+    diff = np.where(cancelled[:, None], combine(pos.astype(np.float64)), diff)
     lengths = norm(diff)
     refused = ~_normable(lengths)
     lengths[refused] = 1.0
@@ -794,7 +846,10 @@ def _array_field(doc, name: str, shape) -> NDArray[np.float64]:
     return arr
 
 
-def _predictor_from_json(doc, encoder: SspEncoder) -> ParameterPredictor:
+def _predictor_from_json(doc, slot: str, kind: OperationKind, encoder: SspEncoder) -> ParameterPredictor:
+    """The predictor stored under parameter key ``slot`` of a ``kind`` rule."""
+    if slot not in dsl.PARAM_SLOTS[kind]:
+        raise ValueError(f"{kind.value} has no parameter slot {slot!r}")
     variant = doc["variant"]
     if variant == "constant":
         return ConstantParameter(dsl.param_value_from_json(doc["value"]))
@@ -803,11 +858,13 @@ def _predictor_from_json(doc, encoder: SspEncoder) -> ParameterPredictor:
             raise ValueError(f"unknown copied property {doc['property']!r}")
         return CopyParameter(doc["property"])
     if variant == "linear":
+        if doc["slot"] != slot:
+            raise ValueError(f"linear predictor slot {doc['slot']!r} is stored under slot {slot!r}")
         shape_values = tuple(dsl.param_value_from_json(s) for s in doc.get("shape_values") or ())
         n = encoder.config.dimension
         inputs = _array_field(doc, "inputs", (None, n))
         return LinearParameter(
-            slot=doc["slot"],
+            slot=slot,
             subset=canonical_subset(doc["subset"]),
             base=_array_field(doc, "base", (n,)),
             inputs=inputs,
@@ -857,6 +914,7 @@ def program_from_json(doc, config: VsaConfig) -> Program:
             steepness=float(cond["steepness"]),
             threshold=float(cond["threshold"]),
         )
-        parameters = {s: _predictor_from_json(p, encoder) for s, p in rd["parameters"].items()}
-        rules.append(Rule(OperationKind(rd["kind"]), condition, parameters))
+        kind = OperationKind(rd["kind"])
+        parameters = {s: _predictor_from_json(p, s, kind, encoder) for s, p in rd["parameters"].items()}
+        rules.append(Rule(kind, condition, parameters))
     return Program(tuple(rules))

@@ -297,8 +297,10 @@ def perceive(
 
     Each distinct centre and shape is encoded once per call, or once per
     ``cache`` when the caller passes one (see ``encode_object``). The
-    solver keeps one per grid and drops it once the grid has been seen
-    under every hypothesis, so no cache grows with the task.
+    solver keeps one per demonstration pair, shared by its input and
+    output grids, and drops it once the pair has been perceived, so no
+    cache grows with the task. Keys are centred points and offset sets,
+    so grids of different dims share a cache exactly.
     """
     cache = {} if cache is None else cache
     masks = segment(grid, hypothesis)

@@ -149,10 +149,8 @@ def test_rank_matches_the_hypothesis_outer_oracle_exactly():
     assert all(score == float("-inf") for _, score in ab.rank_object_hypotheses([(dot, blank)], ENC, PALETTE))
 
 
-def test_rank_perceives_each_grid_under_each_hypothesis_with_one_cache_per_grid(monkeypatch):
-    # perfbench times and counts perception through both module-level names.
-    task = hn.generate_sort_of_arc(1, seed=5)[0]
-    demos = task.train
+def recorded_perceive_calls(monkeypatch):
+    """The positional arguments of every perceive call, as they are made."""
     calls = []
 
     def recording(perceive):
@@ -162,22 +160,50 @@ def test_rank_perceives_each_grid_under_each_hypothesis_with_one_cache_per_grid(
 
         return wrapper
 
+    # perfbench times and counts perception through both module-level names.
     monkeypatch.setattr(ab, "perceive", recording(ab.perceive))
     monkeypatch.setattr(pc, "perceive", recording(pc.perceive))
-    ab.rank_object_hypotheses(demos, ENC, PALETTE)
-    assert len(calls) == len(pc.ObjectHypothesis) * 2 * len(demos)
-    grids = [g for pair in demos for g in pair]
-    for grid in grids:
-        mine = [args for args in calls if args[0] is grid]
-        assert [args[1] for args in mine] == list(pc.ObjectHypothesis)
-        # One cache object per grid, never handed to another grid.
+    return calls
+
+
+def assert_one_cache_per_pair(calls, demos, hypotheses):
+    """Each demo's two grids are perceived under ``hypotheses`` through one
+    dict of their own, which no other demo sees."""
+    caches = []
+    for in_grid, out_grid in demos:
+        mine = [args for args in calls if args[0] is in_grid or args[0] is out_grid]
+        for grid in (in_grid, out_grid):
+            assert [args[1] for args in mine if args[0] is grid] == hypotheses
         assert len({id(args[4]) for args in mine}) == 1
-    assert len({id(args[4]) for args in calls}) == len(grids)
+        caches.append(mine[0][4])
+    assert len({id(c) for c in caches}) == len(demos)
+    assert len(calls) == 2 * len(demos) * len(hypotheses)
+
+
+def test_rank_perceives_each_demo_pair_under_each_hypothesis_with_one_cache_per_pair(monkeypatch):
+    task = hn.generate_sort_of_arc(1, seed=5)[0]
+    calls = recorded_perceive_calls(monkeypatch)
+    ab.rank_object_hypotheses(task.train, ENC, PALETTE)
+    assert_one_cache_per_pair(calls, task.train, list(pc.ObjectHypothesis))
     # A whole task adds the chosen hypothesis's demo grids and each query.
     calls.clear()
     _, diagnostics = deduction.solve_task(task, ENC, PALETTE)
     assert diagnostics.ok
-    assert len(calls) == (len(pc.ObjectHypothesis) + 1) * 2 * len(task.train) + len(task.test)
+    assert len(calls) == (len(pc.ObjectHypothesis) + 1) * 2 * len(task.train) + len(task.test) == 71
+
+
+def test_explanation_perceives_each_demo_pair_with_one_cache_per_pair(monkeypatch):
+    task = hn.generate_sort_of_arc(1, seed=5)[0]
+    size = ab.choose_size_hypothesis(task.train)
+    calls = recorded_perceive_calls(monkeypatch)
+    hyp = pc.ObjectHypothesis.FOUR_CONNECTED
+    explained = ab._explain_under_hypothesis(task.train, hyp, size, ENC, PALETTE)
+    assert not isinstance(explained, str)
+    assert_one_cache_per_pair(calls, task.train, [hyp])
+    # A pair's output repeats its input's unmoved objects: their vectors are shared.
+    for in_scene, out_scene in zip(explained.input_scenes, explained.output_scenes):
+        ins = {o.mask.centre_point(): o.centre_vec for o in in_scene.objects}
+        assert any(ins.get(o.mask.centre_point()) is o.centre_vec for o in out_scene.objects)
 
 
 def obj(rows):

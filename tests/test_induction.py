@@ -385,6 +385,66 @@ def test_zero_norm_weights_are_refused():
         conditions.predictor(obs, ("colour",))
 
 
+def assert_same_runs(fit, r, alone):
+    """Run r of a batch equals the one run of ``alone``, bit for bit."""
+    assert np.array_equal(fit.weights[r], alone.weights[0])
+    assert fit.steepness[r] == alone.steepness[0]
+    assert fit.threshold[r] == alone.threshold[0]
+    assert np.array_equal(fit.scores[r], alone.scores[0])
+    assert fit.refused[r] == alone.refused[0]
+    assert np.array_equal(fit.fires()[r], alone.fires()[0])
+
+
+def test_mirrored_runs_equal_separately_trained_runs():
+    rng = np.random.default_rng(77)
+    mirrored = 0
+    for _ in range(30):
+        obs = random_observations(rng)
+        demo_of = np.array(obs.demo_of)
+        runs = []  # (coords, training rows, labels), each fold under both labelings
+        for subset in ALL_SUBSETS[:: int(rng.integers(1, 4))]:
+            coords = obs.basis.span(subset).coords
+            for d in [None, *sorted(set(obs.demo_of))]:
+                train = demo_of != d
+                if obs.labels[train].any() and not obs.labels[train].all():
+                    runs.append((coords, train, obs.labels))
+                    runs.append((coords, train, ~obs.labels))
+        if not runs:
+            continue
+        order = rng.permutation(len(runs))
+        coords, train, labels = (np.stack([runs[i][k] for i in order]) for k in range(3))
+        fit = ind._train_span_conditions(coords, train, labels)
+        for r in range(len(runs)):
+            alone = ind._train_span_conditions(coords[r : r + 1], train[r : r + 1], labels[r : r + 1])
+            assert_same_runs(fit, r, alone)
+        pos, neg = train & labels, train & ~labels
+        cancelled = np.linalg.norm(np.einsum("fij,fi->fj", coords, pos - neg.astype(float)), axis=1) < 1e-12
+        # Each labeling's classes cancel exactly when the other's do.
+        mirror = ind._mirror_runs(coords, train, labels, cancelled)
+        assert (mirror >= 0).sum() == (~cancelled).sum() // 2
+        mirrored += (~cancelled).sum() // 2
+    assert mirrored > 100
+
+
+def test_a_run_whose_classes_cancel_is_not_mirrored():
+    # The objects of test_cancelling_bundles_start_from_positive_prototype:
+    # both classes bundle to one point under either labeling, so each run
+    # starts from its own positive prototype, not from the other's negated.
+    objs = [pixel(2, 1, 1), square(5, 3, 3), pixel(7, 0, 4)]
+    objs = objs + [objs[2], objs[0], objs[1]]
+    obs = make_observations([objs], [[i < 3 for i in range(6)]])
+    coords = obs.basis.span(("colour", "shape")).coords
+    labels = np.stack([obs.labels, ~obs.labels])
+    train = np.ones((2, 6), dtype=bool)
+    fit = ind._train_span_conditions(np.stack([coords, coords]), train, labels)
+    for r in range(2):
+        alone = ind._train_span_conditions(coords[None], train[r : r + 1], labels[r : r + 1])
+        assert_same_runs(fit, r, alone)
+    assert not np.array_equal(fit.weights[1], -fit.weights[0])
+    cancelled = np.array([True, True])
+    assert np.array_equal(ind._mirror_runs(np.stack([coords, coords]), train, labels, cancelled), [-1, -1])
+
+
 # ---------------------------------------------------------------- parameter predictors
 
 
@@ -900,3 +960,25 @@ def test_program_json_rejects_unknown_copied_property():
     assert len(ind.program_from_json({**doc, "rules": []}, CFG).rules) == 0
     with pytest.raises(ValueError):
         ind.program_from_json({**doc, "rules": [rule]}, CFG)
+
+
+@pytest.mark.parametrize("slot", ["bogus", "colour"])
+def test_program_json_rejects_a_linear_predictor_under_the_wrong_slot(slot):
+    # The document's one linear predictor is a generate rule's shape predictor.
+    doc = linear_program_doc()
+    doc["rules"][0]["parameters"]["shape"]["slot"] = slot
+    with pytest.raises(ValueError, match="slot"):
+        ind.program_from_json(doc, CFG)
+
+
+def test_program_json_rejects_a_parameter_key_its_kind_lacks():
+    doc = linear_program_doc()
+    rule = doc["rules"][0]
+    shape = rule["parameters"].pop("shape")
+    rule["parameters"]["bogus"] = {**shape, "slot": "bogus"}
+    with pytest.raises(ValueError, match="slot"):
+        ind.program_from_json(doc, CFG)
+    # A real slot, but not one of a move rule's.
+    rule["kind"], rule["parameters"] = "move", {"shape": shape}
+    with pytest.raises(ValueError, match="slot"):
+        ind.program_from_json(doc, CFG)
