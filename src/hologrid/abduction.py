@@ -85,7 +85,7 @@ def padded_max_softmax(sims) -> float:
 
 
 def rank_object_hypotheses(
-    demos: list[tuple[Grid, Grid]], encoder: SspEncoder, palette: Vocabulary
+    demos: list[tuple[Grid, Grid]], encoder: SspEncoder, palette: Vocabulary, memo: dict
 ) -> list[tuple[ObjectHypothesis, float]]:
     """Score each segmentation hypothesis by average best-match confidence.
 
@@ -94,17 +94,15 @@ def rank_object_hypotheses(
     that object's confidence. A hypothesis yielding no output objects at
     all cannot be scored and sinks to -inf. Ties keep declaration order.
 
-    Demos run outside and hypotheses inside, so each demo pair's distinct
-    centres and shapes are encoded once for both grids and all six
-    segmentations; every hypothesis still collects its terms in demo order.
+    Every grid is perceived through ``memo``, the task's encoding memo (see
+    ``perceive``). Demos run outside and hypotheses inside; every
+    hypothesis still collects its terms in demo order.
     """
     terms: dict[ObjectHypothesis, list[float]] = {hyp: [] for hyp in ObjectHypothesis}
     for in_grid, out_grid in demos:
-        # One cache per demo pair, shared by its two grids' segmentations only.
-        cache: dict = {}
         for hyp in ObjectHypothesis:
-            ins = perceive(in_grid, hyp, encoder, palette, cache).objects
-            outs = perceive(out_grid, hyp, encoder, palette, cache).objects
+            ins = perceive(in_grid, hyp, encoder, palette, memo).objects
+            outs = perceive(out_grid, hyp, encoder, palette, memo).objects
             if not outs:
                 continue
             if ins:
@@ -264,17 +262,16 @@ class AbductionResult:
     optimal: bool = True  # False: the hitting set is the best found within the node budget
 
 
-def _explain_under_hypothesis(demos, hyp, size, encoder, palette) -> AbductionResult | str:
+def _explain_under_hypothesis(demos, hyp, size, encoder, palette, memo: dict) -> AbductionResult | str:
     """Candidate sets, hitting set and assignments for one hypothesis.
 
-    Returns the accepted explanation, still without a trace, or the reason
-    the hypothesis is rejected.
+    The demo grids are perceived through ``memo``, the task's encoding memo
+    the ranking filled, so their vectors are the ranking's. Returns the
+    accepted explanation, still without a trace, or the reason the
+    hypothesis is rejected.
     """
-    in_scenes, out_scenes = [], []
-    for inp, out in demos:
-        cache: dict = {}  # one per demo pair, as in the ranking
-        in_scenes.append(perceive(inp, hyp, encoder, palette, cache))
-        out_scenes.append(perceive(out, hyp, encoder, palette, cache))
+    in_scenes = [perceive(inp, hyp, encoder, palette, memo) for inp, _ in demos]
+    out_scenes = [perceive(out, hyp, encoder, palette, memo) for _, out in demos]
 
     items = []  # (demo_idx, out_idx, in_idx, candidate action set)
     for demo_idx, (in_scene, out_scene) in enumerate(zip(in_scenes, out_scenes)):
@@ -379,10 +376,11 @@ def abduce(demos: list[tuple[Grid, Grid]], encoder: SspEncoder, palette: Vocabul
     if not demos:
         return AbductionResult(False, "no demonstrations", None, SizeHypothesis("identity"))
     size = choose_size_hypothesis(demos)
-    ranking = rank_object_hypotheses(demos, encoder, palette)
+    memo: dict = {}  # the task's encoding memo, for the ranking and every explanation tried
+    ranking = rank_object_hypotheses(demos, encoder, palette, memo)
     trace: list[str] = []
     for hyp, score in ranking:
-        explained = _explain_under_hypothesis(demos, hyp, size, encoder, palette)
+        explained = _explain_under_hypothesis(demos, hyp, size, encoder, palette, memo)
         if isinstance(explained, str):
             trace.append(f"hypothesis={hyp.value} score={score:.6f} status=rejected ({explained})")
             continue

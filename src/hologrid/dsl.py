@@ -233,12 +233,12 @@ def _interior_holes(mask: ObjectMask) -> set[tuple[int, int]]:
     that reaches outside the bbox is open; when the bbox covers the whole
     grid there is no outside, so every gap counts.
     """
-    r0, c0, r1, c1 = mask.bbox()
+    r0, c0, r1, c1 = mask.bbox
     gaps = np.ones(mask.dims, dtype=np.int64)
     gaps[tuple(zip(*mask.cells))] = 0
     holes: set[tuple[int, int]] = set()
     for gap in segment(gaps, ObjectHypothesis.FOUR_CONNECTED):
-        g0, h0, g1, h1 = gap.bbox()
+        g0, h0, g1, h1 = gap.bbox
         if r0 <= g0 and g1 <= r1 and c0 <= h0 and h1 <= c1:
             holes |= gap.cells
     return holes
@@ -273,7 +273,7 @@ def apply_action(mask: ObjectMask, action: Action, ctx: SceneContext) -> ObjectM
     if kind is OperationKind.IDENTITY:
         return _rehost(mask.cells, mask.colour, ctx.dims)
     if kind is OperationKind.EXTRACT:
-        r0, c0, _, _ = mask.bbox()
+        r0, c0, _, _ = mask.bbox
         return _rehost(_shift_cells(mask.cells, -r0, -c0), mask.colour, ctx.dims)
     if kind is OperationKind.RECOLOUR:
         colour: Colour = action.param("colour")  # type: ignore[assignment]
@@ -321,7 +321,7 @@ def render(masks, dims: tuple[int, int]) -> Grid:
 
 def render_extract(mask: ObjectMask) -> Grid:
     """The object's bounding-box crop as its own grid."""
-    r0, c0, r1, c1 = mask.bbox()
+    r0, c0, r1, c1 = mask.bbox
     dims = (r1 - r0 + 1, c1 - c0 + 1)
     shifted = ObjectMask(mask.colour, frozenset(_shift_cells(mask.cells, -r0, -c0)), dims)
     return render([shifted], dims)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -107,13 +107,15 @@ class ObjectMask:
         if not (1 <= self.colour < NUM_COLOURS):
             raise GridError(f"object colour must be 1..9, got {self.colour}")
 
+    @cached_property
     def bbox(self) -> tuple[int, int, int, int]:
+        """(min row, min col, max row, max col), found once per mask."""
         rows = [r for r, _ in self.cells]
         cols = [c for _, c in self.cells]
         return (min(rows), min(cols), max(rows), max(cols))
 
     def centre_rc(self) -> tuple[float, float]:
-        r0, c0, r1, c1 = self.bbox()
+        r0, c0, r1, c1 = self.bbox
         return ((r0 + r1) / 2.0, (c0 + c1) / 2.0)
 
     def centre_point(self) -> tuple[float, float]:
@@ -127,7 +129,7 @@ class ObjectMask:
         return frozenset((r - mid_r, c - mid_c) for r, c in self.cells)
 
     def sort_key(self) -> tuple[int, int, int]:
-        r0, c0, _, _ = self.bbox()
+        r0, c0, _, _ = self.bbox
         return (r0, c0, self.colour)
 
 
@@ -297,10 +299,10 @@ def perceive(
 
     Each distinct centre and shape is encoded once per call, or once per
     ``cache`` when the caller passes one (see ``encode_object``). The
-    solver keeps one per demonstration pair, shared by its input and
-    output grids, and drops it once the pair has been perceived, so no
-    cache grows with the task. Keys are centred points and offset sets,
-    so grids of different dims share a cache exactly.
+    solver keeps one per task: ``abduction.abduce`` perceives every demo
+    grid, for the ranking and each explanation it tries, through one dict
+    and drops it on return. Keys are centred points and offset sets, so
+    grids of different dims share a cache exactly.
     """
     cache = {} if cache is None else cache
     masks = segment(grid, hypothesis)

@@ -94,6 +94,12 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def bbox_direct(cells) -> tuple[int, int, int, int]:
+    """(min row, min col, max row, max col) of (row, col) cells, by numpy min and max."""
+    arr = np.array(sorted(cells))
+    return (int(arr[:, 0].min()), int(arr[:, 1].min()), int(arr[:, 0].max()), int(arr[:, 1].max()))
+
+
 def centre_vector_direct(point, sigma, encode_many) -> np.ndarray:
     """Blurred centre: the 3x3 stencil around ``point`` weighted by exp(-d^2 / 2 sigma^2), normalized."""
     offsets = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]

@@ -144,9 +144,9 @@ def test_rank_matches_the_hypothesis_outer_oracle_exactly():
     cases.append([(blank, dot), (dot, dot)])  # an output with no input objects
     cases.append([(dot, blank)] + arc30_demos(rng, count=1))  # one demo with an empty output
     for demos in cases:
-        ranked = ab.rank_object_hypotheses(demos, ENC, PALETTE)
+        ranked = ab.rank_object_hypotheses(demos, ENC, PALETTE, {})
         assert ranked == rank_direct(demos)
-    assert all(score == float("-inf") for _, score in ab.rank_object_hypotheses([(dot, blank)], ENC, PALETTE))
+    assert all(score == float("-inf") for _, score in ab.rank_object_hypotheses([(dot, blank)], ENC, PALETTE, {}))
 
 
 def recorded_perceive_calls(monkeypatch):
@@ -166,44 +166,74 @@ def recorded_perceive_calls(monkeypatch):
     return calls
 
 
-def assert_one_cache_per_pair(calls, demos, hypotheses):
-    """Each demo's two grids are perceived under ``hypotheses`` through one
-    dict of their own, which no other demo sees."""
-    caches = []
-    for in_grid, out_grid in demos:
-        mine = [args for args in calls if args[0] is in_grid or args[0] is out_grid]
-        for grid in (in_grid, out_grid):
-            assert [args[1] for args in mine if args[0] is grid] == hypotheses
-        assert len({id(args[4]) for args in mine}) == 1
-        caches.append(mine[0][4])
-    assert len({id(c) for c in caches}) == len(demos)
-    assert len(calls) == 2 * len(demos) * len(hypotheses)
-
-
-def test_rank_perceives_each_demo_pair_under_each_hypothesis_with_one_cache_per_pair(monkeypatch):
+def test_abduce_perceives_every_demo_grid_through_one_memo_per_call(monkeypatch):
     task = hn.generate_sort_of_arc(1, seed=5)[0]
     calls = recorded_perceive_calls(monkeypatch)
-    ab.rank_object_hypotheses(task.train, ENC, PALETTE)
-    assert_one_cache_per_pair(calls, task.train, list(pc.ObjectHypothesis))
-    # A whole task adds the chosen hypothesis's demo grids and each query.
+    first = ab.abduce(task.train, ENC, PALETTE)
+    assert first.ok
+    memos = [args[4] for args in calls]
+    # Ranking: every demo grid under every hypothesis; then the accepted
+    # hypothesis's demo grids again.
+    assert len(memos) == 2 * len(task.train) * (len(pc.ObjectHypothesis) + 1)
+    assert all(memo is memos[0] for memo in memos)
+    # The calls still hold the first memo, so a new one cannot reuse its id.
+    calls.clear()
+    ab.abduce(task.train, ENC, PALETTE)
+    assert all(args[4] is calls[0][4] for args in calls) and calls[0][4] is not memos[0]
+    # A whole task adds each query, perceived without the memo.
     calls.clear()
     _, diagnostics = deduction.solve_task(task, ENC, PALETTE)
     assert diagnostics.ok
     assert len(calls) == (len(pc.ObjectHypothesis) + 1) * 2 * len(task.train) + len(task.test) == 71
 
 
-def test_explanation_perceives_each_demo_pair_with_one_cache_per_pair(monkeypatch):
+def test_a_rejected_hypothesis_hands_the_memo_to_the_next(monkeypatch):
     task = hn.generate_sort_of_arc(1, seed=5)[0]
-    size = ab.choose_size_hypothesis(task.train)
-    calls = recorded_perceive_calls(monkeypatch)
-    hyp = pc.ObjectHypothesis.FOUR_CONNECTED
-    explained = ab._explain_under_hypothesis(task.train, hyp, size, ENC, PALETTE)
-    assert not isinstance(explained, str)
-    assert_one_cache_per_pair(calls, task.train, [hyp])
-    # A pair's output repeats its input's unmoved objects: their vectors are shared.
-    for in_scene, out_scene in zip(explained.input_scenes, explained.output_scenes):
-        ins = {o.mask.centre_point(): o.centre_vec for o in in_scene.objects}
-        assert any(ins.get(o.mask.centre_point()) is o.centre_vec for o in out_scene.objects)
+    ranking = ab.rank_object_hypotheses(task.train, ENC, PALETTE, {})
+    ranked_memos, explained_memos = [], []
+    rank, explain = ab.rank_object_hypotheses, ab._explain_under_hypothesis
+
+    def ranking_with(demos, encoder, palette, memo):
+        ranked_memos.append(memo)
+        return rank(demos, encoder, palette, memo)
+
+    def reject_the_first(demos, hyp, size, encoder, palette, memo):
+        explained_memos.append((hyp, memo, len(memo)))
+        if len(explained_memos) == 1:
+            return "rejected by the test"
+        return explain(demos, hyp, size, encoder, palette, memo)
+
+    monkeypatch.setattr(ab, "rank_object_hypotheses", ranking_with)
+    monkeypatch.setattr(ab, "_explain_under_hypothesis", reject_the_first)
+    result = ab.abduce(task.train, ENC, PALETTE)
+    assert result.ok and result.hypothesis is ranking[1][0]
+    assert [hyp for hyp, _, _ in explained_memos] == [ranking[0][0], ranking[1][0]]
+    (memo,) = ranked_memos
+    assert all(m is memo for _, m, _ in explained_memos)
+    # The ranking encoded every hypothesis's centres and shapes, so neither
+    # explanation adds to the memo, and each accepted vector is the memo's.
+    assert explained_memos[0][2] == explained_memos[1][2] == len(memo) > 0
+    for scene in result.input_scenes + result.output_scenes:
+        for o in scene.objects:
+            assert o.centre_vec is memo[o.mask.centre_point()]
+            assert o.shape_vec is memo[o.mask.offsets()]
+
+
+def test_abduce_scene_vectors_equal_fresh_encodings_bitwise():
+    rng = np.random.default_rng(21)
+    cases = [task.train for task in hn.generate_sort_of_arc(4, seed=7)]
+    cases += [arc30_demos(rng) for _ in range(2)]
+    objects = 0
+    for demos in cases:
+        result = ab.abduce(demos, ENC, PALETTE)
+        assert result.ok
+        for scene in result.input_scenes + result.output_scenes:
+            for o in scene.objects:
+                fresh = pc.encode_object(o.mask, ENC, PALETTE)
+                for name in pc.PROPERTIES:
+                    assert np.array_equal(o.vector(name), fresh.vector(name)), name
+                objects += 1
+    assert objects > 100
 
 
 def obj(rows):

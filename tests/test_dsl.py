@@ -260,7 +260,7 @@ def test_interior_holes_match_outside_in_walk():
         m = pc.ObjectMask(1, frozenset(cells), (rows, cols))
         want = interior_holes_direct(m.cells, m.dims)
         assert dsl._interior_holes(m) == want
-        full += m.bbox() == (0, 0, rows - 1, cols - 1)
+        full += m.bbox == (0, 0, rows - 1, cols - 1)
         holes += bool(want)
     assert full > 150 and holes > 150
 

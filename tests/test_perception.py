@@ -7,7 +7,7 @@ import pytest
 from hologrid import perception as pc
 from hologrid import ssp, vsa
 
-from oracles import centre_vector_direct, identity_direct, segment_direct, shape_vector_direct
+from oracles import bbox_direct, centre_vector_direct, identity_direct, segment_direct, shape_vector_direct
 
 CFG = vsa.VsaConfig(dimension=512, seed=21)
 ENC = ssp.SspEncoder(CFG)
@@ -184,9 +184,31 @@ def test_bounding_box_and_centre_point():
         ]
     )
     (obj,) = pc.segment(g, pc.ObjectHypothesis.EIGHT_CONNECTED)
-    assert obj.bbox() == (1, 1, 2, 2)
+    assert obj.bbox == (1, 1, 2, 2)
     # bbox midpoint (1.5, 1.5) in a 3x3 grid -> x = 0.5, y = -0.5
     assert obj.centre_point() == (0.5, -0.5)
+
+
+def test_bbox_matches_the_direct_min_max_formula_and_is_found_once():
+    rng = np.random.default_rng(15)
+    full = frozenset((r, c) for r in range(30) for c in range(30))
+    masks = [pc.ObjectMask(4, full, (30, 30))]
+    singles = rng.integers(0, 30, size=(20, 2)).tolist()
+    masks += [pc.ObjectMask(2, frozenset({(r, c)}), (30, 30)) for r, c in singles]
+    for _ in range(200):
+        dims = tuple(int(v) for v in rng.integers(1, 31, size=2))
+        cells = np.argwhere(rng.random(dims) < rng.random()).tolist()
+        if cells:
+            masks.append(pc.ObjectMask(int(rng.integers(1, 10)), frozenset(map(tuple, cells)), dims))
+    assert masks[0].bbox == (0, 0, 29, 29)
+    assert all(m.bbox == (r, c, r, c) for m in masks[1:21] for (r, c) in m.cells)
+    for mask in masks:
+        assert mask.bbox == bbox_direct(mask.cells)
+        assert mask.bbox is mask.bbox  # found on first read, then kept
+        # Equality and hashing stay field-based: a mask whose box was read
+        # equals, and hashes like, one whose box was not.
+        twin = pc.ObjectMask(mask.colour, mask.cells, mask.dims)
+        assert twin == mask and hash(twin) == hash(mask)
 
 
 def test_shape_offsets_are_translation_invariant():
@@ -299,7 +321,7 @@ def test_shared_cache_vectors_equal_fresh_encodings_bitwise(dims):
         mask = random_box_mask(rng, dims, corners=True)
         masks.append(mask)
         # Same box corners, other inside cells: one centre, two shapes.
-        (r0, c0, r1, c1) = mask.bbox()
+        (r0, c0, r1, c1) = mask.bbox
         other = {cell for cell in mask.cells if cell[0] in (r0, r1) and cell[1] in (c0, c1)}
         other |= {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1) if rng.random() < 0.5}
         twin = pc.ObjectMask(mask.colour, frozenset(other), dims)
