@@ -20,6 +20,8 @@ memorized one-off Generate actions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,7 @@ PARAM_COST = 1
 TAU_SAME = 0.95
 NODE_BUDGET = 200_000  # branch-and-bound nodes per hitting-set search
 NOVEL_GENERATE_SHARE = 0.5  # above this share of one-off generate actions, a hypothesis is rejected
+CONFLICTING_PARAMETERS = "identical input objects demand conflicting parameters"
 
 
 @dataclass(frozen=True)
@@ -66,27 +69,49 @@ def similarity_matrices(outs: list[ObjectRepr], ins: list[ObjectRepr]) -> np.nda
     combined similarity that ranks hypotheses and matches objects.
     """
     return np.stack(
-        [
-            np.stack([o.vector(p) for o in outs]) @ np.stack([i.vector(p) for i in ins]).T
-            for p in PROPERTIES
-        ]
+        [np.array([o.vector(p) for o in outs]) @ np.array([i.vector(p) for i in ins]).T for p in PROPERTIES]
     )
 
 
-def padded_max_softmax(sims) -> float:
-    """Softmax confidence of the best match, padded with anchors 0 and 1.
+def padded_max_softmax(rows) -> np.ndarray:
+    """Softmax confidence of each row's best match, padded with anchors 0 and 1.
 
-    The anchors keep scores comparable across scenes with different object
-    counts: a lone perfect match against one input scores e/(2e+1).
+    ``rows`` is a (k, m) array of similarities, m possibly 0; the result
+    holds k confidences. The anchors keep scores comparable across scenes
+    with different object counts: a lone perfect match against one input
+    scores e/(2e+1). Each row is scored as if alone: its max, exp terms
+    and sum are its own.
     """
-    padded = np.concatenate([np.asarray(sims, dtype=np.float64).ravel(), [0.0, 1.0]])
-    e = np.exp(padded - padded.max())
-    return float(np.max(e) / e.sum())
+    rows = np.asarray(rows, dtype=np.float64)
+    padded = np.zeros((rows.shape[0], rows.shape[1] + 2))
+    padded[:, :-2] = rows
+    padded[:, -1] = 1.0
+    e = np.exp(padded - padded.max(axis=1, keepdims=True))
+    return e.max(axis=1) / e.sum(axis=1)
+
+
+@dataclass(frozen=True)
+class ScenePair:
+    """One demo pair perceived under one hypothesis, as the ranking compared it.
+
+    ``sims`` is ``similarity_matrices(outputs.objects, inputs.objects)``,
+    or None when either scene has no objects.
+    """
+
+    inputs: Scene
+    outputs: Scene
+    sims: np.ndarray | None
+
+
+class RankedHypothesis(NamedTuple):
+    hypothesis: ObjectHypothesis
+    score: float
+    pairs: list[ScenePair]  # one per demo, in demo order
 
 
 def rank_object_hypotheses(
-    demos: list[tuple[Grid, Grid]], encoder: SspEncoder, palette: Vocabulary, memo: dict
-) -> list[tuple[ObjectHypothesis, float]]:
+    demos: list[tuple[Grid, Grid]], encoder: SspEncoder, palette: Vocabulary
+) -> list[RankedHypothesis]:
     """Score each segmentation hypothesis by average best-match confidence.
 
     For every output object the combined similarities to all same-demo
@@ -94,25 +119,32 @@ def rank_object_hypotheses(
     that object's confidence. A hypothesis yielding no output objects at
     all cannot be scored and sinks to -inf. Ties keep declaration order.
 
-    Every grid is perceived through ``memo``, the task's encoding memo (see
-    ``perceive``). Demos run outside and hypotheses inside; every
-    hypothesis still collects its terms in demo order.
+    This is the only place the demo grids are perceived: each once per
+    hypothesis, all through one encoding memo (see ``perceive``) that is
+    dropped on return. Demos run outside and hypotheses inside; every
+    hypothesis still collects its terms in demo order. Each hypothesis
+    comes with the scene pairs it was scored on, for the explanation to
+    read; they live as long as the caller keeps the ranking.
     """
+    memo: dict = {}
+    pairs: dict[ObjectHypothesis, list[ScenePair]] = {hyp: [] for hyp in ObjectHypothesis}
     terms: dict[ObjectHypothesis, list[float]] = {hyp: [] for hyp in ObjectHypothesis}
     for in_grid, out_grid in demos:
         for hyp in ObjectHypothesis:
-            ins = perceive(in_grid, hyp, encoder, palette, memo).objects
-            outs = perceive(out_grid, hyp, encoder, palette, memo).objects
-            if not outs:
-                continue
-            if ins:
-                matrix = similarity_matrices(outs, ins).sum(axis=0) / 3.0
-                terms[hyp].extend(padded_max_softmax(row) for row in matrix)
-            else:
-                terms[hyp].extend(padded_max_softmax([]) for _ in outs)
-    scored = [(hyp, float(np.mean(t)) if t else float("-inf")) for hyp, t in terms.items()]
+            ins = perceive(in_grid, hyp, encoder, palette, memo)
+            outs = perceive(out_grid, hyp, encoder, palette, memo)
+            sims = None
+            if outs.objects and ins.objects:
+                sims = similarity_matrices(outs.objects, ins.objects)
+                terms[hyp].extend(padded_max_softmax(sims.sum(axis=0) / 3.0).tolist())
+            elif outs.objects:
+                terms[hyp].extend(padded_max_softmax(np.zeros((len(outs.objects), 0))).tolist())
+            pairs[hyp].append(ScenePair(ins, outs, sims))
+    ranked = [
+        RankedHypothesis(hyp, float(np.mean(t)) if t else float("-inf"), pairs[hyp]) for hyp, t in terms.items()
+    ]
     order = {hyp: i for i, hyp in enumerate(ObjectHypothesis)}
-    return sorted(scored, key=lambda pair: (-pair[1], order[pair[0]]))
+    return sorted(ranked, key=lambda r: (-r.score, order[r.hypothesis]))
 
 
 # ---------------------------------------------------------------- candidates
@@ -262,33 +294,32 @@ class AbductionResult:
     optimal: bool = True  # False: the hitting set is the best found within the node budget
 
 
-def _explain_under_hypothesis(demos, hyp, size, encoder, palette, memo: dict) -> AbductionResult | str:
+def _explain_under_hypothesis(pairs: list[ScenePair], hyp, size) -> AbductionResult | str:
     """Candidate sets, hitting set and assignments for one hypothesis.
 
-    The demo grids are perceived through ``memo``, the task's encoding memo
-    the ranking filled, so their vectors are the ranking's. Returns the
-    accepted explanation, still without a trace, or the reason the
+    ``pairs`` are the ranking's scene pairs for ``hyp``, one per demo, so
+    the scenes and similarities are the ones the ranking scored. Returns
+    the accepted explanation, still without a trace, or the reason the
     hypothesis is rejected.
     """
-    in_scenes = [perceive(inp, hyp, encoder, palette, memo) for inp, _ in demos]
-    out_scenes = [perceive(out, hyp, encoder, palette, memo) for _, out in demos]
+    in_scenes = [pair.inputs for pair in pairs]
+    out_scenes = [pair.outputs for pair in pairs]
 
     items = []  # (demo_idx, out_idx, in_idx, candidate action set)
-    for demo_idx, (in_scene, out_scene) in enumerate(zip(in_scenes, out_scenes)):
-        ins = in_scene.objects
-        if not out_scene.objects:
+    for demo_idx, pair in enumerate(pairs):
+        ins = pair.inputs.objects
+        if not pair.outputs.objects:
             continue
         if not ins:
             return "output objects with no input objects to explain them"
         all_cells = frozenset().union(*(o.mask.cells for o in ins))
-        out_dims = (int(out_scene.grid.shape[0]), int(out_scene.grid.shape[1]))
-        sims = similarity_matrices(out_scene.objects, ins)
+        out_dims = (int(pair.outputs.grid.shape[0]), int(pair.outputs.grid.shape[1]))
         # Each output object matches its most similar input; first index wins ties.
-        matches = np.argmax(sims.sum(axis=0) / 3.0, axis=1)
-        for out_idx, out_obj in enumerate(out_scene.objects):
+        matches = np.argmax(pair.sims.sum(axis=0) / 3.0, axis=1)
+        for out_idx, out_obj in enumerate(pair.outputs.objects):
             in_idx = int(matches[out_idx])
             inp = ins[in_idx]
-            allowed = candidate_operations(*sims[:, out_idx, in_idx])
+            allowed = candidate_operations(*pair.sims[:, out_idx, in_idx])
             if size.kind == "function":
                 allowed = allowed | {OperationKind.EXTRACT}
             ctx = SceneContext(dims=out_dims, occupied=all_cells - inp.mask.cells)
@@ -296,6 +327,9 @@ def _explain_under_hypothesis(demos, hyp, size, encoder, palette, memo: dict) ->
             if not actions:
                 return f"demo {demo_idx} output object {out_idx} admits no action"
             items.append((demo_idx, out_idx, in_idx, actions))
+
+    if _forced_conflict(items, in_scenes):
+        return CONFLICTING_PARAMETERS
 
     action_set, cost, optimal = minimum_hitting_set([actions for *_, actions in items])
 
@@ -318,7 +352,7 @@ def _explain_under_hypothesis(demos, hyp, size, encoder, palette, memo: dict) ->
         key = (sig, a.action.kind)
         params = a.action.params
         if key in seen and seen[key] != params:
-            return "identical input objects demand conflicting parameters"
+            return CONFLICTING_PARAMETERS
         seen[key] = params
 
     total_outputs = len(items)
@@ -340,6 +374,25 @@ def _explain_under_hypothesis(demos, hyp, size, encoder, palette, memo: dict) ->
         output_scenes=out_scenes,
         optimal=optimal,
     )
+
+
+def _forced_conflict(items, in_scenes) -> bool:
+    """Whether every hitting set gives two identical input objects one kind with two parameters.
+
+    Take two items whose input objects have the same signature and whose
+    candidate actions are all of one kind K. If their candidate sets are
+    disjoint, any hitting set assigns them two different K actions, which
+    is what the consistency check after the search rejects. So this
+    rejects exactly such hypotheses, with the same reason, before the
+    search runs.
+    """
+    groups: dict[tuple, list[frozenset[Action]]] = {}
+    for demo_idx, _, in_idx, actions in items:
+        kinds = {a.kind for a in actions}
+        if len(kinds) == 1:
+            sig = in_scenes[demo_idx].objects[in_idx].signature()
+            groups.setdefault((sig, *kinds), []).append(actions)
+    return any(a.isdisjoint(b) for sets in groups.values() for a, b in combinations(sets, 2))
 
 
 def _novel_generate_fraction(assignments: list[Assignment], in_scenes) -> float:
@@ -372,15 +425,20 @@ def _novel_generate_fraction(assignments: list[Assignment], in_scenes) -> float:
 
 
 def abduce(demos: list[tuple[Grid, Grid]], encoder: SspEncoder, palette: Vocabulary) -> AbductionResult:
-    """Explain the demonstrations; never raises on unexplainable tasks."""
+    """Explain the demonstrations; never raises on unexplainable tasks.
+
+    The ranking's scene pairs, for every hypothesis, live for this call:
+    each hypothesis tried is explained from its own pairs, with no grid
+    perceived again, and only the accepted hypothesis's scenes outlive the
+    call, in the result.
+    """
     if not demos:
         return AbductionResult(False, "no demonstrations", None, SizeHypothesis("identity"))
     size = choose_size_hypothesis(demos)
-    memo: dict = {}  # the task's encoding memo, for the ranking and every explanation tried
-    ranking = rank_object_hypotheses(demos, encoder, palette, memo)
+    ranking = rank_object_hypotheses(demos, encoder, palette)
     trace: list[str] = []
-    for hyp, score in ranking:
-        explained = _explain_under_hypothesis(demos, hyp, size, encoder, palette, memo)
+    for hyp, score, pairs in ranking:
+        explained = _explain_under_hypothesis(pairs, hyp, size)
         if isinstance(explained, str):
             trace.append(f"hypothesis={hyp.value} score={score:.6f} status=rejected ({explained})")
             continue

@@ -202,15 +202,30 @@ def _same_frame(mask: ObjectMask, ctx: SceneContext, op: str) -> None:
 
 
 def _gravity(mask: ObjectMask, direction: Direction, ctx: SceneContext) -> ObjectMask:
+    """Slide the mask until one more step would leave the canvas or hit an occupied cell.
+
+    The stopping shift is found in one pass, for a mask on its canvas. Each
+    cell has a lane (its coordinate across the motion) and a depth (its
+    coordinate along it). The mask can go as far as its deepest cell is
+    from the canvas edge, and an occupied cell stops the mask cell nearest
+    behind it in its lane one step short of it.
+    """
     _same_frame(mask, ctx, "gravity")
     dr, dc = direction.step
-    cells = set(mask.cells)
-    while True:
-        shifted = _shift_cells(cells, dr, dc)
-        if not _in_bounds(shifted, ctx.dims) or shifted & ctx.occupied:
-            break
-        cells = shifted
-    return ObjectMask(mask.colour, frozenset(cells), mask.dims)
+    rows, cols = ctx.dims
+    lanes: dict[int, list[int]] = {}  # lane -> depths of the mask's cells in it
+    for r, c in mask.cells:
+        lanes.setdefault(c if dc == 0 else r, []).append(r * dr + c * dc)
+    edge = max(dr * (rows - 1), 0) + max(dc * (cols - 1), 0)
+    shift = edge - max(max(depths) for depths in lanes.values())
+    for r, c in ctx.occupied:
+        depths = lanes.get(c if dc == 0 else r)
+        if depths is not None:
+            depth = r * dr + c * dc
+            behind = [d for d in depths if d < depth]
+            if behind:
+                shift = min(shift, depth - max(behind) - 1)
+    return ObjectMask(mask.colour, frozenset(_shift_cells(mask.cells, shift * dr, shift * dc)), mask.dims)
 
 
 def _grow(mask: ObjectMask, direction: Direction, ctx: SceneContext) -> ObjectMask:
@@ -280,11 +295,11 @@ def apply_action(mask: ObjectMask, action: Action, ctx: SceneContext) -> ObjectM
         return _rehost(mask.cells, colour.value, ctx.dims)
     if kind is OperationKind.RECENTRE:
         centre: Centre = action.param("centre")  # type: ignore[assignment]
-        return _place(mask.offsets(), (centre.x, centre.y), mask.colour, ctx.dims)
+        return _place(mask.offsets, (centre.x, centre.y), mask.colour, ctx.dims)
     if kind is OperationKind.MOVE:
         amount: Amount = action.param("amount")  # type: ignore[assignment]
-        cx, cy = mask.centre_point()
-        return _place(mask.offsets(), (cx + amount.dx, cy + amount.dy), mask.colour, ctx.dims)
+        cx, cy = mask.centre_point
+        return _place(mask.offsets, (cx + amount.dx, cy + amount.dy), mask.colour, ctx.dims)
     if kind is OperationKind.GRAVITY:
         return _gravity(mask, action.param("direction"), ctx)  # type: ignore[arg-type]
     if kind is OperationKind.GROW:
@@ -295,7 +310,7 @@ def apply_action(mask: ObjectMask, action: Action, ctx: SceneContext) -> ObjectM
         return _hollow(mask, ctx)
     if kind is OperationKind.RESHAPE:
         shape: Shape = action.param("shape")  # type: ignore[assignment]
-        return _place(shape.offsets, mask.centre_point(), mask.colour, ctx.dims)
+        return _place(shape.offsets, mask.centre_point, mask.colour, ctx.dims)
     if kind is OperationKind.GENERATE:
         gen_colour: Colour = action.param("colour")  # type: ignore[assignment]
         gen_centre: Centre = action.param("centre")  # type: ignore[assignment]
@@ -332,9 +347,9 @@ def own_value(mask: ObjectMask, slot: str) -> ParamValue:
     if slot == "colour":
         return Colour(mask.colour)
     if slot == "centre":
-        return Centre(*mask.centre_point())
+        return Centre(*mask.centre_point)
     if slot == "shape":
-        return Shape(mask.offsets())
+        return Shape(mask.offsets)
     raise KeyError(slot)
 
 
@@ -353,7 +368,7 @@ def infer_actions(inp: ObjectMask, out: ObjectMask, allowed, ctx: SceneContext) 
             # Each parameter is the output object's own value for its slot.
             candidates.append(Action.make(kind, **{slot: own_value(out, slot) for slot in PARAM_SLOTS[kind]}))
         elif kind is OperationKind.MOVE:
-            (ix, iy), (ox, oy) = inp.centre_point(), out.centre_point()
+            (ix, iy), (ox, oy) = inp.centre_point, out.centre_point
             candidates.append(Action.make(kind, amount=Amount(ox - ix, oy - iy)))
         elif kind in (OperationKind.GRAVITY, OperationKind.GROW):
             candidates.extend(Action.make(kind, direction=d) for d in Direction)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from operator import attrgetter
 
 import numpy as np
 from numpy.typing import NDArray
@@ -107,25 +108,28 @@ class ObjectMask:
         if not (1 <= self.colour < NUM_COLOURS):
             raise GridError(f"object colour must be 1..9, got {self.colour}")
 
+    # The geometry below is found once per mask and kept, like a field
+    # that is not compared: equality and hashing stay on the three fields.
+    # ``segment`` fills it in from the cells its flood fill walks.
+
     @cached_property
     def bbox(self) -> tuple[int, int, int, int]:
-        """(min row, min col, max row, max col), found once per mask."""
+        """(min row, min col, max row, max col)."""
         rows = [r for r, _ in self.cells]
         cols = [c for _, c in self.cells]
         return (min(rows), min(cols), max(rows), max(cols))
 
-    def centre_rc(self) -> tuple[float, float]:
-        r0, c0, r1, c1 = self.bbox
-        return ((r0 + r1) / 2.0, (c0 + c1) / 2.0)
-
+    @cached_property
     def centre_point(self) -> tuple[float, float]:
         """Bounding-box midpoint in centred coordinates."""
-        mid_r, mid_c = self.centre_rc()
-        return to_xy(mid_r, mid_c, self.dims)
+        r0, c0, r1, c1 = self.bbox
+        return to_xy((r0 + r1) / 2.0, (c0 + c1) / 2.0, self.dims)
 
+    @cached_property
     def offsets(self) -> frozenset[tuple[float, float]]:
         """Cells relative to the bbox midpoint, as (drow, dcol); translation-free."""
-        mid_r, mid_c = self.centre_rc()
+        r0, c0, r1, c1 = self.bbox
+        mid_r, mid_c = (r0 + r1) / 2.0, (c0 + c1) / 2.0
         return frozenset((r - mid_r, c - mid_c) for r, c in self.cells)
 
     def sort_key(self) -> tuple[int, int, int]:
@@ -137,15 +141,17 @@ _FOUR = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _EIGHT = _FOUR + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def _flood_components(grid: Grid, neighbours) -> list[tuple[int, set[tuple[int, int]]]]:
-    """(colour, cells) of each same-colour component of the nonzero cells.
+def _flood_components(grid: Grid, neighbours) -> list[tuple[int, frozenset[tuple[int, int]], tuple[int, int, int, int]]]:
+    """(colour, cells, bbox) of each same-colour component of the nonzero cells.
 
     Two cells join when one is the other shifted by an offset in
     ``neighbours``; with no offsets every cell stands alone. Components
-    come in the row-major order of their first cell.
+    come in the row-major order of their first cell, and each bbox is read
+    off the flat indices the fill collects.
     """
     # Row-major cells inside a zero border, so no offset leaves the list;
     # a joined cell is zeroed, so it never starts or joins another component.
+    # Only the nonzero cells can start one, so only they are visited.
     rows, cols = grid.shape
     width = cols + 2
     padded = np.zeros((rows + 2, width), dtype=grid.dtype)
@@ -153,7 +159,8 @@ def _flood_components(grid: Grid, neighbours) -> list[tuple[int, set[tuple[int, 
     values = padded.ravel().tolist()
     steps = [dr * width + dc for dr, dc in neighbours]
     comps = []
-    for first, colour in enumerate(values):
+    for first in np.flatnonzero(padded).tolist():
+        colour = values[first]
         if colour == 0:
             continue
         values[first] = 0
@@ -167,7 +174,14 @@ def _flood_components(grid: Grid, neighbours) -> list[tuple[int, set[tuple[int, 
                     values[j] = 0
                     comp.append(j)
                     stack.append(j)
-        comps.append((colour, {(i // width - 1, i % width - 1) for i in comp}))
+        r0, c0 = divmod(first, width)
+        if len(comp) == 1:
+            comps.append((colour, frozenset({(r0 - 1, c0 - 1)}), (r0 - 1, c0 - 1, r0 - 1, c0 - 1)))
+            continue
+        # The first cell has the smallest flat index, so it lies on the top row.
+        col_of = [i % width for i in comp]
+        bbox = (r0 - 1, min(col_of) - 1, max(comp) // width - 1, max(col_of) - 1)
+        comps.append((colour, frozenset([(i // width - 1, c - 1) for i, c in zip(comp, col_of)]), bbox))
     return comps
 
 
@@ -186,17 +200,36 @@ def segment(grid: Grid, hypothesis: ObjectHypothesis) -> list[ObjectMask]:
     COLOUR groups every cell of a colour; each other hypothesis is a flood
     fill over its neighbourhood. The result is ordered by (min row, min col,
     colour) of each mask, which fixes object identity everywhere downstream.
+    Each mask's bbox comes from the cells as they are collected, so no mask
+    scans its cells for it again.
     """
     if hypothesis is ObjectHypothesis.COLOUR:
-        groups = [
-            (colour, {(int(r), int(c)) for r, c in zip(*np.nonzero(grid == colour))})
-            for colour in sorted(set(grid[grid > 0].tolist()))
-        ]
+        groups = []
+        for colour in sorted(set(grid[grid > 0].tolist())):
+            rows, cols = np.nonzero(grid == colour)
+            bbox = (int(rows[0]), int(cols.min()), int(rows[-1]), int(cols.max()))
+            groups.append((colour, frozenset(zip(rows.tolist(), cols.tolist())), bbox))
     else:
         groups = _flood_components(grid, _NEIGHBOURS[hypothesis])
     dims = (int(grid.shape[0]), int(grid.shape[1]))
-    masks = [ObjectMask(colour, frozenset(cells), dims) for colour, cells in groups]
+    masks = [_measured(ObjectMask(colour, cells, dims), bbox) for colour, cells, bbox in groups]
     return sorted(masks, key=ObjectMask.sort_key)
+
+
+def _measured(mask: ObjectMask, bbox: tuple[int, int, int, int]) -> ObjectMask:
+    """``mask`` with its bbox, centre point and offsets filled in from ``bbox``.
+
+    Each value is the one its cached property would compute, stored where
+    that property keeps it.
+    """
+    r0, c0, r1, c1 = bbox
+    mid_r, mid_c = (r0 + r1) / 2.0, (c0 + c1) / 2.0
+    mask.__dict__.update(
+        bbox=bbox,
+        centre_point=to_xy(mid_r, mid_c, mask.dims),
+        offsets=frozenset([(r - mid_r, c - mid_c) for r, c in mask.cells]),
+    )
+    return mask
 
 
 # ---------------------------------------------------------------- encoding
@@ -216,6 +249,7 @@ def _blur_weights(sigma: float) -> NDArray[np.float64]:
 
 # The object properties, each carried by one vector, in canonical order.
 PROPERTIES = ("colour", "centre", "shape")
+_PROPERTY_FIELDS = {name: attrgetter(f"{name}_vec") for name in PROPERTIES}
 
 
 @dataclass
@@ -228,14 +262,12 @@ class ObjectRepr:
     shape_vec: HyperVector
 
     def vector(self, name: str) -> HyperVector:
-        """The vector of property ``name``, one of ``PROPERTIES``."""
-        if name not in PROPERTIES:
-            raise KeyError(name)
-        return getattr(self, f"{name}_vec")
+        """The vector of property ``name``, one of ``PROPERTIES``; KeyError for any other name."""
+        return _PROPERTY_FIELDS[name](self)
 
     def signature(self):
         """Exact identity of the object up to the grid frame: colour, centre, shape."""
-        return (self.mask.colour, self.mask.centre_point(), self.mask.offsets())
+        return (self.mask.colour, self.mask.centre_point, self.mask.offsets)
 
 
 @dataclass
@@ -272,14 +304,14 @@ def encode_object(
     """
     colour_vec = palette[mask.colour]
     cache = {} if cache is None else cache
-    centre = mask.centre_point()
+    centre = mask.centre_point
     centre_vec = cache.get(centre)
     if centre_vec is None:
         cx, cy = centre
         stencil = np.array([(cx + dx, cy + dy) for dx, dy in _BLUR_OFFSETS])
         blurred = _blur_weights(BLUR_SIGMA) @ encoder.encode_many(stencil)
         centre_vec = cache[centre] = vsa.normalize(blurred)
-    offsets = mask.offsets()
+    offsets = mask.offsets
     shape_vec = cache.get(offsets)
     if shape_vec is None:
         shape_vec = cache[offsets] = shape_bundle(offsets, encoder)
@@ -299,10 +331,11 @@ def perceive(
 
     Each distinct centre and shape is encoded once per call, or once per
     ``cache`` when the caller passes one (see ``encode_object``). The
-    solver keeps one per task: ``abduction.abduce`` perceives every demo
-    grid, for the ranking and each explanation it tries, through one dict
-    and drops it on return. Keys are centred points and offset sets, so
-    grids of different dims share a cache exactly.
+    solver perceives each demo grid once per hypothesis, in
+    ``abduction.rank_object_hypotheses``, through one dict per ``abduce``
+    call; the scenes it returns are kept for that call's explanations.
+    Keys are centred points and offset sets, so grids of different dims
+    share a cache exactly.
     """
     cache = {} if cache is None else cache
     masks = segment(grid, hypothesis)

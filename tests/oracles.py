@@ -315,6 +315,13 @@ def similarity_matrices_direct(outs, ins) -> np.ndarray:
     return sims
 
 
+def padded_max_softmax_direct(sims) -> float:
+    """Softmax confidence of one row's best match, padded with anchors 0 and 1."""
+    padded = np.concatenate([np.asarray(sims, dtype=np.float64).ravel(), [0.0, 1.0]])
+    e = np.exp(padded - padded.max())
+    return float(np.max(e) / e.sum())
+
+
 def rank_hypotheses_direct(demos, hypotheses, objects_of, similarity_matrices, padded_max_softmax):
     """Segmentation hypotheses ranked by mean best-match confidence, one
     hypothesis at a time over every demo (the original loop order).
@@ -437,6 +444,19 @@ def segment_direct(grid, hypothesis: str) -> list[tuple[int, frozenset]]:
         return (min(r for r, _ in cells), min(c for _, c in cells), colour)
 
     return sorted(masks, key=key)
+
+
+def gravity_direct(cells, step, dims, occupied) -> frozenset:
+    """Shift the cell set one step at a time until the next step would leave
+    the canvas or overlap an occupied cell."""
+    dr, dc = step
+    rows, cols = dims
+    cells = set(cells)
+    while True:
+        shifted = {(r + dr, c + dc) for r, c in cells}
+        if not all(0 <= r < rows and 0 <= c < cols for r, c in shifted) or shifted & occupied:
+            return frozenset(cells)
+        cells = shifted
 
 
 def interior_holes_direct(cells, dims) -> set:

@@ -16,6 +16,7 @@ from hologrid.dsl import Action, Amount, Colour, OperationKind as Op
 from oracles import (
     hitting_sets_brute_force,
     minimum_hitting_set_direct,
+    padded_max_softmax_direct,
     rank_hypotheses_direct,
     similarity_matrices_direct,
     softmax_direct,
@@ -52,17 +53,27 @@ def test_choose_size_hypothesis():
 def test_padded_max_softmax_golden_value():
     # softmax over [1, 0, 1] peaks at e / (2e + 1)
     expected = np.e / (2 * np.e + 1)
-    assert ab.padded_max_softmax([1.0]) == pytest.approx(expected, abs=1e-12)
-    assert ab.padded_max_softmax([1.0]) == pytest.approx(
-        float(np.max(softmax_direct([1.0, 0.0, 1.0]))), abs=1e-12
-    )
+    (score,) = ab.padded_max_softmax([[1.0]])
+    assert score == pytest.approx(expected, abs=1e-12)
+    assert score == pytest.approx(float(np.max(softmax_direct([1.0, 0.0, 1.0]))), abs=1e-12)
 
 
 def test_padded_max_softmax_dilutes_with_more_objects():
-    assert ab.padded_max_softmax([1.0, 0.0]) < ab.padded_max_softmax([1.0])
-    assert ab.padded_max_softmax([]) == pytest.approx(
+    assert ab.padded_max_softmax([[1.0, 0.0]])[0] < ab.padded_max_softmax([[1.0]])[0]
+    assert ab.padded_max_softmax(np.zeros((1, 0)))[0] == pytest.approx(
         float(np.max(softmax_direct([0.0, 1.0]))), abs=1e-12
     )
+
+
+def test_padded_max_softmax_scores_each_row_as_the_per_row_formula_bitwise():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        rows, cols = (int(v) for v in rng.integers(0, 70, size=2))
+        sims = rng.uniform(-0.3, 1.0, size=(rows + 1, cols))
+        sims[rng.random(sims.shape) < 0.1] = 1.0  # exact ties with the anchor
+        got = ab.padded_max_softmax(sims)
+        assert got.shape == (rows + 1,)
+        assert got.tolist() == [padded_max_softmax_direct(row) for row in sims]
 
 
 def test_correspondence_prefers_recoloured_copy_over_unrelated():
@@ -114,7 +125,7 @@ def fresh_objects(grid, hyp):
 
 def rank_direct(demos):
     return rank_hypotheses_direct(
-        demos, list(pc.ObjectHypothesis), fresh_objects, ab.similarity_matrices, ab.padded_max_softmax
+        demos, list(pc.ObjectHypothesis), fresh_objects, ab.similarity_matrices, padded_max_softmax_direct
     )
 
 
@@ -144,9 +155,37 @@ def test_rank_matches_the_hypothesis_outer_oracle_exactly():
     cases.append([(blank, dot), (dot, dot)])  # an output with no input objects
     cases.append([(dot, blank)] + arc30_demos(rng, count=1))  # one demo with an empty output
     for demos in cases:
-        ranked = ab.rank_object_hypotheses(demos, ENC, PALETTE, {})
-        assert ranked == rank_direct(demos)
-    assert all(score == float("-inf") for _, score in ab.rank_object_hypotheses([(dot, blank)], ENC, PALETTE, {}))
+        ranked = ab.rank_object_hypotheses(demos, ENC, PALETTE)
+        assert [(r.hypothesis, r.score) for r in ranked] == rank_direct(demos)
+    assert all(r.score == float("-inf") for r in ab.rank_object_hypotheses([(dot, blank)], ENC, PALETTE))
+
+
+def test_ranked_scene_pairs_equal_fresh_perception_bitwise():
+    rng = np.random.default_rng(9)
+    cases = [task.train for task in hn.generate_sort_of_arc(4, seed=11)]
+    cases += [arc30_demos(rng, objects=10) for _ in range(2)]
+    compared = 0
+    for demos in cases:
+        for ranked in ab.rank_object_hypotheses(demos, ENC, PALETTE):
+            assert len(ranked.pairs) == len(demos)
+            for (in_grid, out_grid), pair in zip(demos, ranked.pairs):
+                ins = pc.perceive(in_grid, ranked.hypothesis, ENC, PALETTE).objects
+                outs = pc.perceive(out_grid, ranked.hypothesis, ENC, PALETTE).objects
+                for kept, fresh in ((pair.inputs, ins), (pair.outputs, outs)):
+                    assert kept.hypothesis is ranked.hypothesis
+                    assert [o.mask for o in kept.objects] == [o.mask for o in fresh]
+                    for a, b in zip(kept.objects, fresh):
+                        for name in pc.PROPERTIES:
+                            assert np.array_equal(a.vector(name), b.vector(name))
+                if not (ins and outs):
+                    assert pair.sims is None
+                    continue
+                sims = ab.similarity_matrices(outs, ins)
+                assert np.array_equal(pair.sims, sims)
+                scores = [padded_max_softmax_direct(row) for row in sims.sum(axis=0) / 3.0]
+                assert ab.padded_max_softmax(pair.sims.sum(axis=0) / 3.0).tolist() == scores
+                compared += len(outs)
+    assert compared > 1000
 
 
 def recorded_perceive_calls(monkeypatch):
@@ -172,9 +211,9 @@ def test_abduce_perceives_every_demo_grid_through_one_memo_per_call(monkeypatch)
     first = ab.abduce(task.train, ENC, PALETTE)
     assert first.ok
     memos = [args[4] for args in calls]
-    # Ranking: every demo grid under every hypothesis; then the accepted
-    # hypothesis's demo grids again.
-    assert len(memos) == 2 * len(task.train) * (len(pc.ObjectHypothesis) + 1)
+    # The ranking perceives every demo grid under every hypothesis, and
+    # the explanation perceives nothing again.
+    assert len(memos) == 2 * len(task.train) * len(pc.ObjectHypothesis)
     assert all(memo is memos[0] for memo in memos)
     # The calls still hold the first memo, so a new one cannot reuse its id.
     calls.clear()
@@ -184,39 +223,43 @@ def test_abduce_perceives_every_demo_grid_through_one_memo_per_call(monkeypatch)
     calls.clear()
     _, diagnostics = deduction.solve_task(task, ENC, PALETTE)
     assert diagnostics.ok
-    assert len(calls) == (len(pc.ObjectHypothesis) + 1) * 2 * len(task.train) + len(task.test) == 71
+    assert len(calls) == len(pc.ObjectHypothesis) * 2 * len(task.train) + len(task.test) == 61
 
 
 def test_a_rejected_hypothesis_hands_the_memo_to_the_next(monkeypatch):
     task = hn.generate_sort_of_arc(1, seed=5)[0]
-    ranking = ab.rank_object_hypotheses(task.train, ENC, PALETTE, {})
-    ranked_memos, explained_memos = [], []
+    calls = recorded_perceive_calls(monkeypatch)
+    rankings, explained = [], []
     rank, explain = ab.rank_object_hypotheses, ab._explain_under_hypothesis
 
-    def ranking_with(demos, encoder, palette, memo):
-        ranked_memos.append(memo)
-        return rank(demos, encoder, palette, memo)
+    def ranking_with(demos, encoder, palette):
+        rankings.append(rank(demos, encoder, palette))
+        return rankings[-1]
 
-    def reject_the_first(demos, hyp, size, encoder, palette, memo):
-        explained_memos.append((hyp, memo, len(memo)))
-        if len(explained_memos) == 1:
+    def reject_the_first(pairs, hyp, size):
+        explained.append((hyp, pairs, len(calls)))
+        if len(explained) == 1:
             return "rejected by the test"
-        return explain(demos, hyp, size, encoder, palette, memo)
+        return explain(pairs, hyp, size)
 
     monkeypatch.setattr(ab, "rank_object_hypotheses", ranking_with)
     monkeypatch.setattr(ab, "_explain_under_hypothesis", reject_the_first)
     result = ab.abduce(task.train, ENC, PALETTE)
-    assert result.ok and result.hypothesis is ranking[1][0]
-    assert [hyp for hyp, _, _ in explained_memos] == [ranking[0][0], ranking[1][0]]
-    (memo,) = ranked_memos
-    assert all(m is memo for _, m, _ in explained_memos)
-    # The ranking encoded every hypothesis's centres and shapes, so neither
-    # explanation adds to the memo, and each accepted vector is the memo's.
-    assert explained_memos[0][2] == explained_memos[1][2] == len(memo) > 0
+    (ranking,) = rankings
+    assert result.ok and result.hypothesis is ranking[1].hypothesis
+    # Each explanation reads its hypothesis's pairs from the one ranking,
+    # and neither perceives a grid: all 60 perceptions are the ranking's.
+    assert [hyp for hyp, _, _ in explained] == [r.hypothesis for r in ranking[:2]]
+    assert all(pairs is r.pairs for (_, pairs, _), r in zip(explained, ranking))
+    assert [count for *_, count in explained] == [60, 60] and len(calls) == 60
+    assert all(a is p.inputs for a, p in zip(result.input_scenes, ranking[1].pairs))
+    assert all(a is p.outputs for a, p in zip(result.output_scenes, ranking[1].pairs))
+    # The accepted vectors are the ranking memo's.
+    (memo,) = {id(args[4]): args[4] for args in calls}.values()
     for scene in result.input_scenes + result.output_scenes:
         for o in scene.objects:
-            assert o.centre_vec is memo[o.mask.centre_point()]
-            assert o.shape_vec is memo[o.mask.offsets()]
+            assert o.centre_vec is memo[o.mask.centre_point]
+            assert o.shape_vec is memo[o.mask.offsets]
 
 
 def test_abduce_scene_vectors_equal_fresh_encodings_bitwise():
@@ -475,6 +518,32 @@ def test_abduce_rejects_contradictory_demos():
     assert not result.ok
     assert result.reason == "every segmentation hypothesis was rejected"
     assert any("conflicting parameters" in line for line in result.trace)
+
+
+def test_a_forced_conflict_is_rejected_before_the_search(monkeypatch):
+    # One input pixel, identical in both demos, becomes a pixel of another
+    # colour elsewhere: colour and centre change, so only generate explains
+    # it, and the two demos ask for disjoint generate actions.
+    pixel = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    demos = [demo(pixel, [[0, 0, 0], [0, 0, 0], [0, 0, 2]]), demo(pixel, [[0, 0, 0], [0, 0, 0], [3, 0, 0]])]
+    # Without the pre-check, each hypothesis is searched, then rejected.
+    searches = []
+    search = ab.minimum_hitting_set
+    monkeypatch.setattr(ab, "_forced_conflict", lambda items, in_scenes: False)
+    monkeypatch.setattr(ab, "minimum_hitting_set", lambda sets: searches.append(sets) or search(sets))
+    after_search = ab.abduce(demos, ENC, PALETTE)
+    assert len(searches) == len(pc.ObjectHypothesis)
+    monkeypatch.undo()
+
+    def never(partial_sets):
+        raise AssertionError("the hitting set was searched")
+
+    monkeypatch.setattr(ab, "minimum_hitting_set", never)
+    result = ab.abduce(demos, ENC, PALETTE)
+    assert not result.ok and result.reason == "every segmentation hypothesis was rejected"
+    assert len(result.trace) == len(pc.ObjectHypothesis)
+    assert all(line.endswith(f"status=rejected ({ab.CONFLICTING_PARAMETERS})") for line in result.trace)
+    assert result.trace == after_search.trace
 
 
 def test_abduce_rejects_pure_memorization():

@@ -9,7 +9,7 @@ import pytest
 from hologrid import dsl, perception as pc
 from hologrid.dsl import Action, Amount, Centre, Colour, Direction, OperationKind as Op, SceneContext, Shape
 
-from oracles import interior_holes_direct
+from oracles import gravity_direct, interior_holes_direct
 
 
 def mask(grid_rows, colour=None):
@@ -56,7 +56,7 @@ def test_distinct_actions_have_distinct_sort_keys():
     while len(shapes) < 300:
         picks = rng.integers(0, 6, size=(int(rng.integers(1, 10)), 2))
         cells = frozenset((int(r), int(c)) for r, c in picks)
-        shapes.setdefault(Shape(pc.ObjectMask(1, cells, (6, 6)).offsets()), None)
+        shapes.setdefault(Shape(pc.ObjectMask(1, cells, (6, 6)).offsets), None)
     shapes = list(shapes)
     colours = [Colour(v) for v in range(1, 10)]
     actions = [Action.make(kind) for kind in Op if not dsl.PARAM_SLOTS[kind]]
@@ -144,7 +144,7 @@ def test_move_across_frames_with_half_integer_amount():
     for r, c in [(1, 1), (1, 2), (2, 1)]:
         g[r, c] = 2
     m = pc.segment(pc.as_grid(g), pc.ObjectHypothesis.COLOUR)[0]
-    assert m.centre_point() == (-2.5, 2.5)
+    assert m.centre_point == (-2.5, 2.5)
     target = SceneContext(dims=(4, 4), occupied=frozenset())
     out = dsl.apply_action(m, Action.make(Op.MOVE, amount=Amount(3.5, -1.5)), target)
     assert out.dims == (4, 4)
@@ -178,6 +178,37 @@ def test_gravity_noop_when_already_touching():
     m = mask([[0, 0], [8, 0]])
     out = dsl.apply_action(m, Action.make(Op.GRAVITY, direction=Direction.DOWN), ctx_for(m))
     assert out == m
+
+
+def test_gravity_matches_the_step_by_step_oracle():
+    rng = np.random.default_rng(44)
+    gravity = [Action.make(Op.GRAVITY, direction=d) for d in Direction]
+    cases = []
+    for _ in range(150):
+        dims = tuple(int(v) for v in rng.integers(1, 31, size=2))
+        # A few cells inside a box of up to 4x4, and scattered occupied cells.
+        h, w = (int(rng.integers(1, min(4, d) + 1)) for d in dims)
+        r0, c0 = int(rng.integers(dims[0] - h + 1)), int(rng.integers(dims[1] - w + 1))
+        cells = {(r0 + r, c0 + c) for r, c in np.argwhere(rng.random((h, w)) < 0.6).tolist()} or {(r0, c0)}
+        m = pc.ObjectMask(int(rng.integers(1, 10)), frozenset(cells), dims)
+        occupied = {tuple(c) for c in np.argwhere(rng.random(dims) < rng.random() * 0.15).tolist()}
+        # Other objects' cells; some cases also list cells of the mask itself.
+        cases.append((m, frozenset(occupied if len(cases) % 3 == 0 else occupied - cells)))
+    # A bar with an occupied cell next to it on every side moves nowhere.
+    bar = pc.ObjectMask(3, frozenset({(2, 2), (2, 3)}), (5, 6))
+    walled = frozenset({(1, 2), (3, 3), (2, 1), (2, 4)})
+    cases.append((bar, walled))
+    moved = stayed = 0
+    for m, occupied in cases:
+        for action in gravity:
+            got = dsl.apply_action(m, action, ctx_for(m, occupied))
+            want = gravity_direct(m.cells, action.param("direction").step, m.dims, occupied)
+            assert got.cells == want and got.colour == m.colour and got.dims == m.dims
+            moved += want != m.cells
+            stayed += want == m.cells
+    for action in gravity:
+        assert dsl.apply_action(bar, action, ctx_for(bar, walled)) == bar
+    assert moved > 300 and stayed > 100
 
 
 def test_grow_extends_leading_edge_to_boundary():
