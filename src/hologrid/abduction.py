@@ -20,7 +20,6 @@ memorized one-off Generate actions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +35,6 @@ PARAM_COST = 1
 TAU_SAME = 0.95
 NODE_BUDGET = 200_000  # branch-and-bound nodes per hitting-set search
 NOVEL_GENERATE_SHARE = 0.5  # above this share of one-off generate actions, a hypothesis is rejected
-CONFLICTING_PARAMETERS = "identical input objects demand conflicting parameters"
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,10 @@ def similarity_matrices(outs: list[ObjectRepr], ins: list[ObjectRepr]) -> np.nda
     combined similarity that ranks hypotheses and matches objects.
     """
     return np.stack(
-        [np.array([o.vector(p) for o in outs]) @ np.array([i.vector(p) for i in ins]).T for p in PROPERTIES]
+        [
+            np.stack([o.vector(p) for o in outs]) @ np.stack([i.vector(p) for i in ins]).T
+            for p in PROPERTIES
+        ]
     )
 
 
@@ -328,9 +329,6 @@ def _explain_under_hypothesis(pairs: list[ScenePair], hyp, size) -> AbductionRes
                 return f"demo {demo_idx} output object {out_idx} admits no action"
             items.append((demo_idx, out_idx, in_idx, actions))
 
-    if _forced_conflict(items, in_scenes):
-        return CONFLICTING_PARAMETERS
-
     action_set, cost, optimal = minimum_hitting_set([actions for *_, actions in items])
 
     # Deterministic assignment: the action explaining the most objects wins,
@@ -352,7 +350,7 @@ def _explain_under_hypothesis(pairs: list[ScenePair], hyp, size) -> AbductionRes
         key = (sig, a.action.kind)
         params = a.action.params
         if key in seen and seen[key] != params:
-            return CONFLICTING_PARAMETERS
+            return "identical input objects demand conflicting parameters"
         seen[key] = params
 
     total_outputs = len(items)
@@ -374,25 +372,6 @@ def _explain_under_hypothesis(pairs: list[ScenePair], hyp, size) -> AbductionRes
         output_scenes=out_scenes,
         optimal=optimal,
     )
-
-
-def _forced_conflict(items, in_scenes) -> bool:
-    """Whether every hitting set gives two identical input objects one kind with two parameters.
-
-    Take two items whose input objects have the same signature and whose
-    candidate actions are all of one kind K. If their candidate sets are
-    disjoint, any hitting set assigns them two different K actions, which
-    is what the consistency check after the search rejects. So this
-    rejects exactly such hypotheses, with the same reason, before the
-    search runs.
-    """
-    groups: dict[tuple, list[frozenset[Action]]] = {}
-    for demo_idx, _, in_idx, actions in items:
-        kinds = {a.kind for a in actions}
-        if len(kinds) == 1:
-            sig = in_scenes[demo_idx].objects[in_idx].signature()
-            groups.setdefault((sig, *kinds), []).append(actions)
-    return any(a.isdisjoint(b) for sets in groups.values() for a, b in combinations(sets, 2))
 
 
 def _novel_generate_fraction(assignments: list[Assignment], in_scenes) -> float:

@@ -295,11 +295,11 @@ def apply_action(mask: ObjectMask, action: Action, ctx: SceneContext) -> ObjectM
         return _rehost(mask.cells, colour.value, ctx.dims)
     if kind is OperationKind.RECENTRE:
         centre: Centre = action.param("centre")  # type: ignore[assignment]
-        return _place(mask.offsets, (centre.x, centre.y), mask.colour, ctx.dims)
+        return _place(mask.offsets(), (centre.x, centre.y), mask.colour, ctx.dims)
     if kind is OperationKind.MOVE:
         amount: Amount = action.param("amount")  # type: ignore[assignment]
-        cx, cy = mask.centre_point
-        return _place(mask.offsets, (cx + amount.dx, cy + amount.dy), mask.colour, ctx.dims)
+        cx, cy = mask.centre_point()
+        return _place(mask.offsets(), (cx + amount.dx, cy + amount.dy), mask.colour, ctx.dims)
     if kind is OperationKind.GRAVITY:
         return _gravity(mask, action.param("direction"), ctx)  # type: ignore[arg-type]
     if kind is OperationKind.GROW:
@@ -310,7 +310,7 @@ def apply_action(mask: ObjectMask, action: Action, ctx: SceneContext) -> ObjectM
         return _hollow(mask, ctx)
     if kind is OperationKind.RESHAPE:
         shape: Shape = action.param("shape")  # type: ignore[assignment]
-        return _place(shape.offsets, mask.centre_point, mask.colour, ctx.dims)
+        return _place(shape.offsets, mask.centre_point(), mask.colour, ctx.dims)
     if kind is OperationKind.GENERATE:
         gen_colour: Colour = action.param("colour")  # type: ignore[assignment]
         gen_centre: Centre = action.param("centre")  # type: ignore[assignment]
@@ -347,9 +347,9 @@ def own_value(mask: ObjectMask, slot: str) -> ParamValue:
     if slot == "colour":
         return Colour(mask.colour)
     if slot == "centre":
-        return Centre(*mask.centre_point)
+        return Centre(*mask.centre_point())
     if slot == "shape":
-        return Shape(mask.offsets)
+        return Shape(mask.offsets())
     raise KeyError(slot)
 
 
@@ -368,7 +368,7 @@ def infer_actions(inp: ObjectMask, out: ObjectMask, allowed, ctx: SceneContext) 
             # Each parameter is the output object's own value for its slot.
             candidates.append(Action.make(kind, **{slot: own_value(out, slot) for slot in PARAM_SLOTS[kind]}))
         elif kind is OperationKind.MOVE:
-            (ix, iy), (ox, oy) = inp.centre_point, out.centre_point
+            (ix, iy), (ox, oy) = inp.centre_point(), out.centre_point()
             candidates.append(Action.make(kind, amount=Amount(ox - ix, oy - iy)))
         elif kind in (OperationKind.GRAVITY, OperationKind.GROW):
             candidates.extend(Action.make(kind, direction=d) for d in Direction)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from operator import attrgetter
 
 import numpy as np
 from numpy.typing import NDArray
@@ -108,28 +107,28 @@ class ObjectMask:
         if not (1 <= self.colour < NUM_COLOURS):
             raise GridError(f"object colour must be 1..9, got {self.colour}")
 
-    # The geometry below is found once per mask and kept, like a field
-    # that is not compared: equality and hashing stay on the three fields.
-    # ``segment`` fills it in from the cells its flood fill walks.
-
     @cached_property
     def bbox(self) -> tuple[int, int, int, int]:
-        """(min row, min col, max row, max col)."""
+        """(min row, min col, max row, max col), found once per mask.
+
+        ``segment`` fills it in from the cells its flood fill collects.
+        """
         rows = [r for r, _ in self.cells]
         cols = [c for _, c in self.cells]
         return (min(rows), min(cols), max(rows), max(cols))
 
-    @cached_property
+    def centre_rc(self) -> tuple[float, float]:
+        r0, c0, r1, c1 = self.bbox
+        return ((r0 + r1) / 2.0, (c0 + c1) / 2.0)
+
     def centre_point(self) -> tuple[float, float]:
         """Bounding-box midpoint in centred coordinates."""
-        r0, c0, r1, c1 = self.bbox
-        return to_xy((r0 + r1) / 2.0, (c0 + c1) / 2.0, self.dims)
+        mid_r, mid_c = self.centre_rc()
+        return to_xy(mid_r, mid_c, self.dims)
 
-    @cached_property
     def offsets(self) -> frozenset[tuple[float, float]]:
         """Cells relative to the bbox midpoint, as (drow, dcol); translation-free."""
-        r0, c0, r1, c1 = self.bbox
-        mid_r, mid_c = (r0 + r1) / 2.0, (c0 + c1) / 2.0
+        mid_r, mid_c = self.centre_rc()
         return frozenset((r - mid_r, c - mid_c) for r, c in self.cells)
 
     def sort_key(self) -> tuple[int, int, int]:
@@ -212,24 +211,12 @@ def segment(grid: Grid, hypothesis: ObjectHypothesis) -> list[ObjectMask]:
     else:
         groups = _flood_components(grid, _NEIGHBOURS[hypothesis])
     dims = (int(grid.shape[0]), int(grid.shape[1]))
-    masks = [_measured(ObjectMask(colour, cells, dims), bbox) for colour, cells, bbox in groups]
+    masks = []
+    for colour, cells, bbox in groups:
+        mask = ObjectMask(colour, cells, dims)
+        mask.__dict__["bbox"] = bbox  # where the cached property keeps it
+        masks.append(mask)
     return sorted(masks, key=ObjectMask.sort_key)
-
-
-def _measured(mask: ObjectMask, bbox: tuple[int, int, int, int]) -> ObjectMask:
-    """``mask`` with its bbox, centre point and offsets filled in from ``bbox``.
-
-    Each value is the one its cached property would compute, stored where
-    that property keeps it.
-    """
-    r0, c0, r1, c1 = bbox
-    mid_r, mid_c = (r0 + r1) / 2.0, (c0 + c1) / 2.0
-    mask.__dict__.update(
-        bbox=bbox,
-        centre_point=to_xy(mid_r, mid_c, mask.dims),
-        offsets=frozenset([(r - mid_r, c - mid_c) for r, c in mask.cells]),
-    )
-    return mask
 
 
 # ---------------------------------------------------------------- encoding
@@ -249,7 +236,6 @@ def _blur_weights(sigma: float) -> NDArray[np.float64]:
 
 # The object properties, each carried by one vector, in canonical order.
 PROPERTIES = ("colour", "centre", "shape")
-_PROPERTY_FIELDS = {name: attrgetter(f"{name}_vec") for name in PROPERTIES}
 
 
 @dataclass
@@ -262,12 +248,14 @@ class ObjectRepr:
     shape_vec: HyperVector
 
     def vector(self, name: str) -> HyperVector:
-        """The vector of property ``name``, one of ``PROPERTIES``; KeyError for any other name."""
-        return _PROPERTY_FIELDS[name](self)
+        """The vector of property ``name``, one of ``PROPERTIES``."""
+        if name not in PROPERTIES:
+            raise KeyError(name)
+        return getattr(self, f"{name}_vec")
 
     def signature(self):
         """Exact identity of the object up to the grid frame: colour, centre, shape."""
-        return (self.mask.colour, self.mask.centre_point, self.mask.offsets)
+        return (self.mask.colour, self.mask.centre_point(), self.mask.offsets())
 
 
 @dataclass
@@ -304,14 +292,14 @@ def encode_object(
     """
     colour_vec = palette[mask.colour]
     cache = {} if cache is None else cache
-    centre = mask.centre_point
+    centre = mask.centre_point()
     centre_vec = cache.get(centre)
     if centre_vec is None:
         cx, cy = centre
         stencil = np.array([(cx + dx, cy + dy) for dx, dy in _BLUR_OFFSETS])
         blurred = _blur_weights(BLUR_SIGMA) @ encoder.encode_many(stencil)
         centre_vec = cache[centre] = vsa.normalize(blurred)
-    offsets = mask.offsets
+    offsets = mask.offsets()
     shape_vec = cache.get(offsets)
     if shape_vec is None:
         shape_vec = cache[offsets] = shape_bundle(offsets, encoder)

@@ -258,8 +258,8 @@ def test_a_rejected_hypothesis_hands_the_memo_to_the_next(monkeypatch):
     (memo,) = {id(args[4]): args[4] for args in calls}.values()
     for scene in result.input_scenes + result.output_scenes:
         for o in scene.objects:
-            assert o.centre_vec is memo[o.mask.centre_point]
-            assert o.shape_vec is memo[o.mask.offsets]
+            assert o.centre_vec is memo[o.mask.centre_point()]
+            assert o.shape_vec is memo[o.mask.offsets()]
 
 
 def test_abduce_scene_vectors_equal_fresh_encodings_bitwise():
@@ -518,32 +518,6 @@ def test_abduce_rejects_contradictory_demos():
     assert not result.ok
     assert result.reason == "every segmentation hypothesis was rejected"
     assert any("conflicting parameters" in line for line in result.trace)
-
-
-def test_a_forced_conflict_is_rejected_before_the_search(monkeypatch):
-    # One input pixel, identical in both demos, becomes a pixel of another
-    # colour elsewhere: colour and centre change, so only generate explains
-    # it, and the two demos ask for disjoint generate actions.
-    pixel = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-    demos = [demo(pixel, [[0, 0, 0], [0, 0, 0], [0, 0, 2]]), demo(pixel, [[0, 0, 0], [0, 0, 0], [3, 0, 0]])]
-    # Without the pre-check, each hypothesis is searched, then rejected.
-    searches = []
-    search = ab.minimum_hitting_set
-    monkeypatch.setattr(ab, "_forced_conflict", lambda items, in_scenes: False)
-    monkeypatch.setattr(ab, "minimum_hitting_set", lambda sets: searches.append(sets) or search(sets))
-    after_search = ab.abduce(demos, ENC, PALETTE)
-    assert len(searches) == len(pc.ObjectHypothesis)
-    monkeypatch.undo()
-
-    def never(partial_sets):
-        raise AssertionError("the hitting set was searched")
-
-    monkeypatch.setattr(ab, "minimum_hitting_set", never)
-    result = ab.abduce(demos, ENC, PALETTE)
-    assert not result.ok and result.reason == "every segmentation hypothesis was rejected"
-    assert len(result.trace) == len(pc.ObjectHypothesis)
-    assert all(line.endswith(f"status=rejected ({ab.CONFLICTING_PARAMETERS})") for line in result.trace)
-    assert result.trace == after_search.trace
 
 
 def test_abduce_rejects_pure_memorization():

@@ -56,7 +56,7 @@ def test_distinct_actions_have_distinct_sort_keys():
     while len(shapes) < 300:
         picks = rng.integers(0, 6, size=(int(rng.integers(1, 10)), 2))
         cells = frozenset((int(r), int(c)) for r, c in picks)
-        shapes.setdefault(Shape(pc.ObjectMask(1, cells, (6, 6)).offsets), None)
+        shapes.setdefault(Shape(pc.ObjectMask(1, cells, (6, 6)).offsets()), None)
     shapes = list(shapes)
     colours = [Colour(v) for v in range(1, 10)]
     actions = [Action.make(kind) for kind in Op if not dsl.PARAM_SLOTS[kind]]
@@ -144,7 +144,7 @@ def test_move_across_frames_with_half_integer_amount():
     for r, c in [(1, 1), (1, 2), (2, 1)]:
         g[r, c] = 2
     m = pc.segment(pc.as_grid(g), pc.ObjectHypothesis.COLOUR)[0]
-    assert m.centre_point == (-2.5, 2.5)
+    assert m.centre_point() == (-2.5, 2.5)
     target = SceneContext(dims=(4, 4), occupied=frozenset())
     out = dsl.apply_action(m, Action.make(Op.MOVE, amount=Amount(3.5, -1.5)), target)
     assert out.dims == (4, 4)

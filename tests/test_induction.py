@@ -464,16 +464,16 @@ def test_copy_parameter_shortcut_colour():
 
 def test_copy_parameter_shortcut_centre():
     objs = [square(3, 0, 0), square(5, 4, 4), square(6, 2, 3)]
-    pairs = [(o, Centre(*o.mask.centre_point)) for o in objs]
+    pairs = [(o, Centre(*o.mask.centre_point())) for o in objs]
     pred = ind.train_parameter_predictor(pairs, "centre", ("shape",), CODEC)
     assert isinstance(pred, ind.CopyParameter) and pred.prop == "centre"
     probe = square(1, 1, 1)
-    assert pred.predict(probe, (7, 7), CODEC) == Centre(*probe.mask.centre_point)
+    assert pred.predict(probe, (7, 7), CODEC) == Centre(*probe.mask.centre_point())
 
 
 def test_copy_parameter_shortcut_shape():
     objs = [square(3, 0, 0), pixel(5, 4, 4), obj([[2, 2, 2]])]
-    pairs = [(o, Shape(o.mask.offsets)) for o in objs]
+    pairs = [(o, Shape(o.mask.offsets())) for o in objs]
     pred = ind.train_parameter_predictor(pairs, "shape", ("colour",), CODEC)
     assert isinstance(pred, ind.CopyParameter) and pred.prop == "shape"
 
@@ -496,7 +496,7 @@ def test_linear_parameter_four_way_colour_map():
 
 def test_linear_parameter_centre_shift_decodes_on_lattice():
     objs = [pixel(4, 3, c) for c in (0, 2, 3, 5)]
-    pairs = [(o, Centre(o.mask.centre_point[0] + 1.0, o.mask.centre_point[1])) for o in objs]
+    pairs = [(o, Centre(o.mask.centre_point()[0] + 1.0, o.mask.centre_point()[1])) for o in objs]
     pred = ind.train_parameter_predictor(pairs, "centre", ("centre",), CODEC)
     assert isinstance(pred, ind.LinearParameter)
     for o, want in pairs:
@@ -504,7 +504,7 @@ def test_linear_parameter_centre_shift_decodes_on_lattice():
 
 
 def test_linear_parameter_shape_vocabulary_decode():
-    shapes = [Shape(square(1, 0, 0).mask.offsets), Shape(pixel(1, 0, 0).mask.offsets)]
+    shapes = [Shape(square(1, 0, 0).mask.offsets()), Shape(pixel(1, 0, 0).mask.offsets())]
     objs = [pixel(2, 1, 1), pixel(7, 5, 5), pixel(2, 3, 1), pixel(7, 1, 5)]
     pairs = [(o, shapes[i % 2]) for i, o in enumerate(objs)]
     pred = ind.train_parameter_predictor(pairs, "shape", ("colour",), CODEC)
@@ -515,7 +515,7 @@ def test_linear_parameter_shape_vocabulary_decode():
 
 
 def test_linear_shape_parameter_survives_program_json():
-    shapes = [Shape(square(1, 0, 0).mask.offsets), Shape(pixel(1, 0, 0).mask.offsets)]
+    shapes = [Shape(square(1, 0, 0).mask.offsets()), Shape(pixel(1, 0, 0).mask.offsets())]
     objs = [pixel(2, 1, 1), pixel(7, 5, 5), pixel(2, 3, 1), pixel(7, 1, 5)]
     pred = ind.train_parameter_predictor(
         [(o, shapes[i % 2]) for i, o in enumerate(objs)], "shape", ("colour",), CODEC
@@ -539,9 +539,9 @@ def decode(slot, vector, shape_values=()):
 
 
 def discrete_values():
-    bar = Shape(obj([[0, 0, 0], [3, 3, 3], [0, 0, 0]]).mask.offsets)
-    corner = Shape(obj([[3, 0], [3, 3]]).mask.offsets)
-    shapes = (Shape(square(1, 0, 0).mask.offsets), Shape(pixel(1, 0, 0).mask.offsets), bar, corner)
+    bar = Shape(obj([[0, 0, 0], [3, 3, 3], [0, 0, 0]]).mask.offsets())
+    corner = Shape(obj([[3, 0], [3, 3]]).mask.offsets())
+    shapes = (Shape(square(1, 0, 0).mask.offsets()), Shape(pixel(1, 0, 0).mask.offsets()), bar, corner)
     return {
         "colour": [Colour(c) for c in range(1, 10)],
         "direction": list(Direction),
@@ -913,7 +913,7 @@ def test_program_json_rejects_config_mismatch():
 
 
 def linear_program_doc():
-    shapes = [Shape(square(1, 0, 0).mask.offsets), Shape(pixel(1, 0, 0).mask.offsets)]
+    shapes = [Shape(square(1, 0, 0).mask.offsets()), Shape(pixel(1, 0, 0).mask.offsets())]
     objs = [pixel(2, 1, 1), pixel(7, 5, 5), pixel(2, 3, 1), pixel(7, 1, 5)]
     pred = ind.train_parameter_predictor(
         [(o, shapes[i % 2]) for i, o in enumerate(objs)], "shape", ("colour",), CODEC

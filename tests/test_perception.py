@@ -189,7 +189,7 @@ def test_bounding_box_and_centre_point():
     (obj,) = pc.segment(g, pc.ObjectHypothesis.EIGHT_CONNECTED)
     assert obj.bbox == (1, 1, 2, 2)
     # bbox midpoint (1.5, 1.5) in a 3x3 grid -> x = 0.5, y = -0.5
-    assert obj.centre_point == (0.5, -0.5)
+    assert obj.centre_point() == (0.5, -0.5)
 
 
 def test_bbox_matches_the_direct_min_max_formula_and_is_found_once():
@@ -215,36 +215,29 @@ def test_bbox_matches_the_direct_min_max_formula_and_is_found_once():
 
 
 def test_segmented_masks_are_measured_once_in_segment(monkeypatch):
-    # Count each lazy computation of a mask's geometry.
+    # Count each computation of a mask's bbox from its cells.
     computed = []
+    prop = pc.ObjectMask.bbox
 
-    def counted(name):
-        prop = getattr(pc.ObjectMask, name)
+    def compute(mask):
+        computed.append(mask)
+        return prop.func(mask)
 
-        def compute(mask):
-            computed.append(name)
-            return prop.func(mask)
-
-        replacement = cached_property(compute)
-        replacement.__set_name__(pc.ObjectMask, name)
-        monkeypatch.setattr(pc.ObjectMask, name, replacement)
-
-    for name in ("bbox", "centre_point", "offsets"):
-        counted(name)
+    counted = cached_property(compute)
+    counted.__set_name__(pc.ObjectMask, "bbox")
+    monkeypatch.setattr(pc.ObjectMask, "bbox", counted)
     rng = np.random.default_rng(3)
     grids = [rng.integers(0, 4, size=(int(rng.integers(1, 31)), int(rng.integers(1, 31)))) for _ in range(20)]
     grids.append(np.full((30, 30), 7))
+    segmented = 0
     for g in grids:
         for hyp in pc.ObjectHypothesis:
             for m in pc.segment(pc.as_grid(g), hyp):
-                # What segment filled in equals the formulas on a fresh twin.
-                twin = pc.ObjectMask(m.colour, m.cells, m.dims)
-                assert m.bbox == twin.bbox == bbox_direct(m.cells)
-                assert m.centre_point == twin.centre_point and m.offsets == twin.offsets
-    segmented = len(computed) // 3
-    assert computed.count("bbox") == segmented > 1000
-    # A solve reads the geometry of every segmented mask and computes none.
-    computed.clear()
+                # What segment filled in equals the formula on the cells.
+                assert m.bbox == bbox_direct(m.cells)
+                segmented += 1
+    assert segmented > 1000 and computed == []
+    # A solve reads the bbox of every mask it segments and computes none.
     task = hn.generate_sort_of_arc(1, seed=5)[0]
     assert deduction.solve_task(task, ENC, PALETTE)[1].ok
     assert computed == []
@@ -255,8 +248,8 @@ def test_shape_offsets_are_translation_invariant():
     g2 = grid([[0, 0, 0], [0, 0, 0], [0, 9, 9]])
     (a,) = pc.segment(g1, pc.ObjectHypothesis.EIGHT_CONNECTED)
     (b,) = pc.segment(g2, pc.ObjectHypothesis.EIGHT_CONNECTED)
-    assert a.offsets == b.offsets
-    assert a.offsets == frozenset({(0.0, -0.5), (0.0, 0.5)})
+    assert a.offsets() == b.offsets()
+    assert a.offsets() == frozenset({(0.0, -0.5), (0.0, 0.5)})
 
 
 # ---------------------------------------------------------------- encoding
@@ -294,7 +287,7 @@ def test_blurred_centre_decodes_to_centre_point():
         [0, 0, 0, 0, 0],
     ]
     obj = one_object(g)
-    assert obj.mask.centre_point == (1.5, 0.0)
+    assert obj.mask.centre_point() == (1.5, 0.0)
     point, _ = ssp.decode(ENC, obj.centre_vec, ((-2.0, 2.0), (-1.5, 1.5)), step=0.5)
     assert point == (1.5, 0.0)
 
@@ -321,10 +314,10 @@ def test_encode_object_matches_direct_formulas_bitwise():
                 o = pc.encode_object(mask, ENC, PALETTE)
                 assert np.array_equal(o.colour_vec, PALETTE[mask.colour])
                 assert np.array_equal(
-                    o.centre_vec, centre_vector_direct(mask.centre_point, pc.BLUR_SIGMA, ENC.encode_many)
+                    o.centre_vec, centre_vector_direct(mask.centre_point(), pc.BLUR_SIGMA, ENC.encode_many)
                 )
                 assert np.array_equal(o.shape_vec, shape_vector_direct(mask.cells, ENC.encode_many))
-                assert np.array_equal(o.shape_vec, pc.shape_bundle(mask.offsets, ENC))
+                assert np.array_equal(o.shape_vec, pc.shape_bundle(mask.offsets(), ENC))
                 masks += 1
     assert masks > 100
 
@@ -364,8 +357,8 @@ def test_shared_cache_vectors_equal_fresh_encodings_bitwise(dims):
         other = {cell for cell in mask.cells if cell[0] in (r0, r1) and cell[1] in (c0, c1)}
         other |= {(r, c) for r in range(r0, r1 + 1) for c in range(c0, c1 + 1) if rng.random() < 0.5}
         twin = pc.ObjectMask(mask.colour, frozenset(other), dims)
-        if twin.offsets != mask.offsets:
-            assert twin.centre_point == mask.centre_point
+        if twin.offsets() != mask.offsets():
+            assert twin.centre_point() == mask.centre_point()
             masks.append(twin)
             same_centre += 1
         # A translate: one shape, two centres.
@@ -381,9 +374,9 @@ def test_shared_cache_vectors_equal_fresh_encodings_bitwise(dims):
     cached = {int(i): pc.encode_object(masks[i], ENC, PALETTE, cache) for i in order}
     for i, mask in enumerate(masks):
         assert_same_vectors(cached[i], pc.encode_object(mask, ENC, PALETTE))
-        assert cache[mask.centre_point] is cached[i].centre_vec
-        assert cache[mask.offsets] is cached[i].shape_vec
-    distinct = {m.centre_point for m in masks} | {m.offsets for m in masks}
+        assert cache[mask.centre_point()] is cached[i].centre_vec
+        assert cache[mask.offsets()] is cached[i].shape_vec
+    distinct = {m.centre_point() for m in masks} | {m.offsets() for m in masks}
     assert len(cache) == len(distinct) < 2 * len(masks)
 
 
