@@ -161,55 +161,29 @@ def _row_ids(rows) -> NDArray[np.int64]:
 class _Span:
     """Coordinates of unit rows in an orthonormal basis of their span.
 
-    Built from the Gram matrix alone, by a pivoted Cholesky factorization:
-    identical rows (equal ``ids``) share one coordinate row, and the
-    factorization stops once every row lies within rounding of the span
-    found so far. Coordinates are padded with zero columns to the row
+    The basis is the Q factor of one QR factorization of the distinct rows
+    (``first`` holds one row index per distinct row), so a row's coordinates
+    are its column of R and identical rows (equal ``_row_ids``) share one
+    coordinate row. Coordinates are padded with zero columns to the row
     count, so the spans of one task stack into a batch.
     """
 
     coords: NDArray[np.float64]  # (M, M): row i's coordinates
     first: NDArray[np.int64]  # one row index per distinct row
-    to_rows: NDArray[np.float64]  # (distinct, M): each basis vector over the distinct rows
 
     @classmethod
-    def of(cls, gram, ids) -> "_Span":
+    def of(cls, rows) -> "_Span":
+        ids = _row_ids(rows)
         first = np.unique(ids, return_index=True)[1]
-        gram = gram[np.ix_(first, first)]
-        n, m = len(first), len(ids)
-        # Each step takes the distinct row farthest from the span so far; the
-        # part of it outside that span is the next basis direction.
-        lower = np.zeros((n, n))
-        residual = np.diagonal(gram).copy()  # squared distance of each row from the span
-        floor = residual.max() * n * np.finfo(np.float64).eps
-        pivots: list[int] = []
-        for j in range(n):
-            p = int(np.argmax(residual))
-            if residual[p] <= floor:
-                break
-            column = (gram[:, p] - lower[:, :j] @ lower[p, :j]) / np.sqrt(residual[p])
-            column[pivots] = 0.0
-            column[p] = np.sqrt(residual[p])
-            lower[:, j] = column
-            pivots.append(p)
-            residual -= column**2
-            residual[pivots] = 0.0
-        rank = len(pivots)
-        # The basis in R^N comes from the pivot rows through their inverted triangle.
-        triangle = lower[pivots, :rank]
-        inverse = np.zeros((rank, rank))
-        for j in range(rank):
-            inverse[j] = -(triangle[j, :j] @ inverse[:j])
-            inverse[j, j] += 1.0
-            inverse[j] /= triangle[j, j]
-        coords, to_rows = np.zeros((m, m)), np.zeros((n, m))
-        coords[:, :rank] = lower[ids, :rank]
-        to_rows[pivots, :rank] = inverse.T
-        return cls(coords, first, to_rows)
+        r = np.linalg.qr(rows[first].T, mode="r")
+        coords = np.zeros((len(rows), len(rows)))
+        coords[:, : len(r)] = r.T[ids]
+        return cls(coords, first)
 
-    def vector(self, coef, distinct_rows) -> HyperVector:
-        """The vector in R^N with the given coordinates; rows as listed by ``first``."""
-        return (self.to_rows @ coef) @ distinct_rows
+    def vector(self, coef, rows) -> HyperVector:
+        """The vector in R^N with the given coordinates, for the ``rows`` this span was built from."""
+        q = np.linalg.qr(rows[self.first].T)[0]
+        return q @ coef[: q.shape[1]]
 
 
 def _normable(norms) -> NDArray[np.bool_]:
@@ -283,7 +257,7 @@ def _train_span_conditions(coords, train, labels) -> _SpanConditions:
 
     ``coords`` (F, M, M) holds each run's rows in span coordinates,
     ``train`` (F, M) the rows it trains on (at least one of each label) and
-    ``labels`` (M,) or (F, M) the targets. The weights start as a signed sum
+    ``labels`` (F, M) the targets. The weights start as a signed sum
     of training rows and every step adds a combination of them, so they
     never leave the rows' span (the representer theorem). The descent on
     ``operation_loss`` therefore runs there, step for step as it would in
@@ -299,8 +273,7 @@ def _train_span_conditions(coords, train, labels) -> _SpanConditions:
     negated and the same steepness.
     """
     train = np.asarray(train, dtype=bool)
-    runs, m = train.shape
-    labels = np.broadcast_to(labels, (runs, m))
+    runs = len(train)
     pos, neg = train & labels, train & ~labels
     transposed = np.ascontiguousarray(coords.transpose(0, 2, 1))
 
@@ -571,13 +544,13 @@ class Program:
 class _SpanBasis:
     """Span coordinates of every property subset over one task's demo objects.
 
-    A subset vector is a normalized sum of property vectors, so each
-    subset's Gram matrix follows from 3x3 blocks of the property cross-Gram.
-    That takes one (3M x N) product, made on first use and shared by every
-    subset, fold and rule kind of the task. Subset ranking reads each
-    property's own Gram, a diagonal block, from the same product. A fold
-    trains on some rows of its subset's span and scores the rest from the
-    same coordinates.
+    The objects' property vectors are stacked once, on first use, and shared
+    by every subset, fold and rule kind of the task. A subset's rows are the
+    objects' subset bundles, bitwise ``subset_matrix``, so training reads
+    the vectors that ``OperationPredictor.probability`` reads. Subset
+    ranking reads each property's Gram from the same stack. A fold trains on
+    some rows of its subset's span and scores the rest from the same
+    coordinates.
     """
 
     def __init__(self, objects: list[ObjectRepr]):
@@ -585,26 +558,27 @@ class _SpanBasis:
         self._spans: dict[PropertySubset, _Span] = {}
 
     @cached_property
-    def _cross(self):
-        props = np.array([[o.vector(p) for o in self.objects] for p in PROPERTIES])
-        flat = props.reshape(-1, props.shape[-1])
-        m = len(self.objects)
-        blocks = (flat @ flat.T).reshape(3, m, 3, m).transpose(0, 2, 1, 3)
-        return blocks, np.array([_row_ids(p) for p in props])
+    def _properties(self) -> NDArray[np.float64]:
+        """(3, M, N): each property's vectors, in ``PROPERTIES`` order."""
+        return np.array([[o.vector(p) for o in self.objects] for p in PROPERTIES])
+
+    @cached_property
+    def _grams(self) -> list[NDArray[np.float64]]:
+        return [vectors @ vectors.T for vectors in self._properties]
 
     def gram(self, name: str) -> NDArray[np.float64]:
         """Similarities between the objects' ``name`` vectors, (M, M)."""
-        k = PROPERTIES.index(name)
-        return self._cross[0][k, k]
+        return self._grams[PROPERTIES.index(name)]
+
+    def rows(self, subset: PropertySubset) -> NDArray[np.float64]:
+        """The objects' subset bundles, (M, N)."""
+        sums = self._properties[[PROPERTIES.index(p) for p in subset]].sum(axis=0)
+        return np.stack([vsa.normalize(s) for s in sums])
 
     def span(self, subset: PropertySubset) -> _Span:
-        """Span coordinates of the subset bundles, from their Gram matrix."""
+        """Span coordinates of the subset's rows, built on first use."""
         if subset not in self._spans:
-            blocks, ids = self._cross
-            k = [PROPERTIES.index(p) for p in subset]
-            raw = blocks[np.ix_(k, k)].sum(axis=(0, 1))
-            norms = np.sqrt(np.diagonal(raw))
-            self._spans[subset] = _Span.of(raw / np.outer(norms, norms), _row_ids(ids[k].T))
+            self._spans[subset] = _Span.of(self.rows(subset))
         return self._spans[subset]
 
 
@@ -667,10 +641,7 @@ class _KindConditions:
         fit, run = self.full[subset]
         if fit.refused[run]:
             raise ValueError("cannot normalize a zero or non-finite vector")
-        # The weights are built in R^N from the span's distinct rows.
-        span = obs.basis.span(subset)
-        distinct = subset_matrix([obs.objects[i] for i in span.first], subset)
-        weights = vsa.normalize(span.vector(fit.weights[run], distinct))
+        weights = vsa.normalize(obs.basis.span(subset).vector(fit.weights[run], obs.basis.rows(subset)))
         return OperationPredictor(subset, weights, float(fit.steepness[run]), float(fit.threshold[run]))
 
 

@@ -263,7 +263,6 @@ class Scene:
     """A grid perceived under one hypothesis."""
 
     grid: Grid
-    hypothesis: ObjectHypothesis
     objects: list[ObjectRepr]
 
 
@@ -328,4 +327,4 @@ def perceive(
     cache = {} if cache is None else cache
     masks = segment(grid, hypothesis)
     objects = [encode_object(m, encoder, palette, cache) for m in masks]
-    return Scene(grid=grid, hypothesis=hypothesis, objects=objects)
+    return Scene(grid=grid, objects=objects)

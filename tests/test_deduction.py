@@ -156,7 +156,7 @@ def test_task_diagnostics_carry_the_hitting_set_optimality(monkeypatch):
     monkeypatch.setattr(ab, "NODE_BUDGET", 1)
     _, cut = de.solve_task(task, ENC, PALETTE)
     assert cut.ok and not cut.optimal
-    assert cut.trace == diag.trace
+    assert cut.trace == diag.trace[:-1] + [diag.trace[-1] + " optimal=false"]
 
 
 def test_solve_task_constant_size_generation():

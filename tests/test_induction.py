@@ -114,6 +114,10 @@ def test_subset_vector_matches_sequential_sum_bitwise():
         for subset in ALL_SUBSETS:
             expected = bundle_direct([o.vector(p) for p in subset])
             assert np.array_equal(ind.subset_vector(o, subset), expected)
+    # The rows condition training reads are the same bundles, stacked.
+    basis = ind._SpanBasis(objects)
+    for subset in ALL_SUBSETS:
+        assert np.array_equal(basis.rows(subset), ind.subset_matrix(objects, subset))
 
 
 def test_canonical_subset_rejects_junk():
@@ -303,14 +307,14 @@ def test_span_training_matches_direct_oracle_on_random_folds():
             fit = ind._train_span_conditions(
                 np.stack([spans[s].coords for s, _ in runs]),
                 np.stack([demo_of != d for _, d in runs]),
-                obs.labels,
+                np.tile(obs.labels, (len(runs), 1)),
             )
         for r, (s, d) in enumerate(runs):
             X = bundles(obs.objects, ALL_SUBSETS[s])
             assert np.allclose(spans[s].coords @ spans[s].coords.T, X @ X.T, atol=1e-12)
             train, test = demo_of != d, demo_of == d
             w, k, b = assert_matches_direct(
-                spans[s].vector(fit.weights[r], X[spans[s].first]), fit.steepness[r],
+                spans[s].vector(fit.weights[r], obs.basis.rows(ALL_SUBSETS[s])), fit.steepness[r],
                 fit.threshold[r], X[train & obs.labels], X[train & ~obs.labels],
             )
             expected = fires_direct(w, k, b, X[test])
@@ -329,6 +333,37 @@ def test_span_training_matches_direct_oracle_on_random_folds():
                 pred.weights, pred.steepness, pred.threshold, X[obs.labels], X[~obs.labels]
             )
     assert min(seen.values()) > 0, seen
+
+
+def test_span_coordinates_reproduce_their_rows():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(40):
+        obs = random_observations(rng)
+        for subset in ALL_SUBSETS:
+            rows = obs.basis.rows(subset)
+            span = obs.basis.span(subset)
+            rebuilt = np.stack([span.vector(c, rows) for c in span.coords])
+            assert np.max(np.abs(rebuilt - rows)) < 1e-14
+            # Identical rows share one coordinate row.
+            ids = ind._row_ids(rows)
+            assert np.array_equal(span.coords, span.coords[span.first][ids])
+            checked += 1
+    assert checked == 280
+
+
+def test_linearly_dependent_rows_train_like_the_direct_oracle():
+    rng = np.random.default_rng(12)
+    x, y, z = (unit(rng.normal(size=32)) for _ in range(3))
+    rows = np.stack([x, y, unit(x + y), z, unit(y - z), unit(x + y + z)])
+    assert np.linalg.matrix_rank(rows) == 3
+    labels = np.arange(6) % 2 == 0
+    obs = make_observations([[pc.ObjectRepr(None, r, r, r) for r in rows]], [labels])
+    assert len(obs.basis.span(("colour",)).first) == 6
+    (conditions,) = ind.train_operation_predictor([(obs, [("colour",)], [])])
+    pred = conditions.predictor(obs, ("colour",))
+    X = bundles(obs.objects, ("colour",))
+    assert_matches_direct(pred.weights, pred.steepness, pred.threshold, X[labels], X[~labels])
 
 
 def test_train_operation_predictor_matches_direct_oracle():
@@ -352,17 +387,15 @@ def test_cancelling_bundles_start_from_positive_prototype():
     assert np.linalg.norm(X.sum(axis=0) - Y.sum(axis=0)) < 1e-12
     pred = train_condition(positives, negatives, subset)
     w, _, _ = assert_matches_direct(pred.weights, pred.steepness, pred.threshold, X, Y)
-    # A Gram matrix whose entries carry rounding noise decides the same way.
-    rows = np.vstack([X, Y])
+    # Rows that carry rounding noise are six distinct rows whose classes
+    # still cancel, and decide the same way.
     rng = np.random.default_rng(3)
-    noise = rng.normal(scale=1e-15, size=(6, 6))
-    gram = rows @ rows.T + (noise + noise.T)
+    rows = np.vstack([X, Y]) + rng.normal(scale=1e-15, size=(6, CFG.dimension))
     labels = np.arange(6) < 3
-    signed = np.where(labels, 1.0, -1.0)
-    assert np.sqrt(abs(signed @ gram @ signed)) > 1e-12
-    span = ind._Span.of(gram, ind._row_ids(rows))
-    fit = ind._train_span_conditions(span.coords[None], np.ones((1, 6), dtype=bool), labels)
-    assert np.max(np.abs(span.vector(fit.weights[0], rows[span.first]) - w)) < 1e-9
+    span = ind._Span.of(rows)
+    assert len(span.first) == 6
+    fit = ind._train_span_conditions(span.coords[None], np.ones((1, 6), dtype=bool), labels[None])
+    assert np.max(np.abs(span.vector(fit.weights[0], rows) - w)) < 1e-9
 
 
 def test_zero_norm_weights_are_refused():
@@ -376,7 +409,7 @@ def test_zero_norm_weights_are_refused():
     cos = x @ y
     coords = np.zeros((4, 4))
     coords[:, :2] = [[1.0, 0.0], [-1.0, 0.0], [cos, np.sqrt(1 - cos**2)], [-cos, -np.sqrt(1 - cos**2)]]
-    fit = ind._train_span_conditions(coords[None], np.ones((1, 4), dtype=bool), labels)
+    fit = ind._train_span_conditions(coords[None], np.ones((1, 4), dtype=bool), labels[None])
     assert fit.refused[0]
     # The refusal surfaces as the ValueError that induce turns into a vacuous condition.
     obs = make_observations([[pc.ObjectRepr(None, r, r, r) for r in rows]], [labels])

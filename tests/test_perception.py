@@ -420,4 +420,3 @@ def test_perceive_keeps_mask_order_and_grid():
     scene = pc.perceive(g, pc.ObjectHypothesis.PIXEL, ENC, PALETTE)
     assert np.array_equal(scene.grid, g)
     assert [o.mask.colour for o in scene.objects] == [1, 2]
-    assert scene.hypothesis is pc.ObjectHypothesis.PIXEL

@@ -1,12 +1,17 @@
 """Verdicts do not hang on the last bits of the encodings.
 
-Every vector the solver compares comes out of ``SspEncoder.encode_many``.
-Solving a seeded slice once plainly and once with every encoding scaled by
-(1 + 1e-9 * N(0, 1)) must reach the same verdicts: a decision that flips
-under such noise sits on its boundary, and a change to the encoder's
-formulas that is exact only up to rounding could flip it too. This is the
-standard such a change is judged by, next to the bitwise pins of today's
-formulas.
+Every vector the solver compares comes out of ``SspEncoder.encode_many``
+or the palette. Solving a seeded slice once plainly and once with noise
+must reach the same verdicts: a decision that flips under such noise sits
+on its boundary, and a change to the encoder's formulas, or to any product
+of object vectors, that is exact only up to rounding could flip it too.
+The noisy arm scales every encoding by (1 + 1e-9 * N(0, 1)), and then
+gives each perceived object its own copy of its three property vectors,
+each scaled the same way; a mask perceived again, under another
+hypothesis or in a replay, keeps its copy. So two objects that share a
+colour, centre or shape no longer share one vector, and a decision
+between two reads of one encoding is tested too. This is the standard
+such a change is judged by, next to the bitwise pins of today's formulas.
 """
 from __future__ import annotations
 
@@ -81,17 +86,29 @@ def test_verdicts_survive_relative_noise_on_every_encoding(monkeypatch):
     plain = [verdict(task, encoder, palette) for task in tasks]
 
     rng = np.random.default_rng(2026)
-    encode_many = ssp.SspEncoder.encode_many
+    encode_many, encode_object = ssp.SspEncoder.encode_many, pc.encode_object
     perturbed = []
 
-    def noisy(self, points):
-        vectors = encode_many(self, points)
-        perturbed.append(len(vectors))
+    def jitter(vectors):
         return vectors * (1.0 + NOISE * rng.standard_normal(vectors.shape))
 
-    monkeypatch.setattr(ssp.SspEncoder, "encode_many", noisy)
+    def noisy_encodings(self, points):
+        vectors = encode_many(self, points)
+        perturbed.append(len(vectors))
+        return jitter(vectors)
+
+    copies: dict = {}  # mask -> its noisy vectors, so a mask perceived again is the same object
+
+    def noisy_object(mask, *args):
+        if mask not in copies:
+            obj = encode_object(mask, *args)
+            copies[mask] = jitter(np.array([obj.vector(p) for p in pc.PROPERTIES]))
+        return pc.ObjectRepr(mask, *copies[mask])
+
+    monkeypatch.setattr(ssp.SspEncoder, "encode_many", noisy_encodings)
+    monkeypatch.setattr(pc, "encode_object", noisy_object)
     noisy_verdicts = [verdict(task, encoder, palette) for task in tasks]
-    assert sum(perturbed) > 10_000
+    assert sum(perturbed) > 10_000 and len(copies) > 5_000
     for task, want, got in zip(tasks, plain, noisy_verdicts):
         assert got == want, task.id
     # The slice takes every accepting path: both sort-of-arc halves, shared
