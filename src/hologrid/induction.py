@@ -302,32 +302,41 @@ def _train_span_conditions(coords, train, labels) -> _SpanConditions:
 
     # With flip = -1 for positives and +1 for negatives, a row's loss is
     # softplus(flip * z) and its residual sigmoid(z) - y is flip * sigmoid(flip * z).
-    flip = np.where(labels, -1.0, 1.0)
+    flip, unflip = np.where(labels, -1.0, 1.0), np.where(labels, 1.0, -1.0)
     share = train / train.sum(axis=1, keepdims=True)  # each training row's weight in the mean
     flip_share = flip * share
+    # A run's loss is at least softplus(flipped) / n at each of its n training rows, so a row
+    # with -flipped <= decisive keeps it over 4 * LOSS_FLOOR; the loss is evaluated only when
+    # an active run has no such row. Rows outside training hold NaN, which never compares true.
+    decisive = np.where(train, -np.log(np.expm1(4.0 * LOSS_FLOOR * train.sum(axis=1, keepdims=True))), np.nan)
     active = ~refused
+    everyone = not refused.any()  # active.all()
     for _ in range(MAX_EPOCHS):
         margins = scores - threshold[:, None]
-        flipped = steepness[:, None] * margins * flip
-        softplus = np.maximum(flipped, 0.0) + np.log1p(np.exp(-np.abs(flipped)))
-        loss = np.einsum("fi,fi->f", softplus, share)
-        active &= ~(loss < LOSS_FLOOR)
-        if not active.any():
+        against = steepness[:, None] * margins * unflip  # -flipped, bit for bit
+        if (active & ~(against <= decisive).any(axis=1)).any():
+            flipped = -against
+            softplus = np.maximum(flipped, 0.0) + np.log1p(np.exp(-np.abs(flipped)))
+            loss = np.einsum("fi,fi->f", softplus, share)
+            active &= ~(loss < LOSS_FLOOR)
+            everyone = bool(active.all())
+        if not (everyone or active.any()):
             break
-        resid = _sigmoid(flipped) * flip_share
+        resid = (1.0 / (1.0 + np.exp(against))) * flip_share  # _sigmoid(flipped) * flip_share
         step = weights - LEARNING_RATE * (steepness[:, None] * combine(resid))
         lengths = norm(step)
-        ok = _normable(lengths)
-        if not ok.all():
+        if not (lengths.min() > 0.0 and np.isfinite(lengths.max())):
+            ok = _normable(lengths)
             refused |= active & ~ok
             active &= ok
+            everyone = bool(active.all())
             lengths[~ok] = 1.0
         updated = (
             step / lengths[:, None],
             np.maximum(steepness - LEARNING_RATE * np.einsum("fi,fi->f", resid, margins), 1e-3),
             threshold + LEARNING_RATE * (steepness * resid.sum(axis=1)),  # a step down d loss / d threshold
         )
-        if not active.all():
+        if not everyone:
             frozen = ~active
             for new, old in zip(updated, (weights, steepness, threshold)):
                 new[frozen] = old[frozen]

@@ -296,8 +296,7 @@ def encode_object(
     if centre_vec is None:
         cx, cy = centre
         stencil = np.array([(cx + dx, cy + dy) for dx, dy in _BLUR_OFFSETS])
-        blurred = _blur_weights(BLUR_SIGMA) @ encoder.encode_many(stencil)
-        centre_vec = cache[centre] = vsa.normalize(blurred)
+        centre_vec = cache[centre] = encoder.encode_bundle(stencil, _blur_weights(BLUR_SIGMA))
     offsets = mask.offsets()
     shape_vec = cache.get(offsets)
     if shape_vec is None:
@@ -308,7 +307,7 @@ def encode_object(
 def shape_bundle(offsets, encoder: SspEncoder) -> HyperVector:
     """Bundle of the encodings of (drow, dcol) cell offsets, each as the point (dcol, -drow)."""
     pts = np.array([(dc, -dr) for dr, dc in sorted(offsets)])
-    return vsa.bundle(encoder.encode_many(pts))
+    return encoder.encode_bundle(pts, np.ones(len(pts)))
 
 
 def perceive(

@@ -58,12 +58,19 @@ class SspEncoder:
 
     def encode_many(self, points) -> NDArray[np.float64]:
         """Encode points given as an (M, 2) array; returns (M, N)."""
+        return np.fft.irfft(self._phasors(points), self.config.dimension, axis=1)
+
+    def encode_bundle(self, points, weights) -> HyperVector:
+        """The normalized ``weights``-weighted sum of the points' encodings, summed in the spectrum."""
+        spectrum = (weights[:, None] * self._phasors(points)).sum(axis=0)  # no matmul: BLAS may thread it
+        return vsa.normalize(np.fft.irfft(spectrum, self.config.dimension))
+
+    def _phasors(self, points) -> NDArray[np.complex128]:
+        """Half spectra exp(i * Theta^T x) of points given as an (M, 2) array."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("expected points of shape (M, 2)")
-        n = self.config.dimension
-        phases = pts @ self._half_phases
-        return np.fft.irfft(np.exp(1j * phases), n, axis=1)
+        return np.exp(1j * (pts @ self._half_phases))
 
     @cached_property
     def _lattice(self):

@@ -100,22 +100,60 @@ def bbox_direct(cells) -> tuple[int, int, int, int]:
     return (int(arr[:, 0].min()), int(arr[:, 1].min()), int(arr[:, 0].max()), int(arr[:, 1].max()))
 
 
-def centre_vector_direct(point, sigma, encode_many) -> np.ndarray:
-    """Blurred centre: the 3x3 stencil around ``point`` weighted by exp(-d^2 / 2 sigma^2), normalized."""
+def _stencil_direct(point, sigma):
+    """The 3x3 blur stencil around ``point`` and its weights exp(-d^2 / 2 sigma^2)."""
     offsets = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
     weights = np.array([np.exp(-(dx * dx + dy * dy) / (2 * sigma**2)) for dx, dy in offsets])
-    stencil = np.array([(point[0] + dx, point[1] + dy) for dx, dy in offsets])
+    return np.array([(point[0] + dx, point[1] + dy) for dx, dy in offsets]), weights
+
+
+def _shape_points_direct(cells):
+    """Each (row, col) cell as the point (col - mid_col, mid_row - row) from the bbox midpoint, cells sorted."""
+    rows = [r for r, _ in cells]
+    cols = [c for _, c in cells]
+    mid_r, mid_c = (min(rows) + max(rows)) / 2.0, (min(cols) + max(cols)) / 2.0
+    return np.array([(c - mid_c, mid_r - r) for r, c in sorted(cells)])
+
+
+def spectral_bundle_direct(half_phases, points, weights) -> np.ndarray:
+    """Weighted bundle of spatial encodings, summed in the spectrum.
+
+    ``half_phases`` is the encoder's 2 x (N/2 + 1) half-spectrum phase
+    matrix. The phasors exp(i * Theta^T x) of the points (phases from one
+    product of the point rows with ``half_phases``) are weighted and added
+    one at a time, in point order; then one inverse real FFT, and division
+    by the norm.
+    """
+    n = 2 * (half_phases.shape[1] - 1)
+    total = None
+    for weight, phases in zip(weights, np.asarray(points, dtype=np.float64) @ half_phases):
+        term = weight * np.exp(1j * phases)
+        total = term if total is None else total + term
+    v = np.fft.irfft(total, n)
+    return v / float(np.linalg.norm(v))
+
+
+def centre_bundle_direct(point, sigma, half_phases) -> np.ndarray:
+    """Blurred centre summed in the spectrum: the stencil of ``centre_vector_direct``."""
+    return spectral_bundle_direct(half_phases, *_stencil_direct(point, sigma))
+
+
+def shape_bundle_direct(cells, half_phases) -> np.ndarray:
+    """Shape vector summed in the spectrum: the points of ``shape_vector_direct``, unit weights."""
+    points = _shape_points_direct(cells)
+    return spectral_bundle_direct(half_phases, points, np.ones(len(points)))
+
+
+def centre_vector_direct(point, sigma, encode_many) -> np.ndarray:
+    """Blurred centre: the 3x3 stencil around ``point`` weighted by exp(-d^2 / 2 sigma^2), normalized."""
+    stencil, weights = _stencil_direct(point, sigma)
     return _unit(weights @ encode_many(stencil))
 
 
 def shape_vector_direct(cells, encode_many) -> np.ndarray:
     """Sum of the encodings of each (row, col) cell as the point (col - mid_col, mid_row - row)
     from the bounding-box midpoint, cells in sorted order, normalized."""
-    rows = [r for r, _ in cells]
-    cols = [c for _, c in cells]
-    mid_r, mid_c = (min(rows) + max(rows)) / 2.0, (min(cols) + max(cols)) / 2.0
-    points = np.array([(c - mid_c, mid_r - r) for r, c in sorted(cells)])
-    return _unit(encode_many(points).sum(axis=0))
+    return _unit(encode_many(_shape_points_direct(cells)).sum(axis=0))
 
 
 def bundle_direct(vectors) -> np.ndarray:
@@ -159,6 +197,75 @@ def condition_training_direct(pos, neg, learning_rate, max_epochs, loss_floor, i
         k = max(k - learning_rate * grad_k, 1e-3)
         b = b - learning_rate * grad_b
     return w, k, b
+
+
+def span_conditions_direct(coords, train, labels, learning_rate, max_epochs, loss_floor, initial_steepness):
+    """Span-space condition training for a batch of runs, evaluating the loss in every epoch.
+
+    The training loop of the span-space trainer as it stood before the loss
+    was left to a bound, with every run trained itself: a run that mirrors
+    another (complementary labels, same rows) is trained from its own start,
+    not negated. A run's loss below ``loss_floor`` freezes it, and a weight
+    vector that cannot be normalized freezes and refuses it. Returns
+    (weights, steepness, threshold, scores, refused).
+    """
+    train = np.asarray(train, dtype=bool)
+    runs = len(train)
+    pos, neg = train & labels, train & ~labels
+    transposed = np.ascontiguousarray(coords.transpose(0, 2, 1))
+
+    def combine(coef):  # sum of coef[i] * row i, in coordinates
+        return np.matmul(transposed, coef[..., None])[..., 0]
+
+    def norm(vectors):
+        return np.sqrt(np.einsum("fi,fi->f", vectors, vectors))
+
+    def normable(norms):
+        return (norms > 0.0) & np.isfinite(norms)
+
+    diff = combine(pos - neg.astype(np.float64))
+    cancelled = norm(diff) < 1e-12
+    diff = np.where(cancelled[:, None], combine(pos.astype(np.float64)), diff)
+    lengths = norm(diff)
+    refused = ~normable(lengths)
+    lengths[refused] = 1.0
+    weights = diff / lengths[:, None]
+    scores = np.matmul(coords, weights[..., None])[..., 0]
+    threshold = ((scores * pos).sum(axis=1) / pos.sum(axis=1) + (scores * neg).sum(axis=1) / neg.sum(axis=1)) / 2.0
+    steepness = np.full(runs, initial_steepness)
+
+    flip = np.where(labels, -1.0, 1.0)
+    share = train / train.sum(axis=1, keepdims=True)
+    flip_share = flip * share
+    active = ~refused
+    for _ in range(max_epochs):
+        margins = scores - threshold[:, None]
+        flipped = steepness[:, None] * margins * flip
+        softplus = np.maximum(flipped, 0.0) + np.log1p(np.exp(-np.abs(flipped)))
+        loss = np.einsum("fi,fi->f", softplus, share)
+        active &= ~(loss < loss_floor)
+        if not active.any():
+            break
+        resid = (1.0 / (1.0 + np.exp(-flipped))) * flip_share
+        step = weights - learning_rate * (steepness[:, None] * combine(resid))
+        lengths = norm(step)
+        ok = normable(lengths)
+        if not ok.all():
+            refused |= active & ~ok
+            active &= ok
+            lengths[~ok] = 1.0
+        updated = (
+            step / lengths[:, None],
+            np.maximum(steepness - learning_rate * np.einsum("fi,fi->f", resid, margins), 1e-3),
+            threshold + learning_rate * (steepness * resid.sum(axis=1)),
+        )
+        if not active.all():
+            frozen = ~active
+            for new, old in zip(updated, (weights, steepness, threshold)):
+                new[frozen] = old[frozen]
+        weights, steepness, threshold = updated
+        scores = np.matmul(coords, weights[..., None])[..., 0]
+    return weights, steepness, threshold, scores, refused
 
 
 def linear_loss_direct(weights, xs, ys) -> float:

@@ -21,6 +21,7 @@ from oracles import (
     logistic_loss_direct,
     name_decode_direct,
     property_scores_direct,
+    span_conditions_direct,
 )
 
 CFG = vsa.VsaConfig(dimension=512, seed=33)
@@ -476,6 +477,78 @@ def test_a_run_whose_classes_cancel_is_not_mirrored():
     assert not np.array_equal(fit.weights[1], -fit.weights[0])
     cancelled = np.array([True, True])
     assert np.array_equal(ind._mirror_runs(np.stack([coords, coords]), train, labels, cancelled), [-1, -1])
+
+
+def condition_batch(rng, runs=12, m=10, dim=48):
+    """A seeded batch of condition runs, each over m rows in span coordinates.
+
+    A run's rows are +-unit(p0 + spread * p_i) for p_i from a small pool, so
+    rows recur. Half the runs label a row by its sign, so they separate, some
+    fast enough to freeze early; the rest label at random. The batch also
+    holds a run's mirror (the same rows and training rows under
+    complementary labels), a run whose classes cancel and a run whose
+    starting weights cannot be normalized.
+    """
+    pool = [unit(rng.normal(size=dim)) for _ in range(6)]
+    coords, train, labels = [], [], []
+    for r in range(runs):
+        signs = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+        signs[:2] = 1.0, -1.0
+        spread = rng.uniform(0.0, 0.6)
+        rows = signs[:, None] * np.stack([unit(pool[0] + spread * pool[i]) for i in rng.integers(1, 4, size=m)])
+        used = rng.random(m) < 0.8
+        used[:2] = True
+        wanted = signs > 0 if r % 2 else rng.random(m) < 0.5
+        wanted[:2] = True, False
+        coords.append(ind._Span.of(rows).coords)
+        train.append(used)
+        labels.append(wanted)
+    coords.append(coords[0])
+    train.append(train[0])
+    labels.append(~labels[0])
+    # Positives a, b, c against negatives c, a, b cancel. Positives x, -x
+    # against y, -y cancel too, and so does their positive sum, in
+    # coordinates whose rows 1 and 3 negate rows 0 and 2 exactly. Only these
+    # rows train.
+    a, b, c = pool[:3]
+    opposed = ind._Span.of(np.stack(pool[3:5] + [pool[5]] * (m - 2))).coords
+    opposed = np.vstack([opposed[0], -opposed[0], opposed[1], -opposed[1], opposed[2:-2]])
+    cancelling = ind._Span.of(np.stack([a, b, c, c, a, b] + [pool[5]] * (m - 6))).coords
+    for head, rows in ((6, cancelling), (4, opposed)):
+        coords.append(rows)
+        train.append(np.arange(m) < head)
+        labels.append(np.arange(m) < head // 2)
+    order = rng.permutation(len(coords))
+    return tuple(np.stack(part)[order] for part in (coords, train, labels))
+
+
+@pytest.mark.parametrize("floor", [ind.LOSS_FLOOR, 1e-2])
+def test_span_training_equals_the_every_epoch_loss_oracle_bitwise(floor, monkeypatch):
+    # The trainer evaluates the loss (its one np.log1p) only where the bound
+    # cannot decide; at a floor of 1e-2 runs freeze mid-batch, so it must.
+    monkeypatch.setattr(ind, "LOSS_FLOOR", floor)
+    log1p, evaluated = np.log1p, []
+
+    def counted_log1p(*args, **kwargs):
+        evaluated.append(1)
+        return log1p(*args, **kwargs)
+
+    rng = np.random.default_rng(19)
+    refused = 0
+    for _ in range(6):
+        coords, train, labels = condition_batch(rng)
+        want = span_conditions_direct(
+            coords, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
+        )
+        monkeypatch.setattr(np, "log1p", counted_log1p)
+        fit = ind._train_span_conditions(coords, train, labels)
+        monkeypatch.setattr(np, "log1p", log1p)
+        for got, expected in zip((fit.weights, fit.steepness, fit.threshold, fit.scores, fit.refused), want):
+            assert np.array_equal(got, expected)
+        refused += fit.refused.sum()
+    assert refused == 6
+    if floor == 1e-2:
+        assert 0 < len(evaluated) < 6 * ind.MAX_EPOCHS
 
 
 # ---------------------------------------------------------------- parameter predictors

@@ -10,7 +10,18 @@ from hologrid import deduction, harness as hn
 from hologrid import perception as pc
 from hologrid import ssp, vsa
 
-from oracles import bbox_direct, centre_vector_direct, identity_direct, segment_direct, shape_vector_direct
+from hologrid.dsl import Shape
+from hologrid.induction import shape_vocabulary
+
+from oracles import (
+    bbox_direct,
+    centre_bundle_direct,
+    centre_vector_direct,
+    identity_direct,
+    segment_direct,
+    shape_bundle_direct,
+    shape_vector_direct,
+)
 
 CFG = vsa.VsaConfig(dimension=512, seed=21)
 ENC = ssp.SspEncoder(CFG)
@@ -313,13 +324,27 @@ def test_encode_object_matches_direct_formulas_bitwise():
             for mask in pc.segment(grid(g), hyp):
                 o = pc.encode_object(mask, ENC, PALETTE)
                 assert np.array_equal(o.colour_vec, PALETTE[mask.colour])
-                assert np.array_equal(
-                    o.centre_vec, centre_vector_direct(mask.centre_point(), pc.BLUR_SIGMA, ENC.encode_many)
-                )
-                assert np.array_equal(o.shape_vec, shape_vector_direct(mask.cells, ENC.encode_many))
+                centre = centre_bundle_direct(mask.centre_point(), pc.BLUR_SIGMA, ENC._half_phases)
+                assert np.array_equal(o.centre_vec, centre)
+                assert np.array_equal(o.shape_vec, shape_bundle_direct(mask.cells, ENC._half_phases))
                 assert np.array_equal(o.shape_vec, pc.shape_bundle(mask.offsets(), ENC))
+                # Summing the encodings point by point agrees up to rounding.
+                by_point = centre_vector_direct(mask.centre_point(), pc.BLUR_SIGMA, ENC.encode_many)
+                assert np.max(np.abs(o.centre_vec - by_point)) < 1e-14
+                assert np.max(np.abs(o.shape_vec - shape_vector_direct(mask.cells, ENC.encode_many))) < 1e-14
                 masks += 1
     assert masks > 100
+
+
+def test_a_shape_has_one_vector_in_scenes_bundles_and_the_shape_table():
+    g = grid([[1, 1, 0, 0, 2], [0, 1, 0, 2, 2], [3, 0, 0, 0, 2], [3, 3, 3, 0, 0]])
+    objects = pc.perceive(g, pc.ObjectHypothesis.EIGHT_CONNECTED, ENC, PALETTE).objects
+    shapes = [Shape(o.mask.offsets()) for o in objects]
+    table = shape_vocabulary(shapes, ENC)
+    assert len(table.keys()) == 3
+    for o, shape in zip(objects, shapes):
+        assert np.array_equal(o.shape_vec, pc.shape_bundle(shape.offsets, ENC))
+        assert np.array_equal(o.shape_vec, table[shape])
 
 
 def random_box_mask(rng, dims, corners):

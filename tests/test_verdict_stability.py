@@ -1,10 +1,11 @@
 """Verdicts do not hang on the last bits of the encodings.
 
-Every vector the solver compares comes out of ``SspEncoder.encode_many``
-or the palette. Solving a seeded slice once plainly and once with noise
-must reach the same verdicts: a decision that flips under such noise sits
-on its boundary, and a change to the encoder's formulas, or to any product
-of object vectors, that is exact only up to rounding could flip it too.
+Every vector the solver compares comes out of ``SspEncoder.encode_many``,
+``SspEncoder.encode_bundle`` or the palette. Solving a seeded slice once
+plainly and once with noise must reach the same verdicts: a decision that
+flips under such noise sits on its boundary, and a change to the encoder's
+formulas, or to any product of object vectors, that is exact only up to
+rounding could flip it too.
 The noisy arm scales every encoding by (1 + 1e-9 * N(0, 1)), and then
 gives each perceived object its own copy of its three property vectors,
 each scaled the same way; a mask perceived again, under another
@@ -86,7 +87,8 @@ def test_verdicts_survive_relative_noise_on_every_encoding(monkeypatch):
     plain = [verdict(task, encoder, palette) for task in tasks]
 
     rng = np.random.default_rng(2026)
-    encode_many, encode_object = ssp.SspEncoder.encode_many, pc.encode_object
+    encode_many, encode_bundle = ssp.SspEncoder.encode_many, ssp.SspEncoder.encode_bundle
+    encode_object = pc.encode_object
     perturbed = []
 
     def jitter(vectors):
@@ -97,6 +99,10 @@ def test_verdicts_survive_relative_noise_on_every_encoding(monkeypatch):
         perturbed.append(len(vectors))
         return jitter(vectors)
 
+    def noisy_bundle(self, points, weights):
+        perturbed.append(len(points))  # the encodings it sums, as encode_many counts them
+        return jitter(encode_bundle(self, points, weights))
+
     copies: dict = {}  # mask -> its noisy vectors, so a mask perceived again is the same object
 
     def noisy_object(mask, *args):
@@ -106,6 +112,7 @@ def test_verdicts_survive_relative_noise_on_every_encoding(monkeypatch):
         return pc.ObjectRepr(mask, *copies[mask])
 
     monkeypatch.setattr(ssp.SspEncoder, "encode_many", noisy_encodings)
+    monkeypatch.setattr(ssp.SspEncoder, "encode_bundle", noisy_bundle)
     monkeypatch.setattr(pc, "encode_object", noisy_object)
     noisy_verdicts = [verdict(task, encoder, palette) for task in tasks]
     assert sum(perturbed) > 10_000 and len(copies) > 5_000
