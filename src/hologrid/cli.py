@@ -81,6 +81,8 @@ def _solver_state(args):
 
 def _cmd_solve(args) -> int:
     records = harness.load_arc_json(args.task)
+    if args.program and len(records) != 1:
+        raise ValueError("--program needs a file holding exactly one task")
     config, encoder, palette = _solver_state(args)
     docs = []
     first_diag = None
@@ -90,8 +92,6 @@ def _cmd_solve(args) -> int:
             first_diag = diag
         docs.append(harness.predictions_to_json(record, predictions))
     if args.program:
-        if len(records) != 1:
-            raise ValueError("--program needs a file holding exactly one task")
         if first_diag.program is None:
             raise ValueError(f"task unsolved, no program learned: {first_diag.reason}")
         doc = induction.program_to_json(first_diag.program, config)

@@ -266,9 +266,9 @@ def _train_span_conditions(coords, train, labels) -> _SpanConditions:
     below ``LOSS_FLOOR`` first, from which point its row is frozen.
 
     A run that mirrors an earlier one (``_mirror_runs``) is not trained.
-    Complementing the labels negates the starting weights, scores and
-    threshold, and then every step negates the residuals and the update
-    while the loss and the steepness stay equal, bit for bit. So the
+    Complementing the labels negates the label-signed rows and the starting
+    weights and threshold, so the signed margins, the loss and the
+    steepness stay equal and every step is negated, bit for bit. So the
     mirrored run is the earlier run with weights, threshold and scores
     negated and the same steepness.
     """
@@ -300,49 +300,48 @@ def _train_span_conditions(coords, train, labels) -> _SpanConditions:
     threshold = ((scores * pos).sum(axis=1) / pos.sum(axis=1) + (scores * neg).sum(axis=1) / neg.sum(axis=1)) / 2.0
     steepness = np.full(runs, INITIAL_STEEPNESS)
 
-    # With flip = -1 for positives and +1 for negatives, a row's loss is
-    # softplus(flip * z) and its residual sigmoid(z) - y is flip * sigmoid(flip * z).
-    flip, unflip = np.where(labels, -1.0, 1.0), np.where(labels, 1.0, -1.0)
+    # A run's state is V = [w; t] over the rows sign_i * [c_i, -1] (sign +1 for a positive): one product
+    # gives every signed margin (a row's loss is softplus(-z), z = k * margin), and k times the transposed
+    # product of push = LEARNING_RATE * share / (1 + e^z) steps weights and threshold together.
+    width = coords.shape[2]
+    signed = np.where(labels, 1.0, -1.0)[..., None] * np.concatenate([coords, np.full((runs, width, 1), -1.0)], axis=2)
+    signed_t = np.ascontiguousarray(signed.transpose(0, 2, 1))
+    state = np.concatenate([weights, threshold[:, None]], axis=1)
     share = train / train.sum(axis=1, keepdims=True)  # each training row's weight in the mean
-    flip_share = flip * share
-    # A run's loss is at least softplus(flipped) / n at each of its n training rows, so a row
-    # with -flipped <= decisive keeps it over 4 * LOSS_FLOOR; the loss is evaluated only when
+    rate = LEARNING_RATE * share
+    # A run's loss is at least softplus(-z) / n at each of its n training rows, so a row
+    # with z <= decisive keeps it over 4 * LOSS_FLOOR; the loss is evaluated only when
     # an active run has no such row. Rows outside training hold NaN, which never compares true.
     decisive = np.where(train, -np.log(np.expm1(4.0 * LOSS_FLOOR * train.sum(axis=1, keepdims=True))), np.nan)
     active = ~refused
     everyone = not refused.any()  # active.all()
     for _ in range(MAX_EPOCHS):
-        margins = scores - threshold[:, None]
-        against = steepness[:, None] * margins * unflip  # -flipped, bit for bit
-        if (active & ~(against <= decisive).any(axis=1)).any():
-            flipped = -against
-            softplus = np.maximum(flipped, 0.0) + np.log1p(np.exp(-np.abs(flipped)))
-            loss = np.einsum("fi,fi->f", softplus, share)
-            active &= ~(loss < LOSS_FLOOR)
+        margins = np.matmul(signed, state[..., None])[..., 0]
+        k = steepness[:, None]
+        z = k * margins
+        decided = (z <= decisive).any(axis=1)
+        if not (decided.all() if everyone else (decided | ~active).all()):
+            softplus = np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+            active &= ~(np.einsum("fi,fi->f", softplus, share) < LOSS_FLOOR)
             everyone = bool(active.all())
         if not (everyone or active.any()):
             break
-        resid = (1.0 / (1.0 + np.exp(against))) * flip_share  # _sigmoid(flipped) * flip_share
-        step = weights - LEARNING_RATE * (steepness[:, None] * combine(resid))
-        lengths = norm(step)
-        if not (lengths.min() > 0.0 and np.isfinite(lengths.max())):
+        push = rate / (1.0 + np.exp(z))
+        step = state + k * np.matmul(signed_t, push[..., None])[..., 0]
+        lengths = norm(step[:, :width])
+        if not (0.0 < lengths.min() and lengths.max() < np.inf):
             ok = _normable(lengths)
             refused |= active & ~ok
             active &= ok
             everyone = bool(active.all())
             lengths[~ok] = 1.0
-        updated = (
-            step / lengths[:, None],
-            np.maximum(steepness - LEARNING_RATE * np.einsum("fi,fi->f", resid, margins), 1e-3),
-            threshold + LEARNING_RATE * (steepness * resid.sum(axis=1)),  # a step down d loss / d threshold
-        )
-        if not everyone:
-            frozen = ~active
-            for new, old in zip(updated, (weights, steepness, threshold)):
-                new[frozen] = old[frozen]
-        weights, steepness, threshold = updated
-        scores = np.matmul(coords, weights[..., None])[..., 0]
-    return _SpanConditions(weights, steepness, threshold, scores, refused)
+        step[:, :width] /= lengths[:, None]
+        stepped = np.maximum(steepness + np.einsum("fi,fi->f", push, margins), 1e-3)
+        if not everyone:  # frozen runs keep their state
+            step[~active], stepped[~active] = state[~active], steepness[~active]
+        state, steepness = step, stepped
+    weights = np.ascontiguousarray(state[:, :width])
+    return _SpanConditions(weights, steepness, state[:, width], np.matmul(coords, weights[..., None])[..., 0], refused)
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,22 @@ def test_solve_writes_predictions_and_program(tmp_path):
     assert len(program.rules) >= 1
 
 
+def test_solve_refuses_a_program_for_a_bundle_before_solving(tmp_path, capsys, monkeypatch):
+    single = json.loads(write_copy_task(tmp_path / "copy.json").read_text())
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps({"first": single, "second": single}), encoding="utf-8")
+    prog = tmp_path / "prog.json"
+
+    def must_not_solve(*args, **kwargs):
+        raise AssertionError("solve_task called before the bundle was refused")
+
+    monkeypatch.setattr(cli.deduction, "solve_task", must_not_solve)
+    rc = cli.main(["--dimension", "256", "solve", str(bundle), "--program", str(prog)])
+    assert rc == 1
+    assert "exactly one task" in capsys.readouterr().err
+    assert not prog.exists()
+
+
 def test_solve_prints_to_stdout(tmp_path, capsys):
     task = write_copy_task(tmp_path / "copy.json")
     rc = cli.main(["--dimension", "512", "--seed", "33", "solve", str(task)])

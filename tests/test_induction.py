@@ -22,6 +22,7 @@ from oracles import (
     name_decode_direct,
     property_scores_direct,
     span_conditions_direct,
+    span_conditions_two_product_direct,
 )
 
 CFG = vsa.VsaConfig(dimension=512, seed=33)
@@ -522,6 +523,19 @@ def condition_batch(rng, runs=12, m=10, dim=48):
     return tuple(np.stack(part)[order] for part in (coords, train, labels))
 
 
+def seeded_condition_batches():
+    rng = np.random.default_rng(19)
+    return [condition_batch(rng) for _ in range(6)]
+
+
+def fields(fit):
+    return fit.weights, fit.steepness, fit.threshold, fit.scores, fit.refused
+
+
+def fires_direct_batch(steepness, threshold, scores):
+    return 1.0 / (1.0 + np.exp(-steepness[:, None] * (scores - threshold[:, None]))) >= 0.5
+
+
 @pytest.mark.parametrize("floor", [ind.LOSS_FLOOR, 1e-2])
 def test_span_training_equals_the_every_epoch_loss_oracle_bitwise(floor, monkeypatch):
     # The trainer evaluates the loss (its one np.log1p) only where the bound
@@ -533,22 +547,37 @@ def test_span_training_equals_the_every_epoch_loss_oracle_bitwise(floor, monkeyp
         evaluated.append(1)
         return log1p(*args, **kwargs)
 
-    rng = np.random.default_rng(19)
     refused = 0
-    for _ in range(6):
-        coords, train, labels = condition_batch(rng)
+    for coords, train, labels in seeded_condition_batches():
         want = span_conditions_direct(
             coords, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
         )
         monkeypatch.setattr(np, "log1p", counted_log1p)
         fit = ind._train_span_conditions(coords, train, labels)
         monkeypatch.setattr(np, "log1p", log1p)
-        for got, expected in zip((fit.weights, fit.steepness, fit.threshold, fit.scores, fit.refused), want):
+        for got, expected in zip(fields(fit), want):
             assert np.array_equal(got, expected)
         refused += fit.refused.sum()
     assert refused == 6
     if floor == 1e-2:
         assert 0 < len(evaluated) < 6 * ind.MAX_EPOCHS
+
+
+@pytest.mark.parametrize("floor", [ind.LOSS_FLOOR, 1e-2])
+def test_span_training_agrees_with_the_two_product_oracle(floor, monkeypatch):
+    # The same descent with weights, threshold and scores kept apart: a
+    # different summation order, so agreement to rounding, and equal verdicts.
+    monkeypatch.setattr(ind, "LOSS_FLOOR", floor)
+    for coords, train, labels in seeded_condition_batches():
+        want = span_conditions_two_product_direct(
+            coords, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
+        )
+        fit = ind._train_span_conditions(coords, train, labels)
+        for got, expected in zip(fields(fit)[:4], want):
+            assert np.max(np.abs(got - expected)) < 1e-12
+        assert np.array_equal(fit.refused, want[4])
+        _, steepness, threshold, scores, _ = want
+        assert np.array_equal(fit.fires(), fires_direct_batch(steepness, threshold, scores))
 
 
 # ---------------------------------------------------------------- parameter predictors
