@@ -56,23 +56,24 @@ def condition_batch(seed=0, demos=3, per_demo=5, kinds=2):
     objects = [
         pc.ObjectRepr(None, *(pool[rng.integers(len(pool))] for pool in pools)) for _ in range(demos * per_demo)
     ]
-    basis = ind._SpanBasis(objects)
+    bundles = ind._Bundles(objects)
     demo_of = np.repeat(np.arange(demos), per_demo)
     subsets = [s for k in range(1, 4) for s in combinations(pc.PROPERTIES, k)]
-    coords, train, labels = [], [], []
+    grams, starts, train, labels = [], [], [], []
     for _ in range(kinds):
         wanted = rng.random(len(objects)) < 0.5
         wanted[::per_demo], wanted[1::per_demo] = True, False  # both labels in every demo
         for subset in subsets:
-            span = basis.span(subset)
-            for held_out in (None, 0, 1):
-                coords.append(span.coords)
-                train.append(demo_of != held_out)
-                labels.append(wanted)
-    return np.stack(coords), np.stack(train), np.stack(labels)
+            rows = bundles.rows(subset)
+            used = np.stack([demo_of != held_out for held_out in (None, 0, 1)])
+            grams.extend([rows @ rows.T] * len(used))
+            starts.extend(ind._starts(rows, used, np.tile(wanted, (len(used), 1))))
+            train.extend(used)
+            labels.extend([wanted] * len(used))
+    return np.stack(grams), np.stack(starts), np.stack(train), np.stack(labels)
 
 
 def test_condition_batch(benchmark):
-    coords, train, labels = condition_batch()
-    assert coords.shape == (42, 15, 15)
-    benchmark(ind._train_span_conditions, coords, train, labels)
+    grams, starts, train, labels = condition_batch()
+    assert grams.shape == (42, 15, 15)
+    benchmark(ind._train_conditions, grams, starts, train, labels)

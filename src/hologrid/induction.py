@@ -62,33 +62,33 @@ def subset_matrix(objects, subset: PropertySubset) -> NDArray[np.float64]:
     return np.stack([subset_vector(o, subset) for o in objects])
 
 
-def property_scores(basis: _SpanBasis, labels) -> NDArray[np.float64]:
+def property_scores(bundles: _Bundles, labels) -> NDArray[np.float64]:
     """Relevance of each property for separating the given grouping.
 
     For property p: mean pairwise similarity among objects treated alike,
     minus-squared against the mean among objects treated differently.
     Missing pair classes contribute zero. Similarities are read from the
-    task's ``_SpanBasis``, one label per basis object.
+    task's ``_Bundles``, one label per object.
     """
     labels = np.asarray(labels)
     idx_a, idx_b = np.triu_indices(len(labels), k=1)
     same = labels[idx_a] == labels[idx_b]
     scores = np.zeros(len(PROPERTIES))
     for k, name in enumerate(PROPERTIES):
-        sims = basis.gram(name)[idx_a, idx_b]
+        sims = bundles.gram(name)[idx_a, idx_b]
         s_same = float(sims[same].mean()) if same.any() else 0.0
         s_diff = float(sims[~same].mean()) if (~same).any() else 0.0
         scores[k] = s_same**2 - s_diff**2
     return scores
 
 
-def rank_properties(basis: _SpanBasis, labels) -> list[PropertySubset]:
+def rank_properties(bundles: _Bundles, labels) -> list[PropertySubset]:
     """Candidate property subsets, most promising first.
 
     Singletons in descending score order, then pairs by score sum, then the
     full triple; ties keep the canonical colour/centre/shape order.
     """
-    scores = {name: s for name, s in zip(PROPERTIES, property_scores(basis, labels))}
+    scores = {name: s for name, s in zip(PROPERTIES, property_scores(bundles, labels))}
     singles = sorted(PROPERTIES, key=lambda p: (-scores[p], PROPERTIES.index(p)))
     ranked: list[PropertySubset] = [(p,) for p in singles]
     pairs = sorted(
@@ -151,52 +151,36 @@ class OperationPredictor:
         return float(_sigmoid(self.steepness * (sim - self.threshold)))
 
 
-def _row_ids(rows) -> NDArray[np.int64]:
-    """Ids that two rows share exactly when they are bitwise equal."""
-    seen: dict[bytes, int] = {}
-    return np.array([seen.setdefault(r.tobytes(), len(seen)) for r in rows], dtype=np.int64)
-
-
-@dataclass
-class _Span:
-    """Coordinates of unit rows in an orthonormal basis of their span.
-
-    The basis is the Q factor of one QR factorization of the distinct rows
-    (``first`` holds one row index per distinct row), so a row's coordinates
-    are its column of R and identical rows (equal ``_row_ids``) share one
-    coordinate row. Coordinates are padded with zero columns to the row
-    count, so the spans of one task stack into a batch.
-    """
-
-    coords: NDArray[np.float64]  # (M, M): row i's coordinates
-    first: NDArray[np.int64]  # one row index per distinct row
-
-    @classmethod
-    def of(cls, rows) -> "_Span":
-        ids = _row_ids(rows)
-        first = np.unique(ids, return_index=True)[1]
-        r = np.linalg.qr(rows[first].T, mode="r")
-        coords = np.zeros((len(rows), len(rows)))
-        coords[:, : len(r)] = r.T[ids]
-        return cls(coords, first)
-
-    def vector(self, coef, rows) -> HyperVector:
-        """The vector in R^N with the given coordinates, for the ``rows`` this span was built from."""
-        q = np.linalg.qr(rows[self.first].T)[0]
-        return q @ coef[: q.shape[1]]
-
-
 def _normable(norms) -> NDArray[np.bool_]:
     # What vsa.normalize accepts: a finite, non-zero length.
     return (norms > 0.0) & np.isfinite(norms)
 
 
-@dataclass
-class _SpanConditions:
-    """A batch of trained condition predictors, in span coordinates.
+def _starts(rows, train, labels) -> NDArray[np.float64]:
+    """Coefficients over ``rows`` of each run's unit starting weights, (R, M); zero where those cannot be normalized.
 
-    ``weights[f]`` are run f's unit weights in the coordinates of its span
-    and ``scores[f]`` their similarity to each row. A ``refused`` run met a
+    ``train`` and ``labels`` (R, M) hold each run's training rows and
+    targets. A run starts from its positive training rows' sum less its
+    negative ones; where the classes cancel (that sum, built in R^N, is
+    under 1e-12 long), from the positive sum.
+    """
+    pos = train & labels
+    coef = pos - (train & ~labels).astype(np.float64)
+    lengths = np.linalg.norm(coef @ rows, axis=1)
+    cancelled = lengths < 1e-12
+    coef[cancelled] = pos[cancelled]
+    lengths[cancelled] = np.linalg.norm(coef[cancelled] @ rows, axis=1)
+    refused = ~_normable(lengths)
+    coef[refused], lengths[refused] = 0.0, 1.0
+    return coef / lengths[:, None]
+
+
+@dataclass
+class _Conditions:
+    """A batch of trained condition predictors, as coefficients over their rows.
+
+    ``weights[f]`` are run f's unit weights as a combination of its rows and
+    ``scores[f]`` their similarity to each row. A ``refused`` run met a
     weight vector that cannot be normalized, where training in R^N would
     raise ValueError.
     """
@@ -211,7 +195,7 @@ class _SpanConditions:
         z = self.steepness[:, None] * (self.scores - self.threshold[:, None])
         return _sigmoid(z) >= FIRE_THRESHOLD
 
-    def with_mirrors(self, mirror) -> "_SpanConditions":
+    def with_mirrors(self, mirror) -> "_Conditions":
         """The full batch of runs that ``_mirror_runs`` returned ``mirror`` for.
 
         This batch holds the runs where ``mirror`` is -1, in order; each
@@ -223,7 +207,7 @@ class _SpanConditions:
         source[own] = np.arange(own.sum())
         source[~own] = source[mirror[~own]]
         sign = np.where(own, 1.0, -1.0)
-        return _SpanConditions(
+        return _Conditions(
             self.weights[source] * sign[:, None],
             self.steepness[source],
             self.threshold[source] * sign,
@@ -232,83 +216,65 @@ class _SpanConditions:
         )
 
 
-def _mirror_runs(coords, train, labels, cancelled) -> NDArray[np.int64]:
+def _mirror_runs(grams, starts, train, labels) -> NDArray[np.int64]:
     """The earlier run each run mirrors, or -1.
 
-    Run g mirrors run f when both have the same span coordinates and
-    training rows, g's training labels are the complement of f's, and f's
-    classes do not cancel (f then starts from its positive prototype, which
-    g's would not negate).
+    Run g mirrors run f when both have the same Gram and training rows, and
+    g's training labels and starting coefficients are the negation of f's.
+    A run whose classes cancel starts from its positive prototype, which
+    the complement does not negate, so it is never mirrored.
     """
     mirror = np.full(len(train), -1)
-    trained: dict[tuple[bytes, bytes, bytes], int] = {}
-    for f, (rows, used, wanted) in enumerate(zip(coords, train, labels)):
-        key = (rows.tobytes(), used.tobytes())
-        partner = trained.get(key + ((~wanted[used]).tobytes(),))
-        if partner is not None and not cancelled[partner]:
+    trained: dict[tuple[bytes, ...], int] = {}
+    for f, (gram, start, used, wanted) in enumerate(zip(grams, starts, train, labels)):
+        key = (gram.tobytes(), used.tobytes())
+        partner = trained.get(key + ((~wanted[used]).tobytes(), (-start[used]).tobytes()))
+        if partner is not None:
             mirror[f] = partner
         else:
-            trained.setdefault(key + (wanted[used].tobytes(),), f)
+            trained.setdefault(key + (wanted[used].tobytes(), start[used].tobytes()), f)
     return mirror
 
 
-def _train_span_conditions(coords, train, labels) -> _SpanConditions:
-    """Condition training for a batch of runs, each in the span of its rows.
+def _train_conditions(grams, starts, train, labels) -> _Conditions:
+    """Condition training for a batch of runs, each over its own rows.
 
-    ``coords`` (F, M, M) holds each run's rows in span coordinates,
-    ``train`` (F, M) the rows it trains on (at least one of each label) and
-    ``labels`` (F, M) the targets. The weights start as a signed sum
-    of training rows and every step adds a combination of them, so they
-    never leave the rows' span (the representer theorem). The descent on
-    ``operation_loss`` therefore runs there, step for step as it would in
-    R^N: weights renormalized after each step, steepness clamped at 1e-3.
-    Each run takes ``MAX_EPOCHS`` full-batch steps unless its loss falls
-    below ``LOSS_FLOOR`` first, from which point its row is frozen.
+    Run f's rows have the Gram ``grams[f]`` (M, M), and its weights start
+    from the coefficients ``starts[f]`` (``_starts``; a run with no start
+    is refused). ``train`` (F, M) holds the rows it trains on (at least one of
+    each label) and ``labels`` (F, M) the targets. Every step adds a
+    combination of training rows to the weights, so they stay a combination
+    a of the rows (the representer theorem) and the descent on
+    ``operation_loss`` runs on a, step for step as it would in R^N: G a holds
+    every similarity and a·G a the squared length, so the weights are
+    renormalized after each step; steepness is clamped at 1e-3. Each run
+    takes ``MAX_EPOCHS`` full-batch steps unless its loss falls below
+    ``LOSS_FLOOR`` first, from which point its row is frozen.
 
     A run that mirrors an earlier one (``_mirror_runs``) is not trained.
-    Complementing the labels negates the label-signed rows and the starting
-    weights and threshold, so the signed margins, the loss and the
+    Complementing the labels negates the label signs and the starting
+    coefficients and threshold, so the signed margins, the loss and the
     steepness stay equal and every step is negated, bit for bit. So the
     mirrored run is the earlier run with weights, threshold and scores
     negated and the same steepness.
     """
-    train = np.asarray(train, dtype=bool)
-    runs = len(train)
-    pos, neg = train & labels, train & ~labels
-    transposed = np.ascontiguousarray(coords.transpose(0, 2, 1))
-
-    def combine(coef):  # sum of coef[i] * row i, in coordinates
-        return np.matmul(transposed, coef[..., None])[..., 0]
-
-    def norm(vectors):
-        return np.sqrt(np.einsum("fi,fi->f", vectors, vectors))
-
-    diff = combine(pos - neg.astype(np.float64))
-    # Both classes bundle to the same point: start from the positive prototype
-    # and let the threshold carry the fit.
-    cancelled = norm(diff) < 1e-12
-    mirror = _mirror_runs(coords, train, labels, cancelled)
+    mirror = _mirror_runs(grams, starts, train, labels)
     if (mirror >= 0).any():
         own = mirror < 0
-        return _train_span_conditions(coords[own], train[own], labels[own]).with_mirrors(mirror)
-    diff = np.where(cancelled[:, None], combine(pos.astype(np.float64)), diff)
-    lengths = norm(diff)
-    refused = ~_normable(lengths)
-    lengths[refused] = 1.0
-    weights = diff / lengths[:, None]
-    scores = np.matmul(coords, weights[..., None])[..., 0]
+        return _train_conditions(grams[own], starts[own], train[own], labels[own]).with_mirrors(mirror)
+    pos, neg = train & labels, train & ~labels
+    refused = ~starts.any(axis=1)
+    weights = starts
+    scores = np.matmul(grams, weights[..., None])[..., 0]
     threshold = ((scores * pos).sum(axis=1) / pos.sum(axis=1) + (scores * neg).sum(axis=1) / neg.sum(axis=1)) / 2.0
-    steepness = np.full(runs, INITIAL_STEEPNESS)
+    steepness = np.full(len(train), INITIAL_STEEPNESS)
 
-    # A run's state is V = [w; t] over the rows sign_i * [c_i, -1] (sign +1 for a positive): one product
-    # gives every signed margin (a row's loss is softplus(-z), z = k * margin), and k times the transposed
-    # product of push = LEARNING_RATE * share / (1 + e^z) steps weights and threshold together.
-    width = coords.shape[2]
-    signed = np.where(labels, 1.0, -1.0)[..., None] * np.concatenate([coords, np.full((runs, width, 1), -1.0)], axis=2)
-    signed_t = np.ascontiguousarray(signed.transpose(0, 2, 1))
-    state = np.concatenate([weights, threshold[:, None]], axis=1)
+    # A row's loss is softplus(-z), z = k * margin with the margin signed by its label, and
+    # LEARNING_RATE times minus the loss gradient in z is push = LEARNING_RATE * share / (1 + e^z).
+    # The step k * sign * push is added to the coefficients, and its sum taken off the threshold.
+    sign = np.where(labels, 1.0, -1.0)
     share = train / train.sum(axis=1, keepdims=True)  # each training row's weight in the mean
-    rate = LEARNING_RATE * share
+    rate = LEARNING_RATE * share * sign
     # A run's loss is at least softplus(-z) / n at each of its n training rows, so a row
     # with z <= decisive keeps it over 4 * LOSS_FLOOR; the loss is evaluated only when
     # an active run has no such row. Rows outside training hold NaN, which never compares true.
@@ -316,9 +282,9 @@ def _train_span_conditions(coords, train, labels) -> _SpanConditions:
     active = ~refused
     everyone = not refused.any()  # active.all()
     for _ in range(MAX_EPOCHS):
-        margins = np.matmul(signed, state[..., None])[..., 0]
+        distance = scores - threshold[:, None]
         k = steepness[:, None]
-        z = k * margins
+        z = k * (sign * distance)
         decided = (z <= decisive).any(axis=1)
         if not (decided.all() if everyone else (decided | ~active).all()):
             softplus = np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
@@ -326,22 +292,29 @@ def _train_span_conditions(coords, train, labels) -> _SpanConditions:
             everyone = bool(active.all())
         if not (everyone or active.any()):
             break
-        push = rate / (1.0 + np.exp(z))
-        step = state + k * np.matmul(signed_t, push[..., None])[..., 0]
-        lengths = norm(step[:, :width])
+        push = rate / (1.0 + np.exp(z))  # signed by label
+        step = k * push
+        stepped = weights + step
+        similarities = np.matmul(grams, stepped[..., None])[..., 0]
+        lengths = np.sqrt(np.einsum("fi,fi->f", stepped, similarities))
         if not (0.0 < lengths.min() and lengths.max() < np.inf):
             ok = _normable(lengths)
             refused |= active & ~ok
             active &= ok
             everyone = bool(active.all())
             lengths[~ok] = 1.0
-        step[:, :width] /= lengths[:, None]
-        stepped = np.maximum(steepness + np.einsum("fi,fi->f", push, margins), 1e-3)
+        unit = lengths[:, None]
+        update = (
+            stepped / unit,
+            similarities / unit,
+            threshold - step.sum(axis=1),
+            np.maximum(steepness + np.einsum("fi,fi->f", push, distance), 1e-3),
+        )
         if not everyone:  # frozen runs keep their state
-            step[~active], stepped[~active] = state[~active], steepness[~active]
-        state, steepness = step, stepped
-    weights = np.ascontiguousarray(state[:, :width])
-    return _SpanConditions(weights, steepness, state[:, width], np.matmul(coords, weights[..., None])[..., 0], refused)
+            for new, old in zip(update, (weights, scores, threshold, steepness)):
+                new[~active] = old[~active]
+        weights, scores, threshold, steepness = update
+    return _Conditions(weights, steepness, threshold, scores, refused)
 
 
 # --------------------------------------------------------------------------
@@ -549,21 +522,18 @@ class Program:
     rules: tuple[Rule, ...]
 
 
-class _SpanBasis:
-    """Span coordinates of every property subset over one task's demo objects.
+class _Bundles:
+    """The property vectors and subset bundles of one task's demo objects.
 
     The objects' property vectors are stacked once, on first use, and shared
     by every subset, fold and rule kind of the task. A subset's rows are the
     objects' subset bundles, bitwise ``subset_matrix``, so training reads
     the vectors that ``OperationPredictor.probability`` reads. Subset
-    ranking reads each property's Gram from the same stack. A fold trains on
-    some rows of its subset's span and scores the rest from the same
-    coordinates.
+    ranking reads each property's Gram from the same stack.
     """
 
     def __init__(self, objects: list[ObjectRepr]):
         self.objects = objects
-        self._spans: dict[PropertySubset, _Span] = {}
 
     @cached_property
     def _properties(self) -> NDArray[np.float64]:
@@ -583,12 +553,6 @@ class _SpanBasis:
         sums = self._properties[[PROPERTIES.index(p) for p in subset]].sum(axis=0)
         return np.stack([vsa.normalize(s) for s in sums])
 
-    def span(self, subset: PropertySubset) -> _Span:
-        """Span coordinates of the subset's rows, built on first use."""
-        if subset not in self._spans:
-            self._spans[subset] = _Span.of(self.rows(subset))
-        return self._spans[subset]
-
 
 @dataclass
 class _RuleObservations:
@@ -600,7 +564,7 @@ class _RuleObservations:
     labels: NDArray[np.bool_]  # was this object subject to the operation?
     pairs_by_slot: dict[str, list[tuple[int, ParamValue]]]  # object index -> value
     out_dims: dict[int, tuple[int, int]]
-    basis: _SpanBasis  # over ``objects``, shared by the kinds of one task
+    bundles: _Bundles  # over ``objects``, shared by the kinds of one task
 
     def folds(self) -> list[int]:
         """Demos to hold out in turn; a fold is skipped when no positive is left to train on."""
@@ -622,7 +586,7 @@ def _observations(result: AbductionResult) -> dict[OperationKind, _RuleObservati
     index_of = {key: n for n, key in enumerate(keys)}
     demo_of = np.array([d for d, _ in keys], dtype=np.int64)
     out_dims = {d: tuple(scene.grid.shape) for d, scene in enumerate(result.output_scenes)}
-    basis = _SpanBasis(objects)
+    bundles = _Bundles(objects)
     assigned: dict[OperationKind, list] = {kind: [] for kind in [a.kind for a in result.action_set] + list(OperationKind)}
     for a in result.assignments:
         assigned[a.action.kind].append((index_of[(a.demo_index, a.input_index)], a.action))
@@ -631,7 +595,7 @@ def _observations(result: AbductionResult) -> dict[OperationKind, _RuleObservati
         labels = np.zeros(len(objects), dtype=bool)
         labels[[i for i, _ in acted]] = True
         pairs_by_slot = {slot: [(i, action.param(slot)) for i, action in acted] for slot in dsl.PARAM_SLOTS[kind]}
-        observations[kind] = _RuleObservations(kind, objects, demo_of, labels, pairs_by_slot, out_dims, basis)
+        observations[kind] = _RuleObservations(kind, objects, demo_of, labels, pairs_by_slot, out_dims, bundles)
     return observations
 
 
@@ -640,7 +604,7 @@ class _KindConditions:
     """Condition training of one rule kind, from the task's shared batch."""
 
     accuracy: NDArray[np.float64]  # (subsets, folds): held-out accuracy
-    full: dict[PropertySubset, tuple[_SpanConditions, int]]  # fit on every object, by subset
+    full: dict[PropertySubset, tuple[_Conditions, int]]  # fit on every object, by subset
 
     def predictor(self, obs: _RuleObservations, subset: PropertySubset) -> OperationPredictor:
         """The full-data condition; vacuous when no object is a negative."""
@@ -649,7 +613,7 @@ class _KindConditions:
         fit, run = self.full[subset]
         if fit.refused[run]:
             raise ValueError("cannot normalize a zero or non-finite vector")
-        weights = vsa.normalize(obs.basis.span(subset).vector(fit.weights[run], obs.basis.rows(subset)))
+        weights = vsa.normalize(fit.weights[run] @ obs.bundles.rows(subset))
         return OperationPredictor(subset, weights, float(fit.steepness[run]), float(fit.threshold[run]))
 
 
@@ -660,9 +624,10 @@ def train_operation_predictor(plans) -> list[_KindConditions]:
     Each kind trains one run per (subset, fold) for cross-validation and
     one per subset on every object, so the final fit is ready whichever
     subset wins. A fold with no negatives to train on keeps the vacuous
-    condition, which fires on every held-out object.
+    condition, which fires on every held-out object. Each subset's rows
+    and Gram are built once, for the runs of every kind.
     """
-    results, runs = [], []  # runs: (kind, subset, fold or None for the full fit, training rows)
+    results, by_subset = [], {}  # (bundles, subset) -> per run (kind, subset index, fold or None, training rows)
     for k, (obs, subsets, folds) in enumerate(plans):
         held = [obs.demo_of == d for d in folds]
         accuracy = np.tile([np.mean(obs.labels[h]) for h in held], (len(subsets), 1))
@@ -671,24 +636,29 @@ def train_operation_predictor(plans) -> list[_KindConditions]:
             continue
         trained = [(f, ~h) for f, h in enumerate(held) if (~obs.labels & ~h).any()]
         everything = np.ones(len(obs.objects), dtype=bool)
-        for s in range(len(subsets)):
-            runs.extend((k, s, f, train) for f, train in trained + [(None, everything)])
-    if not runs:
+        for s, subset in enumerate(subsets):
+            group = by_subset.setdefault((obs.bundles, subset), [])
+            group.extend((k, s, f, train) for f, train in trained + [(None, everything)])
+    if not by_subset:
         return results
-    labels = np.stack([plans[k][0].labels for k, *_ in runs])
-    fit = _train_span_conditions(
-        np.stack([plans[k][0].basis.span(plans[k][1][s]).coords for k, s, *_ in runs]),
-        np.stack([train for *_, train in runs]),
-        labels,
-    )
-    if any(fit.refused[r] for r, (_, _, f, _) in enumerate(runs) if f is not None):
+    runs, batch = [], []  # per run (kind, subset index, fold); per subset the trainer's inputs
+    for (bundles, subset), group in by_subset.items():
+        rows = bundles.rows(subset)
+        train = np.stack([used for *_, used in group])
+        labels = np.stack([plans[k][0].labels for k, *_ in group])
+        gram = np.repeat((rows @ rows.T)[None], len(group), axis=0)
+        batch.append((gram, _starts(rows, train, labels), train, labels))
+        runs.extend((k, s, f) for k, s, f, _ in group)
+    grams, starts, train, labels = (np.concatenate(part) for part in zip(*batch))
+    fit = _train_conditions(grams, starts, train, labels)
+    if any(fit.refused[r] for r, (_, _, f) in enumerate(runs) if f is not None):
         raise ValueError("cannot normalize a zero or non-finite vector")
     hits = fit.fires() == labels
-    for r, (k, s, f, train) in enumerate(runs):
+    for r, (k, s, f) in enumerate(runs):
         if f is None:
             results[k].full[plans[k][1][s]] = (fit, r)
         else:
-            results[k].accuracy[s, f] = np.mean(hits[r, ~train])
+            results[k].accuracy[s, f] = np.mean(hits[r, ~train[r]])
     return results
 
 
@@ -739,7 +709,7 @@ def induce(result: AbductionResult, codec: ParamCodec) -> Program:
     for obs in _observations(result).values():
         if not obs.labels.any():
             continue
-        subsets = rank_properties(obs.basis, obs.labels)
+        subsets = rank_properties(obs.bundles, obs.labels)
         # Subsets matter only when some predictor trains on property bundles.
         searched = not obs.labels.all() or any(
             _shortcut_predictor(obs.pairs(slot), slot, codec) is None for slot in obs.pairs_by_slot

@@ -199,87 +199,82 @@ def condition_training_direct(pos, neg, learning_rate, max_epochs, loss_floor, i
     return w, k, b
 
 
-def span_conditions_direct(coords, train, labels, learning_rate, max_epochs, loss_floor, initial_steepness):
-    """Span-space condition training for a batch of runs, evaluating the loss in every epoch.
+def span_conditions_direct(grams, starts, train, labels, learning_rate, max_epochs, loss_floor, initial_steepness):
+    """Condition training for a batch of runs over each run's Gram, evaluating the loss in every epoch.
 
-    Each run's state is V = [w; t] over the label-signed rows
-    sign_i * [c_i, -1] (sign +1 for a positive, -1 for a negative), so one
-    product gives every signed margin and one more gives the weight and
-    threshold steps together; only w is renormalized. Every run is trained
-    itself: a run that mirrors another (complementary labels, same rows) is
-    trained from its own start, not negated. A run's loss below
+    Run f's weights are a combination a of its rows, starting from
+    ``starts[f]`` (all zero for a start that cannot be normalized, which
+    refuses the run). ``grams[f]`` gives every similarity of the weights,
+    G a, and their squared length, a.G a. The step k * sign_i * push_i
+    (sign +1 for a positive, -1 for a negative) is added to a_i and its sum
+    taken off the threshold, then the weights are renormalized. Every run is
+    trained itself: a run that mirrors another (complementary labels, same
+    rows) is trained from its own start, not negated. A run's loss below
     ``loss_floor`` freezes it, and a weight vector that cannot be normalized
     freezes and refuses it. Returns (weights, steepness, threshold, scores,
     refused).
     """
     train = np.asarray(train, dtype=bool)
-    runs = len(train)
     pos, neg = train & labels, train & ~labels
-    transposed = np.ascontiguousarray(coords.transpose(0, 2, 1))
-
-    def combine(coef):  # sum of coef[i] * row i, in coordinates
-        return np.matmul(transposed, coef[..., None])[..., 0]
-
-    def norm(vectors):
-        return np.sqrt(np.einsum("fi,fi->f", vectors, vectors))
 
     def normable(norms):
         return (norms > 0.0) & np.isfinite(norms)
 
-    diff = combine(pos - neg.astype(np.float64))
-    cancelled = norm(diff) < 1e-12
-    diff = np.where(cancelled[:, None], combine(pos.astype(np.float64)), diff)
-    lengths = norm(diff)
-    refused = ~normable(lengths)
-    lengths[refused] = 1.0
-    weights = diff / lengths[:, None]
-    scores = np.matmul(coords, weights[..., None])[..., 0]
+    refused = ~starts.any(axis=1)
+    weights = starts
+    scores = np.matmul(grams, weights[..., None])[..., 0]
     threshold = ((scores * pos).sum(axis=1) / pos.sum(axis=1) + (scores * neg).sum(axis=1) / neg.sum(axis=1)) / 2.0
-    steepness = np.full(runs, initial_steepness)
+    steepness = np.full(len(train), initial_steepness)
 
-    width = coords.shape[2]
     sign = np.where(labels, 1.0, -1.0)
-    signed = sign[..., None] * np.concatenate([coords, np.full((runs, width, 1), -1.0)], axis=2)
-    signed_t = np.ascontiguousarray(signed.transpose(0, 2, 1))
-    state = np.concatenate([weights, threshold[:, None]], axis=1)
     share = train / train.sum(axis=1, keepdims=True)
-    rate = learning_rate * share
+    rate = learning_rate * share * sign
     active = ~refused
     for _ in range(max_epochs):
-        margins = np.matmul(signed, state[..., None])[..., 0]  # sign_i * (c_i.w - t)
-        z = steepness[:, None] * margins  # a row's loss is softplus(-z)
+        distance = scores - threshold[:, None]
+        z = steepness[:, None] * (sign * distance)  # a row's loss is softplus(-z)
         softplus = np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
         loss = np.einsum("fi,fi->f", softplus, share)
         active &= ~(loss < loss_floor)
         if not active.any():
             break
-        push = rate / (1.0 + np.exp(z))  # learning_rate times minus the loss gradient in z
-        step = state + steepness[:, None] * np.matmul(signed_t, push[..., None])[..., 0]
-        lengths = norm(step[:, :width])
+        push = rate / (1.0 + np.exp(z))  # sign times learning_rate times minus the loss gradient in z
+        step = steepness[:, None] * push
+        stepped = weights + step
+        similarities = np.matmul(grams, stepped[..., None])[..., 0]
+        lengths = np.sqrt(np.einsum("fi,fi->f", stepped, similarities))
         ok = normable(lengths)
         if not ok.all():
             refused |= active & ~ok
             active &= ok
             lengths[~ok] = 1.0
-        step[:, :width] /= lengths[:, None]
-        updated = (step, np.maximum(steepness + np.einsum("fi,fi->f", push, margins), 1e-3))
+        unit = lengths[:, None]
+        updated = (
+            stepped / unit,
+            similarities / unit,
+            threshold - step.sum(axis=1),
+            np.maximum(steepness + np.einsum("fi,fi->f", push, distance), 1e-3),
+        )
         if not active.all():
             frozen = ~active
-            for new, old in zip(updated, (state, steepness)):
+            for new, old in zip(updated, (weights, scores, threshold, steepness)):
                 new[frozen] = old[frozen]
-        state, steepness = updated
-    weights = np.ascontiguousarray(state[:, :width])
-    return weights, steepness, state[:, width], np.matmul(coords, weights[..., None])[..., 0], refused
+        weights, scores, threshold, steepness = updated
+    return weights, steepness, threshold, scores, refused
 
 
 def span_conditions_two_product_direct(coords, train, labels, learning_rate, max_epochs, loss_floor, initial_steepness):
-    """``span_conditions_direct`` with one product for the weight step and one for the scores.
+    """Condition training in span coordinates, one product for the weight step and one for the scores.
 
-    Weights, scores and threshold are kept apart: the margins are the scores
-    less the threshold, the weight step is a combination of the rows, the
-    threshold takes its own step, and the scores are rebuilt from the
-    weights after every step. The same descent as ``span_conditions_direct``
-    in another summation order, so the two agree to rounding.
+    ``coords[f]`` holds run f's rows in an orthonormal basis of their span,
+    and the weights are trained as coordinates in that basis. They start
+    from the difference of the class sums (the positive sum when that
+    difference is under 1e-12 long). Weights, scores and threshold are kept
+    apart: the margins are the scores less the threshold, the weight step
+    is a combination of the rows, the threshold takes its own step, and the
+    scores are rebuilt from the weights after every step. The same descent
+    as ``span_conditions_direct`` in another representation and summation
+    order, so the two agree to rounding.
     """
     train = np.asarray(train, dtype=bool)
     runs = len(train)

@@ -53,6 +53,22 @@ def test_solve_refuses_a_program_for_a_bundle_before_solving(tmp_path, capsys, m
     assert not prog.exists()
 
 
+def test_inspect_refuses_a_bundle_before_exporting(tmp_path, capsys, monkeypatch):
+    single = json.loads(write_copy_task(tmp_path / "copy.json").read_text())
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps({"first": single, "second": single}), encoding="utf-8")
+    maps = tmp_path / "maps"
+
+    def must_not_export(*args, **kwargs):
+        raise AssertionError("export_heatmaps called before the bundle was refused")
+
+    monkeypatch.setattr(cli.harness, "export_heatmaps", must_not_export)
+    rc = cli.main(["--dimension", "256", "inspect", str(bundle), "--heatmaps", str(maps)])
+    assert rc == 1
+    assert "exactly one task" in capsys.readouterr().err
+    assert not maps.exists()
+
+
 def test_solve_prints_to_stdout(tmp_path, capsys):
     task = write_copy_task(tmp_path / "copy.json")
     rc = cli.main(["--dimension", "512", "--seed", "33", "solve", str(task)])

@@ -59,7 +59,7 @@ def square(colour, r, c, rows=7, cols=7):
 def test_property_scores_colour_separation():
     objects = [pixel(3, 1, 1), square(3, 4, 4), pixel(5, 1, 4), square(5, 4, 1)]
     labels = ["a", "a", "b", "b"]
-    basis = ind._SpanBasis(objects)
+    basis = ind._Bundles(objects)
     scores = ind.property_scores(basis, labels)
     # Same-group colour similarity 1, cross-group ~0: score(colour) ~ 1.
     assert scores[0] == pytest.approx(1.0, abs=0.05)
@@ -68,7 +68,7 @@ def test_property_scores_colour_separation():
 
 def test_property_scores_uninformative_property_is_zero():
     objects = [pixel(4, 1, 1), pixel(4, 1, 5), pixel(4, 5, 1), pixel(4, 5, 5)]
-    scores = ind.property_scores(ind._SpanBasis(objects), ["a", "a", "b", "b"])
+    scores = ind.property_scores(ind._Bundles(objects), ["a", "a", "b", "b"])
     # Identical colour everywhere gives s_same = s_diff, so no separation.
     assert scores[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -82,13 +82,13 @@ def test_property_scores_match_pairwise_dot_oracle():
             grid[rng.integers(5), rng.integers(6)] = rng.integers(1, 4)
             objects.extend(pc.perceive(pc.as_grid(grid), pc.ObjectHypothesis.EIGHT_CONNECTED, ENC, PALETTE).objects)
         labels = [bool(x) for x in rng.random(len(objects)) < 0.5]
-        scores = ind.property_scores(ind._SpanBasis(objects), labels)
+        scores = ind.property_scores(ind._Bundles(objects), labels)
         assert np.max(np.abs(scores - property_scores_direct(objects, labels))) < 1e-12
 
 
 def test_rank_properties_layout():
     objects = [pixel(2, 0, 0), pixel(9, 6, 6)]
-    ranked = ind.rank_properties(ind._SpanBasis(objects), [0, 1])
+    ranked = ind.rank_properties(ind._Bundles(objects), [0, 1])
     assert len(ranked) == 7
     assert all(len(s) == 1 for s in ranked[:3])
     assert all(len(s) == 2 for s in ranked[3:6])
@@ -117,7 +117,7 @@ def test_subset_vector_matches_sequential_sum_bitwise():
             expected = bundle_direct([o.vector(p) for p in subset])
             assert np.array_equal(ind.subset_vector(o, subset), expected)
     # The rows condition training reads are the same bundles, stacked.
-    basis = ind._SpanBasis(objects)
+    basis = ind._Bundles(objects)
     for subset in ALL_SUBSETS:
         assert np.array_equal(basis.rows(subset), ind.subset_matrix(objects, subset))
 
@@ -220,7 +220,7 @@ def test_operation_gradients_match_finite_differences():
     )
 
 
-# ---------------------------------------------------------------- span-space condition training
+# ---------------------------------------------------------------- condition training over subset Grams
 
 ALL_SUBSETS = [
     ("colour",), ("centre",), ("shape",),
@@ -278,8 +278,13 @@ def random_observations(rng, dim=64):
     labels = rng.random(len(objects)) < rng.uniform(0.2, 0.8)
     return ind._RuleObservations(
         Op.MOVE, objects, np.array(demo_of, dtype=np.int64), labels, {}, {d: (7, 7) for d in set(demo_of)},
-        ind._SpanBasis(objects),
+        ind._Bundles(objects),
     )
+
+
+def run_inputs(rows, train, labels):
+    """A run's Gram and starting coefficients over ``rows``, as ``train_operation_predictor`` builds them."""
+    return rows @ rows.T, ind._starts(rows, train[None], labels[None])[0]
 
 
 def test_span_training_matches_direct_oracle_on_random_folds():
@@ -304,19 +309,19 @@ def test_span_training_matches_direct_oracle_on_random_folds():
                     seen["vacuous"] += 1
                 else:
                     runs.append((s, d))
-        spans = [obs.basis.span(subset) for subset in ALL_SUBSETS]
+        rows = [obs.bundles.rows(subset) for subset in ALL_SUBSETS]
         if runs:
-            fit = ind._train_span_conditions(
-                np.stack([spans[s].coords for s, _ in runs]),
+            fit = ind._train_conditions(
+                np.stack([rows[s] @ rows[s].T for s, _ in runs]),
+                np.stack([run_inputs(rows[s], demo_of != d, obs.labels)[1] for s, d in runs]),
                 np.stack([demo_of != d for _, d in runs]),
                 np.tile(obs.labels, (len(runs), 1)),
             )
         for r, (s, d) in enumerate(runs):
             X = bundles(obs.objects, ALL_SUBSETS[s])
-            assert np.allclose(spans[s].coords @ spans[s].coords.T, X @ X.T, atol=1e-12)
             train, test = demo_of != d, demo_of == d
             w, k, b = assert_matches_direct(
-                spans[s].vector(fit.weights[r], obs.basis.rows(ALL_SUBSETS[s])), fit.steepness[r],
+                fit.weights[r] @ rows[s], fit.steepness[r],
                 fit.threshold[r], X[train & obs.labels], X[train & ~obs.labels],
             )
             expected = fires_direct(w, k, b, X[test])
@@ -337,21 +342,40 @@ def test_span_training_matches_direct_oracle_on_random_folds():
     assert min(seen.values()) > 0, seen
 
 
-def test_span_coordinates_reproduce_their_rows():
+def test_subset_grams_hold_the_similarities_of_their_rows(monkeypatch):
+    # The batch train_operation_predictor hands the trainer: one Gram per
+    # subset, shared by the runs of every kind, and unit starting weights.
+    batches = []
+
+    def capture(grams, starts, train, labels):
+        batches.append((grams, starts, train, labels))
+        return train_conditions(grams, starts, train, labels)
+
+    train_conditions = ind._train_conditions
+    monkeypatch.setattr(ind, "_train_conditions", capture)
     rng = np.random.default_rng(5)
     checked = 0
     for _ in range(40):
         obs = random_observations(rng)
+        if obs.labels.all() or not obs.labels.any():
+            continue
+        other = ind._RuleObservations(Op.RECOLOUR, obs.objects, obs.demo_of, ~obs.labels, {}, obs.out_dims, obs.bundles)
+        ind.train_operation_predictor([(obs, ALL_SUBSETS, obs.folds()), (other, ALL_SUBSETS[::-1], other.folds())])
+        grams, starts, train, labels = batches[0]  # the whole batch, before mirrored runs are set aside
+        batches.clear()
+        assert np.array_equal(labels[0], obs.labels) and np.array_equal(labels[-1], other.labels)
+        assert len({g.tobytes() for g in grams}) == len(ALL_SUBSETS)
         for subset in ALL_SUBSETS:
-            rows = obs.basis.rows(subset)
-            span = obs.basis.span(subset)
-            rebuilt = np.stack([span.vector(c, rows) for c in span.coords])
-            assert np.max(np.abs(rebuilt - rows)) < 1e-14
-            # Identical rows share one coordinate row.
-            ids = ind._row_ids(rows)
-            assert np.array_equal(span.coords, span.coords[span.first][ids])
+            X = bundles(obs.objects, subset)
+            mine = [np.max(np.abs(g - X @ X.T)) < 1e-14 for g in grams]
+            assert sum(mine) == len(grams) // len(ALL_SUBSETS)
+            for g, start, used, wanted in zip(grams[mine], starts[mine], train[mine], labels[mine]):
+                # A combination's similarity to each row, and its length.
+                assert np.max(np.abs(g @ start - X @ (start @ X))) < 1e-14
+                assert abs(np.linalg.norm(start @ X) - 1.0) < 1e-14
+                assert start[used & wanted].min() > 0.0
             checked += 1
-    assert checked == 280
+    assert checked > 150
 
 
 def test_linearly_dependent_rows_train_like_the_direct_oracle():
@@ -361,7 +385,8 @@ def test_linearly_dependent_rows_train_like_the_direct_oracle():
     assert np.linalg.matrix_rank(rows) == 3
     labels = np.arange(6) % 2 == 0
     obs = make_observations([[pc.ObjectRepr(None, r, r, r) for r in rows]], [labels])
-    assert len(obs.basis.span(("colour",)).first) == 6
+    # The Gram is singular; the descent on coefficients needs no factorization of it.
+    assert np.linalg.matrix_rank(rows @ rows.T) == 3
     (conditions,) = ind.train_operation_predictor([(obs, [("colour",)], [])])
     pred = conditions.predictor(obs, ("colour",))
     X = bundles(obs.objects, ("colour",))
@@ -381,7 +406,7 @@ def test_train_operation_predictor_matches_direct_oracle():
 
 def test_cancelling_bundles_start_from_positive_prototype():
     # Positives and negatives bundle to the same point. The fallback is decided
-    # on span coordinates, not on sqrt(c^T G c), which rounding keeps above 1e-12.
+    # on the start vector in R^N, not on sqrt(c^T G c), which rounding keeps above 1e-12.
     objs = [pixel(2, 1, 1), square(5, 3, 3), pixel(7, 0, 4)]
     positives, negatives = objs, [objs[2], objs[0], objs[1]]
     subset = ("colour", "shape")
@@ -394,10 +419,13 @@ def test_cancelling_bundles_start_from_positive_prototype():
     rng = np.random.default_rng(3)
     rows = np.vstack([X, Y]) + rng.normal(scale=1e-15, size=(6, CFG.dimension))
     labels = np.arange(6) < 3
-    span = ind._Span.of(rows)
-    assert len(span.first) == 6
-    fit = ind._train_span_conditions(span.coords[None], np.ones((1, 6), dtype=bool), labels[None])
-    assert np.max(np.abs(span.vector(fit.weights[0], rows) - w)) < 1e-9
+    train = np.ones(6, dtype=bool)
+    gram, start = run_inputs(rows, train, labels)
+    diff = labels - (~labels).astype(float)
+    assert np.sqrt(abs(diff @ gram @ diff)) > 1e-12 > np.linalg.norm(diff @ rows)
+    assert np.array_equal(start != 0, labels)
+    fit = ind._train_conditions(gram[None], start[None], train[None], labels[None])
+    assert np.max(np.abs(fit.weights[0] @ rows - w)) < 1e-9
 
 
 def test_zero_norm_weights_are_refused():
@@ -408,10 +436,10 @@ def test_zero_norm_weights_are_refused():
     labels = np.array([True, True, False, False])
     with pytest.raises(ValueError):
         direct(rows[labels], rows[~labels])
-    cos = x @ y
-    coords = np.zeros((4, 4))
-    coords[:, :2] = [[1.0, 0.0], [-1.0, 0.0], [cos, np.sqrt(1 - cos**2)], [-cos, -np.sqrt(1 - cos**2)]]
-    fit = ind._train_span_conditions(coords[None], np.ones((1, 4), dtype=bool), labels[None])
+    train = np.ones(4, dtype=bool)
+    gram, start = run_inputs(rows, train, labels)
+    assert not start.any()
+    fit = ind._train_conditions(gram[None], start[None], train[None], labels[None])
     assert fit.refused[0]
     # The refusal surfaces as the ValueError that induce turns into a vacuous condition.
     obs = make_observations([[pc.ObjectRepr(None, r, r, r) for r in rows]], [labels])
@@ -436,26 +464,28 @@ def test_mirrored_runs_equal_separately_trained_runs():
     for _ in range(30):
         obs = random_observations(rng)
         demo_of = np.array(obs.demo_of)
-        runs = []  # (coords, training rows, labels), each fold under both labelings
+        runs = []  # (rows, training rows, labels), each fold under both labelings
         for subset in ALL_SUBSETS[:: int(rng.integers(1, 4))]:
-            coords = obs.basis.span(subset).coords
+            rows = obs.bundles.rows(subset)
             for d in [None, *sorted(set(obs.demo_of))]:
                 train = demo_of != d
                 if obs.labels[train].any() and not obs.labels[train].all():
-                    runs.append((coords, train, obs.labels))
-                    runs.append((coords, train, ~obs.labels))
+                    runs.append((rows, train, obs.labels))
+                    runs.append((rows, train, ~obs.labels))
         if not runs:
             continue
-        order = rng.permutation(len(runs))
-        coords, train, labels = (np.stack([runs[i][k] for i in order]) for k in range(3))
-        fit = ind._train_span_conditions(coords, train, labels)
+        runs = [runs[i] for i in rng.permutation(len(runs))]
+        grams, starts = (np.stack(part) for part in zip(*(run_inputs(*run) for run in runs)))
+        train, labels = (np.stack([run[k] for run in runs]) for k in (1, 2))
+        fit = ind._train_conditions(grams, starts, train, labels)
         for r in range(len(runs)):
-            alone = ind._train_span_conditions(coords[r : r + 1], train[r : r + 1], labels[r : r + 1])
+            alone = ind._train_conditions(grams[r : r + 1], starts[r : r + 1], train[r : r + 1], labels[r : r + 1])
             assert_same_runs(fit, r, alone)
-        pos, neg = train & labels, train & ~labels
-        cancelled = np.linalg.norm(np.einsum("fij,fi->fj", coords, pos - neg.astype(float)), axis=1) < 1e-12
+        cancelled = np.array([
+            np.linalg.norm((used & wanted) @ rows - (used & ~wanted) @ rows) < 1e-12 for rows, used, wanted in runs
+        ])
         # Each labeling's classes cancel exactly when the other's do.
-        mirror = ind._mirror_runs(coords, train, labels, cancelled)
+        mirror = ind._mirror_runs(grams, starts, train, labels)
         assert (mirror >= 0).sum() == (~cancelled).sum() // 2
         mirrored += (~cancelled).sum() // 2
     assert mirrored > 100
@@ -468,64 +498,68 @@ def test_a_run_whose_classes_cancel_is_not_mirrored():
     objs = [pixel(2, 1, 1), square(5, 3, 3), pixel(7, 0, 4)]
     objs = objs + [objs[2], objs[0], objs[1]]
     obs = make_observations([objs], [[i < 3 for i in range(6)]])
-    coords = obs.basis.span(("colour", "shape")).coords
+    rows = obs.bundles.rows(("colour", "shape"))
+    gram = rows @ rows.T
     labels = np.stack([obs.labels, ~obs.labels])
     train = np.ones((2, 6), dtype=bool)
-    fit = ind._train_span_conditions(np.stack([coords, coords]), train, labels)
+    grams = np.stack([gram, gram])
+    starts = ind._starts(rows, train, labels)
+    fit = ind._train_conditions(grams, starts, train, labels)
     for r in range(2):
-        alone = ind._train_span_conditions(coords[None], train[r : r + 1], labels[r : r + 1])
+        alone = ind._train_conditions(gram[None], starts[r : r + 1], train[r : r + 1], labels[r : r + 1])
         assert_same_runs(fit, r, alone)
     assert not np.array_equal(fit.weights[1], -fit.weights[0])
-    cancelled = np.array([True, True])
-    assert np.array_equal(ind._mirror_runs(np.stack([coords, coords]), train, labels, cancelled), [-1, -1])
+    assert np.array_equal(ind._mirror_runs(grams, starts, train, labels), [-1, -1])
 
 
 def condition_batch(rng, runs=12, m=10, dim=48):
-    """A seeded batch of condition runs, each over m rows in span coordinates.
+    """A seeded batch of condition runs, each over m unit rows in R^dim.
 
     A run's rows are +-unit(p0 + spread * p_i) for p_i from a small pool, so
     rows recur. Half the runs label a row by its sign, so they separate, some
     fast enough to freeze early; the rest label at random. The batch also
     holds a run's mirror (the same rows and training rows under
     complementary labels), a run whose classes cancel and a run whose
-    starting weights cannot be normalized.
+    starting weights cannot be normalized. Returns (rows, train, labels).
     """
     pool = [unit(rng.normal(size=dim)) for _ in range(6)]
-    coords, train, labels = [], [], []
+    rows, train, labels = [], [], []
     for r in range(runs):
         signs = np.where(rng.random(m) < 0.5, 1.0, -1.0)
         signs[:2] = 1.0, -1.0
         spread = rng.uniform(0.0, 0.6)
-        rows = signs[:, None] * np.stack([unit(pool[0] + spread * pool[i]) for i in rng.integers(1, 4, size=m)])
+        rows.append(signs[:, None] * np.stack([unit(pool[0] + spread * pool[i]) for i in rng.integers(1, 4, size=m)]))
         used = rng.random(m) < 0.8
         used[:2] = True
         wanted = signs > 0 if r % 2 else rng.random(m) < 0.5
         wanted[:2] = True, False
-        coords.append(ind._Span.of(rows).coords)
         train.append(used)
         labels.append(wanted)
-    coords.append(coords[0])
+    rows.append(rows[0])
     train.append(train[0])
     labels.append(~labels[0])
     # Positives a, b, c against negatives c, a, b cancel. Positives x, -x
-    # against y, -y cancel too, and so does their positive sum, in
-    # coordinates whose rows 1 and 3 negate rows 0 and 2 exactly. Only these
+    # against y, -y cancel too, and so does their positive sum. Only these
     # rows train.
-    a, b, c = pool[:3]
-    opposed = ind._Span.of(np.stack(pool[3:5] + [pool[5]] * (m - 2))).coords
-    opposed = np.vstack([opposed[0], -opposed[0], opposed[1], -opposed[1], opposed[2:-2]])
-    cancelling = ind._Span.of(np.stack([a, b, c, c, a, b] + [pool[5]] * (m - 6))).coords
-    for head, rows in ((6, cancelling), (4, opposed)):
-        coords.append(rows)
+    a, b, c, x, y = pool[:5]
+    filler = [pool[5]] * (m - 6)
+    for head, run in ((6, [a, b, c, c, a, b]), (4, [x, -x, y, -y, a, b])):
+        rows.append(np.stack(run + filler))
         train.append(np.arange(m) < head)
         labels.append(np.arange(m) < head // 2)
-    order = rng.permutation(len(coords))
-    return tuple(np.stack(part)[order] for part in (coords, train, labels))
+    order = rng.permutation(len(rows))
+    return tuple(np.stack(part)[order] for part in (rows, train, labels))
 
 
 def seeded_condition_batches():
+    """Each batch as (rows, train, labels, grams, starts)."""
     rng = np.random.default_rng(19)
-    return [condition_batch(rng) for _ in range(6)]
+    batches = []
+    for _ in range(6):
+        rows, train, labels = condition_batch(rng)
+        grams, starts = (np.stack(part) for part in zip(*map(run_inputs, rows, train, labels)))
+        batches.append((rows, train, labels, grams, starts))
+    return batches
 
 
 def fields(fit):
@@ -548,12 +582,12 @@ def test_span_training_equals_the_every_epoch_loss_oracle_bitwise(floor, monkeyp
         return log1p(*args, **kwargs)
 
     refused = 0
-    for coords, train, labels in seeded_condition_batches():
+    for _, train, labels, grams, starts in seeded_condition_batches():
         want = span_conditions_direct(
-            coords, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
+            grams, starts, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
         )
         monkeypatch.setattr(np, "log1p", counted_log1p)
-        fit = ind._train_span_conditions(coords, train, labels)
+        fit = ind._train_conditions(grams, starts, train, labels)
         monkeypatch.setattr(np, "log1p", log1p)
         for got, expected in zip(fields(fit), want):
             assert np.array_equal(got, expected)
@@ -563,21 +597,49 @@ def test_span_training_equals_the_every_epoch_loss_oracle_bitwise(floor, monkeyp
         assert 0 < len(evaluated) < 6 * ind.MAX_EPOCHS
 
 
+def span_coordinates(rows):
+    """Each row's coordinates in an orthonormal basis of the rows' span, and that basis.
+
+    The basis is the Q factor of one QR of the rows, and a row's coordinates
+    are its product with Q, so equal or negated rows get equal or negated
+    coordinates.
+    """
+    q = np.linalg.qr(rows.T)[0]
+    return rows @ q, q
+
+
 @pytest.mark.parametrize("floor", [ind.LOSS_FLOOR, 1e-2])
 def test_span_training_agrees_with_the_two_product_oracle(floor, monkeypatch):
-    # The same descent with weights, threshold and scores kept apart: a
-    # different summation order, so agreement to rounding, and equal verdicts.
+    # The same descent in QR coordinates, with weights, threshold and scores
+    # kept apart: a different representation and summation order, so
+    # agreement to rounding, and equal verdicts.
     monkeypatch.setattr(ind, "LOSS_FLOOR", floor)
-    for coords, train, labels in seeded_condition_batches():
-        want = span_conditions_two_product_direct(
+    for rows, train, labels, grams, starts in seeded_condition_batches():
+        coords, bases = (np.stack(part) for part in zip(*map(span_coordinates, rows)))
+        weights, steepness, threshold, scores, refused = span_conditions_two_product_direct(
             coords, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
         )
-        fit = ind._train_span_conditions(coords, train, labels)
-        for got, expected in zip(fields(fit)[:4], want):
-            assert np.max(np.abs(got - expected)) < 1e-12
-        assert np.array_equal(fit.refused, want[4])
-        _, steepness, threshold, scores, _ = want
-        assert np.array_equal(fit.fires(), fires_direct_batch(steepness, threshold, scores))
+        fit = ind._train_conditions(grams, starts, train, labels)
+        # Rounding in a.G a grows with the squared coefficient norm. Identical
+        # rows under both labels let the coefficients grow without moving the
+        # weights: one random-label run here ends near norm 6,000, where
+        # sort-of-arc runs stay below 15.
+        bound = 1e-12 * np.maximum(1.0, np.sum(fit.weights**2, axis=1))
+        in_rn = np.einsum("fmn,fm->fn", rows, fit.weights)
+        for got, expected in (
+            (fit.steepness, steepness),
+            (fit.threshold, threshold),
+            (fit.scores, scores),
+            (in_rn, np.einsum("fnm,fm->fn", bases, weights)),
+        ):
+            assert np.all(np.abs(got - expected).reshape(len(bound), -1).max(axis=1) < bound)
+        assert np.array_equal(fit.refused, refused)
+        # The run whose classes cancel holds its six training rows at its
+        # threshold, where rounding decides whether they fire. A refused
+        # run's scores and threshold are exactly zero in both.
+        clear = refused[:, None] | (np.abs(steepness[:, None] * (scores - threshold[:, None])) > 1e-9)
+        assert (~clear).sum() <= 6
+        assert np.array_equal(fit.fires()[clear], fires_direct_batch(steepness, threshold, scores)[clear])
 
 
 # ---------------------------------------------------------------- parameter predictors
@@ -846,7 +908,7 @@ def make_observations(groups, labels_by_demo):
         labels=np.array(labels, dtype=bool),
         pairs_by_slot={},
         out_dims={d: (7, 7) for d in range(len(groups))},
-        basis=ind._SpanBasis(objects),
+        bundles=ind._Bundles(objects),
     )
 
 
