@@ -59,21 +59,21 @@ def condition_batch(seed=0, demos=3, per_demo=5, kinds=2):
     bundles = ind._Bundles(objects)
     demo_of = np.repeat(np.arange(demos), per_demo)
     subsets = [s for k in range(1, 4) for s in combinations(pc.PROPERTIES, k)]
-    grams, starts, train, labels = [], [], [], []
+    operators, starts, train, labels = [], [], [], []
     for _ in range(kinds):
         wanted = rng.random(len(objects)) < 0.5
         wanted[::per_demo], wanted[1::per_demo] = True, False  # both labels in every demo
         for subset in subsets:
             rows = bundles.rows(subset)
             used = np.stack([demo_of != held_out for held_out in (None, 0, 1)])
-            grams.extend([rows @ rows.T] * len(used))
+            operators.extend([ind._operator(rows)] * len(used))
             starts.extend(ind._starts(rows, used, np.tile(wanted, (len(used), 1))))
             train.extend(used)
             labels.extend([wanted] * len(used))
-    return np.stack(grams), np.stack(starts), np.stack(train), np.stack(labels)
+    return tuple(np.stack(part) for part in (operators, starts, train, labels))
 
 
 def test_condition_batch(benchmark):
-    grams, starts, train, labels = condition_batch()
-    assert grams.shape == (42, 15, 15)
-    benchmark(ind._train_conditions, grams, starts, train, labels)
+    batch = condition_batch()
+    assert batch[0].shape == (42, 15, 30)
+    benchmark(ind._train_conditions, *batch)

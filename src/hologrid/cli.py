@@ -85,13 +85,16 @@ def _cmd_solve(args) -> int:
         raise ValueError("--program needs a file holding exactly one task")
     config, encoder, palette = _solver_state(args)
     docs = []
+    first_diag = None
     for record in records:
         predictions, diag = deduction.solve_task(record, encoder, palette)
+        if first_diag is None:
+            first_diag = diag
         docs.append(harness.predictions_to_json(record, predictions))
-    if args.program:  # ``diag`` is the one task's
-        if diag.program is None:
-            raise ValueError(f"task unsolved, no program learned: {diag.reason}")
-        doc = induction.program_to_json(diag.program, config)
+    if args.program:
+        if first_diag.program is None:
+            raise ValueError(f"task unsolved, no program learned: {first_diag.reason}")
+        doc = induction.program_to_json(first_diag.program, config)
         Path(args.program).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     payload = docs[0] if len(docs) == 1 else docs
     text = json.dumps(payload, indent=2) + "\n"

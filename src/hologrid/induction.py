@@ -74,8 +74,8 @@ def property_scores(bundles: _Bundles, labels) -> NDArray[np.float64]:
     idx_a, idx_b = np.triu_indices(len(labels), k=1)
     same = labels[idx_a] == labels[idx_b]
     scores = np.zeros(len(PROPERTIES))
-    for k, name in enumerate(PROPERTIES):
-        sims = bundles.gram(name)[idx_a, idx_b]
+    for k, gram in enumerate(bundles.grams):
+        sims = gram[idx_a, idx_b]
         s_same = float(sims[same].mean()) if same.any() else 0.0
         s_diff = float(sims[~same].mean()) if (~same).any() else 0.0
         scores[k] = s_same**2 - s_diff**2
@@ -175,6 +175,14 @@ def _starts(rows, train, labels) -> NDArray[np.float64]:
     return coef / lengths[:, None]
 
 
+def _operator(rows) -> NDArray[np.float64]:
+    """[G P] (M, 2M): the rows' Gram and the projector onto its row space (eigenvalues up to M * eps * max are zero)."""
+    gram = rows @ rows.T
+    values, vectors = np.linalg.eigh(gram)
+    kept = vectors[:, values > len(gram) * np.finfo(np.float64).eps * values[-1]]
+    return np.hstack([gram, kept @ kept.T])
+
+
 @dataclass
 class _Conditions:
     """A batch of trained condition predictors, as coefficients over their rows.
@@ -207,65 +215,63 @@ class _Conditions:
         source[own] = np.arange(own.sum())
         source[~own] = source[mirror[~own]]
         sign = np.where(own, 1.0, -1.0)
-        return _Conditions(
-            self.weights[source] * sign[:, None],
-            self.steepness[source],
-            self.threshold[source] * sign,
-            self.scores[source] * sign[:, None],
-            self.refused[source],
-        )
+        weights, scores = (part[source] * sign[:, None] for part in (self.weights, self.scores))
+        return _Conditions(weights, self.steepness[source], self.threshold[source] * sign, scores, self.refused[source])
 
 
-def _mirror_runs(grams, starts, train, labels) -> NDArray[np.int64]:
+def _mirror_runs(operators, starts, train) -> NDArray[np.int64]:
     """The earlier run each run mirrors, or -1.
 
-    Run g mirrors run f when both have the same Gram and training rows, and
-    g's training labels and starting coefficients are the negation of f's.
-    A run whose classes cancel starts from its positive prototype, which
-    the complement does not negate, so it is never mirrored.
+    Run g mirrors run f when both have the same rows and training rows and
+    g's starting coefficients are the negation of f's. A start's signs are
+    its run's training labels, so g's are the complement of f's. A run
+    whose classes cancel starts from its positive prototype, which no start
+    negates (its zeros would be -0.0), so it is never mirrored.
     """
     mirror = np.full(len(train), -1)
     trained: dict[tuple[bytes, ...], int] = {}
-    for f, (gram, start, used, wanted) in enumerate(zip(grams, starts, train, labels)):
-        key = (gram.tobytes(), used.tobytes())
-        partner = trained.get(key + ((~wanted[used]).tobytes(), (-start[used]).tobytes()))
+    for f, (operator, start, used) in enumerate(zip(operators, starts, train)):
+        key = (operator.tobytes(), used.tobytes())
+        partner = trained.get(key + ((-start[used]).tobytes(),))
         if partner is not None:
             mirror[f] = partner
         else:
-            trained.setdefault(key + (wanted[used].tobytes(), start[used].tobytes()), f)
+            trained.setdefault(key + (start[used].tobytes(),), f)
     return mirror
 
 
-def _train_conditions(grams, starts, train, labels) -> _Conditions:
+def _train_conditions(operators, starts, train, labels) -> _Conditions:
     """Condition training for a batch of runs, each over its own rows.
 
-    Run f's rows have the Gram ``grams[f]`` (M, M), and its weights start
-    from the coefficients ``starts[f]`` (``_starts``; a run with no start
-    is refused). ``train`` (F, M) holds the rows it trains on (at least one of
-    each label) and ``labels`` (F, M) the targets. Every step adds a
-    combination of training rows to the weights, so they stay a combination
-    a of the rows (the representer theorem) and the descent on
-    ``operation_loss`` runs on a, step for step as it would in R^N: G a holds
-    every similarity and a·G a the squared length, so the weights are
-    renormalized after each step; steepness is clamped at 1e-3. Each run
-    takes ``MAX_EPOCHS`` full-batch steps unless its loss falls below
-    ``LOSS_FLOOR`` first, from which point its row is frozen.
+    Run f's rows give ``operators[f]`` = [G P] (``_operator``), its weights
+    start from the coefficients ``starts[f]`` (``_starts``; a run with no
+    start is refused), ``train[f]`` marks the rows it trains on (at least one
+    of each label) and ``labels[f]`` the targets. Every step adds a
+    combination of training rows, so the weights stay a combination a of the
+    rows (the representer theorem) and the descent on ``operation_loss`` runs
+    on a, step for step as in R^N: G a holds every similarity and a·G a the
+    squared length that renormalizes each step. Dependent rows leave steps
+    in G's null space, which renormalizing would blow up, and with them the
+    rounding of G a; so a is projected, P a, after every step. Steepness is
+    clamped at 1e-3. A run takes ``MAX_EPOCHS`` steps unless its loss falls
+    below ``LOSS_FLOOR`` first, from which point its row is frozen.
 
-    A run that mirrors an earlier one (``_mirror_runs``) is not trained.
-    Complementing the labels negates the label signs and the starting
-    coefficients and threshold, so the signed margins, the loss and the
-    steepness stay equal and every step is negated, bit for bit. So the
-    mirrored run is the earlier run with weights, threshold and scores
-    negated and the same steepness.
+    A run that mirrors an earlier one (``_mirror_runs``) is not trained:
+    complementing the labels negates the label signs, the starting
+    coefficients and the threshold, so the loss and the steepness stay equal
+    and every step is negated, bit for bit. The mirrored run is the earlier
+    one with weights, threshold and scores negated.
     """
-    mirror = _mirror_runs(grams, starts, train, labels)
+    mirror = _mirror_runs(operators, starts, train)
     if (mirror >= 0).any():
         own = mirror < 0
-        return _train_conditions(grams[own], starts[own], train[own], labels[own]).with_mirrors(mirror)
+        return _train_conditions(operators[own], starts[own], train[own], labels[own]).with_mirrors(mirror)
+    # A run's state a^T [G P] = [G a, P a] (G and P are symmetric): its scores and coefficients.
+    width = operators.shape[1]
+    state = np.matmul(starts[:, None, :], operators)[:, 0]
     pos, neg = train & labels, train & ~labels
     refused = ~starts.any(axis=1)
-    weights = starts
-    scores = np.matmul(grams, weights[..., None])[..., 0]
+    scores = state[:, :width]
     threshold = ((scores * pos).sum(axis=1) / pos.sum(axis=1) + (scores * neg).sum(axis=1) / neg.sum(axis=1)) / 2.0
     steepness = np.full(len(train), INITIAL_STEEPNESS)
 
@@ -282,7 +288,7 @@ def _train_conditions(grams, starts, train, labels) -> _Conditions:
     active = ~refused
     everyone = not refused.any()  # active.all()
     for _ in range(MAX_EPOCHS):
-        distance = scores - threshold[:, None]
+        distance = state[:, :width] - threshold[:, None]
         k = steepness[:, None]
         z = k * (sign * distance)
         decided = (z <= decisive).any(axis=1)
@@ -294,27 +300,21 @@ def _train_conditions(grams, starts, train, labels) -> _Conditions:
             break
         push = rate / (1.0 + np.exp(z))  # signed by label
         step = k * push
-        stepped = weights + step
-        similarities = np.matmul(grams, stepped[..., None])[..., 0]
-        lengths = np.sqrt(np.einsum("fi,fi->f", stepped, similarities))
+        stepped = np.matmul((state[:, width:] + step)[:, None, :], operators)[:, 0]
+        lengths = np.sqrt(np.einsum("fi,fi->f", stepped[:, :width], stepped[:, width:]))
         if not (0.0 < lengths.min() and lengths.max() < np.inf):
             ok = _normable(lengths)
             refused |= active & ~ok
             active &= ok
             everyone = bool(active.all())
             lengths[~ok] = 1.0
-        unit = lengths[:, None]
-        update = (
-            stepped / unit,
-            similarities / unit,
-            threshold - step.sum(axis=1),
-            np.maximum(steepness + np.einsum("fi,fi->f", push, distance), 1e-3),
-        )
+        stepped /= lengths[:, None]
+        update = (stepped, threshold - step.sum(axis=1), np.maximum(steepness + np.einsum("fi,fi->f", push, distance), 1e-3))
         if not everyone:  # frozen runs keep their state
-            for new, old in zip(update, (weights, scores, threshold, steepness)):
+            for new, old in zip(update, (state, threshold, steepness)):
                 new[~active] = old[~active]
-        weights, scores, threshold, steepness = update
-    return _Conditions(weights, steepness, threshold, scores, refused)
+        state, threshold, steepness = update
+    return _Conditions(state[:, width:], steepness, threshold, state[:, :width], refused)
 
 
 # --------------------------------------------------------------------------
@@ -541,12 +541,9 @@ class _Bundles:
         return np.array([[o.vector(p) for o in self.objects] for p in PROPERTIES])
 
     @cached_property
-    def _grams(self) -> list[NDArray[np.float64]]:
+    def grams(self) -> list[NDArray[np.float64]]:
+        """Similarities between the objects' vectors of each property, (M, M), in ``PROPERTIES`` order."""
         return [vectors @ vectors.T for vectors in self._properties]
-
-    def gram(self, name: str) -> NDArray[np.float64]:
-        """Similarities between the objects' ``name`` vectors, (M, M)."""
-        return self._grams[PROPERTIES.index(name)]
 
     def rows(self, subset: PropertySubset) -> NDArray[np.float64]:
         """The objects' subset bundles, (M, N)."""
@@ -624,8 +621,8 @@ def train_operation_predictor(plans) -> list[_KindConditions]:
     Each kind trains one run per (subset, fold) for cross-validation and
     one per subset on every object, so the final fit is ready whichever
     subset wins. A fold with no negatives to train on keeps the vacuous
-    condition, which fires on every held-out object. Each subset's rows
-    and Gram are built once, for the runs of every kind.
+    condition, which fires on every held-out object. Each subset's rows and
+    operator are built once, for the runs of every kind.
     """
     results, by_subset = [], {}  # (bundles, subset) -> per run (kind, subset index, fold or None, training rows)
     for k, (obs, subsets, folds) in enumerate(plans):
@@ -646,11 +643,10 @@ def train_operation_predictor(plans) -> list[_KindConditions]:
         rows = bundles.rows(subset)
         train = np.stack([used for *_, used in group])
         labels = np.stack([plans[k][0].labels for k, *_ in group])
-        gram = np.repeat((rows @ rows.T)[None], len(group), axis=0)
-        batch.append((gram, _starts(rows, train, labels), train, labels))
+        batch.append((np.repeat(_operator(rows)[None], len(group), axis=0), _starts(rows, train, labels), train, labels))
         runs.extend((k, s, f) for k, s, f, _ in group)
-    grams, starts, train, labels = (np.concatenate(part) for part in zip(*batch))
-    fit = _train_conditions(grams, starts, train, labels)
+    operators, starts, train, labels = (np.concatenate(part) for part in zip(*batch))
+    fit = _train_conditions(operators, starts, train, labels)
     if any(fit.refused[r] for r, (_, _, f) in enumerate(runs) if f is not None):
         raise ValueError("cannot normalize a zero or non-finite vector")
     hits = fit.fires() == labels

@@ -199,15 +199,18 @@ def condition_training_direct(pos, neg, learning_rate, max_epochs, loss_floor, i
     return w, k, b
 
 
-def span_conditions_direct(grams, starts, train, labels, learning_rate, max_epochs, loss_floor, initial_steepness):
+def span_conditions_direct(
+    operators, starts, train, labels, learning_rate, max_epochs, loss_floor, initial_steepness
+):
     """Condition training for a batch of runs over each run's Gram, evaluating the loss in every epoch.
 
     Run f's weights are a combination a of its rows, starting from
     ``starts[f]`` (all zero for a start that cannot be normalized, which
-    refuses the run). ``grams[f]`` gives every similarity of the weights,
-    G a, and their squared length, a.G a. The step k * sign_i * push_i
-    (sign +1 for a positive, -1 for a negative) is added to a_i and its sum
-    taken off the threshold, then the weights are renormalized. Every run is
+    refuses the run). ``operators[f]`` is [G P]: G a gives every similarity
+    of the weights, and P a projects a onto the row space. The step
+    k * sign_i * push_i (sign +1 for a positive, -1 for a negative) is added
+    to a_i and its sum taken off the threshold; the stepped a is projected
+    and renormalized by its length, sqrt(P a . G a). Every run is
     trained itself: a run that mirrors another (complementary labels, same
     rows) is trained from its own start, not negated. A run's loss below
     ``loss_floor`` freezes it, and a weight vector that cannot be normalized
@@ -220,9 +223,14 @@ def span_conditions_direct(grams, starts, train, labels, learning_rate, max_epoc
     def normable(norms):
         return (norms > 0.0) & np.isfinite(norms)
 
+    width = operators.shape[1]
+
+    def apply(coef):  # (G a, P a) from one product, a^T [G P]
+        both = np.matmul(coef[:, None, :], operators)[:, 0]
+        return both[:, :width], both[:, width:]
+
     refused = ~starts.any(axis=1)
-    weights = starts
-    scores = np.matmul(grams, weights[..., None])[..., 0]
+    scores, weights = apply(starts)
     threshold = ((scores * pos).sum(axis=1) / pos.sum(axis=1) + (scores * neg).sum(axis=1) / neg.sum(axis=1)) / 2.0
     steepness = np.full(len(train), initial_steepness)
 
@@ -240,8 +248,7 @@ def span_conditions_direct(grams, starts, train, labels, learning_rate, max_epoc
             break
         push = rate / (1.0 + np.exp(z))  # sign times learning_rate times minus the loss gradient in z
         step = steepness[:, None] * push
-        stepped = weights + step
-        similarities = np.matmul(grams, stepped[..., None])[..., 0]
+        similarities, stepped = apply(weights + step)
         lengths = np.sqrt(np.einsum("fi,fi->f", stepped, similarities))
         ok = normable(lengths)
         if not ok.all():

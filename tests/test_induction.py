@@ -283,8 +283,8 @@ def random_observations(rng, dim=64):
 
 
 def run_inputs(rows, train, labels):
-    """A run's Gram and starting coefficients over ``rows``, as ``train_operation_predictor`` builds them."""
-    return rows @ rows.T, ind._starts(rows, train[None], labels[None])[0]
+    """A run's operator [G P] and starting coefficients over ``rows``, as ``train_operation_predictor`` builds them."""
+    return ind._operator(rows), ind._starts(rows, train[None], labels[None])[0]
 
 
 def test_span_training_matches_direct_oracle_on_random_folds():
@@ -312,8 +312,7 @@ def test_span_training_matches_direct_oracle_on_random_folds():
         rows = [obs.bundles.rows(subset) for subset in ALL_SUBSETS]
         if runs:
             fit = ind._train_conditions(
-                np.stack([rows[s] @ rows[s].T for s, _ in runs]),
-                np.stack([run_inputs(rows[s], demo_of != d, obs.labels)[1] for s, d in runs]),
+                *(np.stack(part) for part in zip(*(run_inputs(rows[s], demo_of != d, obs.labels) for s, d in runs))),
                 np.stack([demo_of != d for _, d in runs]),
                 np.tile(obs.labels, (len(runs), 1)),
             )
@@ -343,13 +342,14 @@ def test_span_training_matches_direct_oracle_on_random_folds():
 
 
 def test_subset_grams_hold_the_similarities_of_their_rows(monkeypatch):
-    # The batch train_operation_predictor hands the trainer: one Gram per
-    # subset, shared by the runs of every kind, and unit starting weights.
+    # The batch train_operation_predictor hands the trainer: one operator
+    # [G P] per subset, shared by the runs of every kind, and unit starting
+    # weights.
     batches = []
 
-    def capture(grams, starts, train, labels):
-        batches.append((grams, starts, train, labels))
-        return train_conditions(grams, starts, train, labels)
+    def capture(*batch):
+        batches.append(batch)
+        return train_conditions(*batch)
 
     train_conditions = ind._train_conditions
     monkeypatch.setattr(ind, "_train_conditions", capture)
@@ -361,17 +361,20 @@ def test_subset_grams_hold_the_similarities_of_their_rows(monkeypatch):
             continue
         other = ind._RuleObservations(Op.RECOLOUR, obs.objects, obs.demo_of, ~obs.labels, {}, obs.out_dims, obs.bundles)
         ind.train_operation_predictor([(obs, ALL_SUBSETS, obs.folds()), (other, ALL_SUBSETS[::-1], other.folds())])
-        grams, starts, train, labels = batches[0]  # the whole batch, before mirrored runs are set aside
+        operators, starts, train, labels = batches[0]  # the whole batch, before mirrored runs are set aside
         batches.clear()
         assert np.array_equal(labels[0], obs.labels) and np.array_equal(labels[-1], other.labels)
-        assert len({g.tobytes() for g in grams}) == len(ALL_SUBSETS)
+        assert len({o.tobytes() for o in operators}) == len(ALL_SUBSETS)
+        grams, projectors = np.split(operators, 2, axis=2)
         for subset in ALL_SUBSETS:
             X = bundles(obs.objects, subset)
             mine = [np.max(np.abs(g - X @ X.T)) < 1e-14 for g in grams]
             assert sum(mine) == len(grams) // len(ALL_SUBSETS)
-            for g, start, used, wanted in zip(grams[mine], starts[mine], train[mine], labels[mine]):
-                # A combination's similarity to each row, and its length.
+            for g, p, start, used, wanted in zip(grams[mine], projectors[mine], starts[mine], train[mine], labels[mine]):
+                # A combination's similarity to each row, and its length; its
+                # projection onto the row space combines the rows the same way.
                 assert np.max(np.abs(g @ start - X @ (start @ X))) < 1e-14
+                assert np.max(np.abs((p @ start) @ X - start @ X)) < 1e-14
                 assert abs(np.linalg.norm(start @ X) - 1.0) < 1e-14
                 assert start[used & wanted].min() > 0.0
             checked += 1
@@ -420,11 +423,11 @@ def test_cancelling_bundles_start_from_positive_prototype():
     rows = np.vstack([X, Y]) + rng.normal(scale=1e-15, size=(6, CFG.dimension))
     labels = np.arange(6) < 3
     train = np.ones(6, dtype=bool)
-    gram, start = run_inputs(rows, train, labels)
+    operator, start = run_inputs(rows, train, labels)
     diff = labels - (~labels).astype(float)
-    assert np.sqrt(abs(diff @ gram @ diff)) > 1e-12 > np.linalg.norm(diff @ rows)
+    assert np.sqrt(abs(diff @ (rows @ rows.T) @ diff)) > 1e-12 > np.linalg.norm(diff @ rows)
     assert np.array_equal(start != 0, labels)
-    fit = ind._train_conditions(gram[None], start[None], train[None], labels[None])
+    fit = ind._train_conditions(operator[None], start[None], train[None], labels[None])
     assert np.max(np.abs(fit.weights[0] @ rows - w)) < 1e-9
 
 
@@ -437,9 +440,9 @@ def test_zero_norm_weights_are_refused():
     with pytest.raises(ValueError):
         direct(rows[labels], rows[~labels])
     train = np.ones(4, dtype=bool)
-    gram, start = run_inputs(rows, train, labels)
+    operator, start = run_inputs(rows, train, labels)
     assert not start.any()
-    fit = ind._train_conditions(gram[None], start[None], train[None], labels[None])
+    fit = ind._train_conditions(operator[None], start[None], train[None], labels[None])
     assert fit.refused[0]
     # The refusal surfaces as the ValueError that induce turns into a vacuous condition.
     obs = make_observations([[pc.ObjectRepr(None, r, r, r) for r in rows]], [labels])
@@ -475,17 +478,18 @@ def test_mirrored_runs_equal_separately_trained_runs():
         if not runs:
             continue
         runs = [runs[i] for i in rng.permutation(len(runs))]
-        grams, starts = (np.stack(part) for part in zip(*(run_inputs(*run) for run in runs)))
-        train, labels = (np.stack([run[k] for run in runs]) for k in (1, 2))
-        fit = ind._train_conditions(grams, starts, train, labels)
+        inputs = [np.stack(part) for part in zip(*(run_inputs(*run) for run in runs))]
+        inputs += [np.stack([run[k] for run in runs]) for k in (1, 2)]
+        operators, starts, train, _ = inputs
+        fit = ind._train_conditions(*inputs)
         for r in range(len(runs)):
-            alone = ind._train_conditions(grams[r : r + 1], starts[r : r + 1], train[r : r + 1], labels[r : r + 1])
+            alone = ind._train_conditions(*(part[r : r + 1] for part in inputs))
             assert_same_runs(fit, r, alone)
         cancelled = np.array([
             np.linalg.norm((used & wanted) @ rows - (used & ~wanted) @ rows) < 1e-12 for rows, used, wanted in runs
         ])
         # Each labeling's classes cancel exactly when the other's do.
-        mirror = ind._mirror_runs(grams, starts, train, labels)
+        mirror = ind._mirror_runs(operators, starts, train)
         assert (mirror >= 0).sum() == (~cancelled).sum() // 2
         mirrored += (~cancelled).sum() // 2
     assert mirrored > 100
@@ -499,17 +503,16 @@ def test_a_run_whose_classes_cancel_is_not_mirrored():
     objs = objs + [objs[2], objs[0], objs[1]]
     obs = make_observations([objs], [[i < 3 for i in range(6)]])
     rows = obs.bundles.rows(("colour", "shape"))
-    gram = rows @ rows.T
     labels = np.stack([obs.labels, ~obs.labels])
     train = np.ones((2, 6), dtype=bool)
-    grams = np.stack([gram, gram])
+    operators = np.stack([ind._operator(rows)] * 2)
     starts = ind._starts(rows, train, labels)
-    fit = ind._train_conditions(grams, starts, train, labels)
+    fit = ind._train_conditions(operators, starts, train, labels)
     for r in range(2):
-        alone = ind._train_conditions(gram[None], starts[r : r + 1], train[r : r + 1], labels[r : r + 1])
+        alone = ind._train_conditions(operators[:1], starts[r : r + 1], train[r : r + 1], labels[r : r + 1])
         assert_same_runs(fit, r, alone)
     assert not np.array_equal(fit.weights[1], -fit.weights[0])
-    assert np.array_equal(ind._mirror_runs(grams, starts, train, labels), [-1, -1])
+    assert np.array_equal(ind._mirror_runs(operators, starts, train), [-1, -1])
 
 
 def condition_batch(rng, runs=12, m=10, dim=48):
@@ -552,13 +555,13 @@ def condition_batch(rng, runs=12, m=10, dim=48):
 
 
 def seeded_condition_batches():
-    """Each batch as (rows, train, labels, grams, starts)."""
+    """Each batch as (rows, train, labels, operators, starts)."""
     rng = np.random.default_rng(19)
     batches = []
     for _ in range(6):
         rows, train, labels = condition_batch(rng)
-        grams, starts = (np.stack(part) for part in zip(*map(run_inputs, rows, train, labels)))
-        batches.append((rows, train, labels, grams, starts))
+        inputs = (np.stack(part) for part in zip(*map(run_inputs, rows, train, labels)))
+        batches.append((rows, train, labels, *inputs))
     return batches
 
 
@@ -582,12 +585,12 @@ def test_span_training_equals_the_every_epoch_loss_oracle_bitwise(floor, monkeyp
         return log1p(*args, **kwargs)
 
     refused = 0
-    for _, train, labels, grams, starts in seeded_condition_batches():
+    for _, train, labels, operators, starts in seeded_condition_batches():
         want = span_conditions_direct(
-            grams, starts, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
+            operators, starts, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
         )
         monkeypatch.setattr(np, "log1p", counted_log1p)
-        fit = ind._train_conditions(grams, starts, train, labels)
+        fit = ind._train_conditions(operators, starts, train, labels)
         monkeypatch.setattr(np, "log1p", log1p)
         for got, expected in zip(fields(fit), want):
             assert np.array_equal(got, expected)
@@ -614,32 +617,51 @@ def test_span_training_agrees_with_the_two_product_oracle(floor, monkeypatch):
     # kept apart: a different representation and summation order, so
     # agreement to rounding, and equal verdicts.
     monkeypatch.setattr(ind, "LOSS_FLOOR", floor)
-    for rows, train, labels, grams, starts in seeded_condition_batches():
+    for rows, train, labels, operators, starts in seeded_condition_batches():
         coords, bases = (np.stack(part) for part in zip(*map(span_coordinates, rows)))
         weights, steepness, threshold, scores, refused = span_conditions_two_product_direct(
             coords, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
         )
-        fit = ind._train_conditions(grams, starts, train, labels)
-        # Rounding in a.G a grows with the squared coefficient norm. Identical
-        # rows under both labels let the coefficients grow without moving the
-        # weights: one random-label run here ends near norm 6,000, where
-        # sort-of-arc runs stay below 15.
-        bound = 1e-12 * np.maximum(1.0, np.sum(fit.weights**2, axis=1))
-        in_rn = np.einsum("fmn,fm->fn", rows, fit.weights)
+        fit = ind._train_conditions(operators, starts, train, labels)
         for got, expected in (
             (fit.steepness, steepness),
             (fit.threshold, threshold),
             (fit.scores, scores),
-            (in_rn, np.einsum("fnm,fm->fn", bases, weights)),
+            (np.einsum("fmn,fm->fn", rows, fit.weights), np.einsum("fnm,fm->fn", bases, weights)),
         ):
-            assert np.all(np.abs(got - expected).reshape(len(bound), -1).max(axis=1) < bound)
+            assert np.max(np.abs(got - expected)) < 1e-12
         assert np.array_equal(fit.refused, refused)
-        # The run whose classes cancel holds its six training rows at its
-        # threshold, where rounding decides whether they fire. A refused
-        # run's scores and threshold are exactly zero in both.
-        clear = refused[:, None] | (np.abs(steepness[:, None] * (scores - threshold[:, None])) > 1e-9)
-        assert (~clear).sum() <= 6
-        assert np.array_equal(fit.fires()[clear], fires_direct_batch(steepness, threshold, scores)[clear])
+        # The run whose classes cancel (positives a, b, c against c, a, b)
+        # converges on a tie: its six training rows end at its threshold, where
+        # even 80-bit arithmetic leaves z within one ulp of 0, so rounding
+        # alone decides whether they fire. Both sides must put exactly those
+        # rows at the threshold; every other verdict must be equal. (A refused
+        # run's scores and threshold are exactly zero on both sides.)
+        tie = ~refused[:, None] & (np.abs(steepness[:, None] * (scores - threshold[:, None])) < 1e-12)
+        cancelling = [f for f in range(len(rows)) if train[f].sum() == 6 and (rows[f][:3] == rows[f][[4, 5, 3]]).all()]
+        assert np.array_equal(np.nonzero(tie.any(axis=1))[0], cancelling)
+        assert np.array_equal(tie[cancelling[0]], train[cancelling[0]])
+        assert (np.abs(fit.steepness[:, None] * (fit.scores - fit.threshold[:, None]))[tie] < 1e-12).all()
+        assert np.array_equal(fit.fires()[~tie], fires_direct_batch(steepness, threshold, scores)[~tie])
+
+
+def test_coefficients_stay_in_the_row_space():
+    # Recurring rows under both labels leave steps in the Gram's null space.
+    # Projected away, a stays in the row space, where a.G a = 1 bounds it by
+    # the smallest non-zero eigenvalue; without the projection the seeded
+    # batches grow a to a norm of about 6,000.
+    for rows, train, labels, operators, starts in seeded_condition_batches():
+        fit = ind._train_conditions(operators, starts, train, labels)
+        for run, operator, a, refused in zip(rows, operators, fit.weights, fit.refused):
+            if refused:
+                continue
+            gram, projector = run @ run.T, operator[:, len(run) :]
+            assert np.array_equal(operator[:, : len(run)], gram)
+            assert np.max(np.abs(projector @ a - a)) < 1e-12
+            values = np.linalg.eigvalsh(gram)
+            smallest = values[values > len(gram) * np.finfo(np.float64).eps * values[-1]].min()
+            assert a @ a <= (1.0 + 1e-9) / smallest
+            assert abs(a @ gram @ a - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------- parameter predictors
