@@ -1,4 +1,4 @@
-"""Microbenchmarks of the encoding and condition-training kernels.
+"""Microbenchmarks of the encoding, ranking-similarity and condition-training kernels.
 
 Run from the root of a checkout with pytest-benchmark installed:
 
@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hologrid import abduction as ab
 from hologrid import induction as ind
 from hologrid import perception as pc
 from hologrid import vsa
@@ -22,6 +23,7 @@ from hologrid.ssp import SspEncoder
 
 DIMENSION = 1024
 ENC = SspEncoder(vsa.VsaConfig(dimension=DIMENSION, seed=0))
+PALETTE = pc.build_palette(ENC.config)
 
 CENTRE = (1.5, -2.0)
 STENCIL = np.array([(CENTRE[0] + dx, CENTRE[1] + dy) for dx, dy in pc._BLUR_OFFSETS])
@@ -42,6 +44,28 @@ def test_ssp_bundle_summed_in_the_spectrum(benchmark, name):
 def test_ssp_bundle_summed_point_by_point(benchmark, name):
     points, weights = BUNDLES[name]
     benchmark(lambda: vsa.normalize(weights @ ENC.encode_many(points)))
+
+
+def pixel_scene_pair(seed=0, pixels=40):
+    """An arc30-style demo pair under the pixel hypothesis: 40 coloured cells of a 30x30 grid, all moved one step.
+
+    Both scenes are perceived through one memo, as the ranking perceives
+    them, so every object shares the one single-cell shape vector.
+    """
+    rng = np.random.default_rng(seed)
+    grid = np.zeros((30, 30), dtype=np.int64)
+    cells = rng.choice(29 * 30, size=pixels, replace=False)
+    grid.ravel()[cells] = rng.integers(1, 10, size=pixels)  # never the last row, so the step stays on the grid
+    memo: dict = {}
+    ins = pc.perceive(grid, pc.ObjectHypothesis.PIXEL, ENC, PALETTE, memo).objects
+    outs = pc.perceive(np.roll(grid, 1, axis=0), pc.ObjectHypothesis.PIXEL, ENC, PALETTE, memo).objects
+    return outs, ins
+
+
+def test_similarity_matrices(benchmark):
+    outs, ins = pixel_scene_pair()
+    pc.centre_table(ENC)  # built once per encoder, on first use
+    benchmark(ab.similarity_matrices, outs, ins, ENC, PALETTE)
 
 
 def condition_batch(seed=0, demos=3, per_demo=5, kinds=2):

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dsl
 from .dsl import Action, OperationKind, SceneContext
-from .perception import PROPERTIES, Grid, ObjectHypothesis, ObjectRepr, Scene, perceive
+from .perception import Grid, ObjectHypothesis, ObjectRepr, Scene, centre_table, perceive
 from .ssp import SspEncoder
 from .vsa import Vocabulary
 
@@ -59,22 +59,62 @@ def choose_size_hypothesis(demos: list[tuple[Grid, Grid]]) -> SizeHypothesis:
 # ---------------------------------------------------------------- similarity
 
 
-def similarity_matrices(outs: list[ObjectRepr], ins: list[ObjectRepr]) -> np.ndarray:
-    """Property similarities of every (output, input) pair.
+def similarity_matrices(
+    outs: list[ObjectRepr], ins: list[ObjectRepr], encoder: SspEncoder, palette: Vocabulary
+) -> np.ndarray:
+    """Property similarities of every (output, input) pair, gathered from three small tables.
 
-    Shape (3, len(outs), len(ins)), one dot-product matrix per property in
+    Shape (3, len(outs), len(ins)), one matrix per property in
     ``PROPERTIES`` order. Their sum over the first axis divided by 3 is the
-    combined similarity that ranks hypotheses and matches objects.
-    ``np.array`` copies a list of vectors in one pass where ``np.stack``
-    walks it in Python; one batched product over both (3, m, N) stacks is
-    no faster and holds all three properties' copies at once.
+    combined similarity that ranks hypotheses and matches objects. Each
+    entry is the dot product of the two objects' vectors up to rounding:
+
+    - colour from ``palette.gram`` at the masks' colours (row c is colour c);
+    - centre from ``centre_table(encoder)`` at the displacement of the
+      masks' centres;
+    - shape from the products of the outputs' distinct shape vectors with
+      the inputs', one row per vector object, so a memo that shares one
+      vector per offset set keeps it as small as the scenes' shapes.
+
+    No (objects, N) stack of vectors is copied.
     """
-    return np.stack(
-        [
-            np.array([o.vector(p) for o in outs]) @ np.array([i.vector(p) for i in ins]).T
-            for p in PROPERTIES
-        ]
-    )
+    (out_colour, out_centre, out_shape), out_shapes = _table_keys(outs)
+    (in_colour, in_centre, in_shape), in_shapes = _table_keys(ins)
+    colours, shapes = palette.gram, _shape_products(out_shapes, in_shapes)
+    sims = np.empty((3, len(outs), len(ins)))
+    # Flat indices; the centre's is [2dx + 59, 2dy + 59] of the 119 x 119 table.
+    sims[0] = colours.take((out_colour * len(colours))[:, None] + in_colour)
+    sims[1] = centre_table(encoder).take((out_centre + 59 * 120)[:, None] - in_centre)
+    sims[2] = shapes.take((out_shape * len(in_shapes))[:, None] + in_shape)
+    return sims
+
+
+def _table_keys(objects: list[ObjectRepr]) -> tuple[np.ndarray, list]:
+    """Each object's keys into the three tables, (3, len(objects)), and the distinct shape vectors.
+
+    The keys are the mask's colour, ``119 * 2x + 2y`` for the (x, y) of its
+    ``centre_point`` (integers, as centres lie on the half-cell lattice),
+    and the row of its shape vector among the distinct vector objects, in
+    first-seen order.
+    """
+    keys = []
+    shape_rows: dict[int, int] = {}
+    shapes = []
+    for o in objects:
+        mask, shape = o.mask, o.shape_vec
+        r0, c0, r1, c1 = mask.bbox
+        height, width = mask.dims
+        row = shape_rows.get(id(shape))
+        if row is None:
+            row = shape_rows[id(shape)] = len(shapes)
+            shapes.append(shape)
+        keys += (mask.colour, 119 * (c0 + c1 - width + 1) + height - 1 - r0 - r1, row)
+    return np.array(keys, dtype=np.int64).reshape(-1, 3).T, shapes
+
+
+def _shape_products(out_shapes: list, in_shapes: list) -> np.ndarray:
+    """Similarities of every distinct output shape vector with every distinct input one."""
+    return np.array(out_shapes) @ np.array(in_shapes).T
 
 
 def padded_max_softmax(rows) -> np.ndarray:
@@ -98,7 +138,7 @@ def padded_max_softmax(rows) -> np.ndarray:
 class ScenePair:
     """One demo pair perceived under one hypothesis, as the ranking compared it.
 
-    ``sims`` is ``similarity_matrices(outputs.objects, inputs.objects)``,
+    ``sims`` is ``similarity_matrices(outputs.objects, inputs.objects, encoder, palette)``,
     or None when either scene has no objects.
     """
 
@@ -139,7 +179,7 @@ def rank_object_hypotheses(
             outs = perceive(out_grid, hyp, encoder, palette, memo)
             sims = None
             if outs.objects and ins.objects:
-                sims = similarity_matrices(outs.objects, ins.objects)
+                sims = similarity_matrices(outs.objects, ins.objects, encoder, palette)
                 terms[hyp].extend(padded_max_softmax(sims.sum(axis=0) / 3.0).tolist())
             elif outs.objects:
                 terms[hyp].extend(padded_max_softmax(np.zeros((len(outs.objects), 0))).tolist())

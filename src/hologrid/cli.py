@@ -106,6 +106,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     path = Path(args.path)
     records = harness.load_arc_directory(path) if path.is_dir() else harness.load_arc_json(path)
     config = harness.EvalConfig(

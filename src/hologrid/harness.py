@@ -505,15 +505,18 @@ def evaluate(tasks, config: EvalConfig) -> EvalReport:
     """Solve every task and assemble the report.
 
     Failures become unsolved verdict rows, never exceptions. With more
-    than one worker, tasks fan out over a process pool; rows are reduced
-    in task-id order, so worker count never changes the report.
+    than one worker and more than one task, tasks fan out over a process
+    pool of at most one worker per task (the pool starts every worker up
+    front); rows are reduced in task-id order, so worker count never
+    changes the report.
     """
     chosen = [t for t in tasks if config.split is None or t.subsplit == config.split]
     if not chosen:
         raise ValueError(
             f"no tasks to evaluate" + (f" in split {config.split!r}" if config.split else "")
         )
-    if config.workers <= 1:
+    workers = min(config.workers, len(chosen))
+    if workers <= 1:
         _worker_init(config.dimension, config.seed)
         verdicts = [_worker_solve(t) for t in chosen]
     else:
@@ -521,7 +524,7 @@ def evaluate(tasks, config: EvalConfig) -> EvalReport:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=config.workers,
+            max_workers=workers,
             initializer=_worker_init,
             initargs=(config.dimension, config.seed),
         ) as pool:

@@ -547,8 +547,7 @@ class _Bundles:
 
     def rows(self, subset: PropertySubset) -> NDArray[np.float64]:
         """The objects' subset bundles, (M, N)."""
-        sums = self._properties[[PROPERTIES.index(p) for p in subset]].sum(axis=0)
-        return np.stack([vsa.normalize(s) for s in sums])
+        return vsa.normalize_rows(self._properties[[PROPERTIES.index(p) for p in subset]].sum(axis=0))
 
 
 @dataclass

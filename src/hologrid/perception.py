@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from weakref import WeakKeyDictionary
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import vsa
+from . import ssp, vsa
 from .ssp import SspEncoder
 from .vsa import HyperVector, Vocabulary, VsaConfig
 
@@ -276,7 +277,7 @@ def encode_object(
 ) -> ObjectRepr:
     """Build the colour / centre / shape vectors for one mask.
 
-    The centre vector is a Gaussian-blurred stamp of the bbox midpoint: a
+    The centre vector (``centre_vector``) is a Gaussian-blurred stamp of the bbox midpoint: a
     3x3 stencil of encodings weighted by exp(-d^2 / 2 sigma^2), normalized,
     with sigma read from ``BLUR_SIGMA`` when called.
     Blurring widens the similarity peak so nearby centres score smoothly
@@ -294,14 +295,46 @@ def encode_object(
     centre = mask.centre_point()
     centre_vec = cache.get(centre)
     if centre_vec is None:
-        cx, cy = centre
-        stencil = np.array([(cx + dx, cy + dy) for dx, dy in _BLUR_OFFSETS])
-        centre_vec = cache[centre] = encoder.encode_bundle(stencil, _blur_weights(BLUR_SIGMA))
+        centre_vec = cache[centre] = centre_vector(centre, encoder)
     offsets = mask.offsets()
     shape_vec = cache.get(offsets)
     if shape_vec is None:
         shape_vec = cache[offsets] = shape_bundle(offsets, encoder)
     return ObjectRepr(mask=mask, colour_vec=colour_vec, centre_vec=centre_vec, shape_vec=shape_vec)
+
+
+def centre_vector(point, encoder: SspEncoder) -> HyperVector:
+    """The blurred encoding of a centre point: the 3x3 stencil around it, weighted by ``BLUR_SIGMA``."""
+    cx, cy = point
+    stencil = np.array([(cx + dx, cy + dy) for dx, dy in _BLUR_OFFSETS])
+    return encoder.encode_bundle(stencil, _blur_weights(BLUR_SIGMA))
+
+
+# Each encoder's centre tables, one per blur sigma, live as long as the encoder.
+_CENTRE_TABLES: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def centre_table(encoder: SspEncoder) -> NDArray[np.float64]:
+    """Similarity of two centre vectors as a function of their displacement, (119, 119), read-only.
+
+    Entry ``[2 * dx + 59, 2 * dy + 59]`` is the dot product of the centre
+    vectors of any two points (dx, dy) apart, for dx and dy on the
+    half-cell lattice within 29.5, which holds the displacement of any two
+    centres of grids up to 30x30. A centre vector's spectrum is its
+    point's phasors times one fixed blur spectrum K, so the dot product of
+    two of them is the similarity of ``bind(k, invert(k))``, whose spectrum
+    is |K|^2, with the encoding of their displacement; ``k`` is the centre
+    vector of the origin. Built on first use per encoder and blur sigma,
+    from the encoder's readout lattice.
+    """
+    tables = _CENTRE_TABLES.setdefault(encoder, {})
+    table = tables.get(BLUR_SIGMA)
+    if table is None:
+        k = centre_vector((0.0, 0.0), encoder)
+        _, _, table = ssp.similarity_map(encoder, vsa.bind(k, vsa.invert(k)), ((-29.5, 29.5), (-29.5, 29.5)), 0.5)
+        table.flags.writeable = False
+        tables[BLUR_SIGMA] = table
+    return table
 
 
 def shape_bundle(offsets, encoder: SspEncoder) -> HyperVector:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Hashable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -114,6 +115,18 @@ def normalize(v: HyperVector) -> HyperVector:
     return v / norm
 
 
+def normalize_rows(rows: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Scale each row of an (M, N) array to unit length, bitwise as ``normalize`` scales it alone.
+
+    One batched product takes every row's dot with itself, the dot
+    ``np.linalg.norm`` takes; a zero or non-finite row is refused.
+    """
+    lengths = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    if not np.all((lengths != 0.0) & np.isfinite(lengths)):
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    return rows / lengths[:, None]
+
+
 def bundle(vectors) -> HyperVector:
     """Element-wise sum of one or more vectors, scaled to unit length.
 
@@ -146,6 +159,13 @@ class Vocabulary:
 
     def __getitem__(self, value: Hashable) -> HyperVector:
         return self._vectors[value]
+
+    @cached_property
+    def gram(self) -> NDArray[np.float64]:
+        """Similarities between every two entries, rows and columns in ``keys()`` order; built on first use."""
+        gram = self._matrix @ self._matrix.T
+        gram.flags.writeable = False
+        return gram
 
     def keys(self) -> list:
         """The values the entries stand for, in insertion order."""

@@ -96,7 +96,7 @@ def test_correspondence_prefers_recoloured_copy_over_unrelated():
         ]
     ).objects[0]
     # Same place and shape but new colour beats same colour elsewhere.
-    combined = ab.similarity_matrices([out], ins).sum(axis=0) / 3.0
+    combined = ab.similarity_matrices([out], ins, ENC, PALETTE).sum(axis=0) / 3.0
     assert int(np.argmax(combined[0])) == 0
 
 
@@ -113,9 +113,34 @@ def test_similarity_matrices_match_pairwise_dot_oracle():
     for hyp in pc.ObjectHypothesis:
         for _ in range(3):
             outs, ins = random_objects(rng, hyp), random_objects(rng, hyp)
-            sims = ab.similarity_matrices(outs, ins)
+            sims = ab.similarity_matrices(outs, ins, ENC, PALETTE)
             assert sims.shape == (3, len(outs), len(ins))
             assert np.max(np.abs(sims - similarity_matrices_direct(outs, ins))) < 1e-12
+
+
+def corner_objects(dims):
+    """One-cell objects at a grid's four corners and its centre cell, and one spanning the grid."""
+    rows, cols = dims
+    cells = {(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1), (rows // 2, cols // 2)}
+    masks = [pc.ObjectMask(1 + i, frozenset({cell}), dims) for i, cell in enumerate(sorted(cells))]
+    masks.append(pc.ObjectMask(9, frozenset({(0, 0), (rows - 1, cols - 1)}), dims))
+    return [pc.encode_object(m, ENC, PALETTE) for m in masks]
+
+
+def test_centre_similarities_equal_centre_dots_between_grids_of_any_dims():
+    sides = range(1, 31)
+    dims = [(s, s) for s in sides] + [(s, 31 - s) for s in sides]  # odd and even, square and not
+    objects = {d: corner_objects(d) for d in dims}
+    worst = 0.0
+    for out_dims in dims:
+        outs = objects[out_dims]
+        for in_dims in dims[::3] + [out_dims]:
+            ins = objects[in_dims]
+            sims = ab.similarity_matrices(outs, ins, ENC, PALETTE)
+            dots = np.array([o.centre_vec for o in outs]) @ np.array([i.centre_vec for i in ins]).T
+            worst = max(worst, float(np.max(np.abs(sims[1] - dots))))
+            assert np.max(np.abs(sims - similarity_matrices_direct(outs, ins))) < 1e-14
+    assert worst < 1e-14
 
 
 def fresh_objects(grid, hyp):
@@ -123,9 +148,13 @@ def fresh_objects(grid, hyp):
     return [pc.encode_object(m, ENC, PALETTE) for m in pc.segment(grid, hyp)]
 
 
+def similarities(outs, ins):
+    return ab.similarity_matrices(outs, ins, ENC, PALETTE)
+
+
 def rank_direct(demos):
     return rank_hypotheses_direct(
-        demos, list(pc.ObjectHypothesis), fresh_objects, ab.similarity_matrices, padded_max_softmax_direct
+        demos, list(pc.ObjectHypothesis), fresh_objects, similarities, padded_max_softmax_direct
     )
 
 
@@ -179,8 +208,9 @@ def test_ranked_scene_pairs_equal_fresh_perception_bitwise():
                 if not (ins and outs):
                     assert pair.sims is None
                     continue
-                sims = ab.similarity_matrices(outs, ins)
+                sims = ab.similarity_matrices(outs, ins, ENC, PALETTE)
                 assert np.array_equal(pair.sims, sims)
+                assert np.max(np.abs(sims - similarity_matrices_direct(outs, ins))) < 1e-14
                 scores = [padded_max_softmax_direct(row) for row in sims.sum(axis=0) / 3.0]
                 assert ab.padded_max_softmax(pair.sims.sum(axis=0) / 3.0).tolist() == scores
                 compared += len(outs)
@@ -286,7 +316,7 @@ def obj(rows):
 
 def candidates(inp, out):
     """Candidate operations from the pair's entries of the similarity matrices."""
-    return ab.candidate_operations(*ab.similarity_matrices([out], [inp])[:, 0, 0])
+    return ab.candidate_operations(*ab.similarity_matrices([out], [inp], ENC, PALETTE)[:, 0, 0])
 
 
 def test_candidate_operations_identity():

@@ -96,6 +96,17 @@ def test_generate_then_evaluate(tmp_path, capsys):
     assert "workers" not in text
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_eval_refuses_fewer_than_one_worker_before_loading(tmp_path, capsys, monkeypatch, workers):
+    def fail(*args):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli.harness, "load_arc_json", fail)
+    monkeypatch.setattr(cli.harness, "load_arc_directory", fail)
+    assert cli.main(["eval", str(tmp_path), "--workers", workers]) == 1
+    assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+
+
 def test_eval_split_and_trace_flags(tmp_path):
     data = tmp_path / "bench"
     assert cli.main(["gen-sort-of-arc", "--count", "2", "--seed", "7", "--out", str(data)]) == 0

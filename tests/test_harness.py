@@ -393,6 +393,37 @@ def test_evaluate_worker_count_never_changes_report_bytes():
     assert hn.render_markdown(serial) == hn.render_markdown(pooled)
 
 
+class RecordingPool:
+    """A stand-in for ``ProcessPoolExecutor`` that records its size and solves in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        RecordingPool.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("tasks,workers,sizes", [(1, 8, []), (3, 8, [3]), (3, 2, [2]), (2, 1, [])])
+def test_evaluate_starts_no_more_workers_than_tasks(monkeypatch, tasks, workers, sizes):
+    import concurrent.futures
+
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    chosen = [copy_task(f"copy-{k}", 3 + 2 * k) for k in range(tasks)]
+    report = hn.evaluate(chosen, hn.EvalConfig(dimension=256, seed=33, workers=workers))
+    assert RecordingPool.sizes == sizes
+    assert [v.task_id for v in report.verdicts] == [t.id for t in chosen]
+
+
 def test_evaluate_records_unsolvable_tasks():
     base = np.zeros((3, 3), dtype=np.int64)
     base[0, 0] = 2

@@ -36,7 +36,7 @@ class Once:
 
 def test_every_benchmark_is_smoke_tested():
     benchmarks = {name for name in vars(KERNELS) if name.startswith("test_")}
-    assert benchmarks == {*BUNDLE_BENCHMARKS, "test_condition_batch"}
+    assert benchmarks == {*BUNDLE_BENCHMARKS, "test_similarity_matrices", "test_condition_batch"}
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS.BUNDLES))
@@ -45,6 +45,12 @@ def test_bundle_kernel_runs_once(kernel, name):
     once = Once()
     getattr(KERNELS, kernel)(once, name)
     assert once.result.shape == (KERNELS.DIMENSION,)
+
+
+def test_similarity_matrices_kernel_runs_once():
+    once = Once()
+    KERNELS.test_similarity_matrices(once)
+    assert once.result.shape == (3, 40, 40)
 
 
 def test_condition_batch_kernel_runs_once():

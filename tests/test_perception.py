@@ -313,6 +313,41 @@ def test_centre_vector_follows_blur_sigma(monkeypatch):
     assert np.array_equal(one_object(g).centre_vec, before)
 
 
+def test_centre_table_entries_equal_centre_vector_dots_at_every_reachable_displacement():
+    table = pc.centre_table(ENC)
+    assert table.shape == (119, 119) and not table.flags.writeable
+    assert pc.centre_table(ENC) is table
+    # Every centre of a grid up to 30x30 lies on the half-cell lattice within 14.5,
+    # so every displacement of two centres lies on it within 29.
+    axis = np.arange(-29, 30) * 0.5
+    vectors = np.array([[pc.centre_vector((x, y), ENC) for y in axis] for x in axis])
+    low, high = np.arange(59), np.arange(59)[::-1]
+    worst = 0.0
+    for dx in range(-58, 59):
+        for start in (low, high):  # pairs anchored at either end, reaching opposite corners
+            a = start[(start + dx >= 0) & (start + dx < 59)][:1]
+            for dy in range(-58, 59):
+                b = start[(start + dy >= 0) & (start + dy < 59)][:1]
+                dots = vectors[a + dx, b + dy] @ vectors[a, b].T
+                worst = max(worst, float(np.max(np.abs(table[dx + 59, dy + 59] - dots))))
+    assert worst < 1e-14
+    # The rim (a displacement of 29.5) no two centres reach still encodes it.
+    edge = pc.centre_vector((14.5, -14.5), ENC) @ pc.centre_vector((-15.0, 15.0), ENC)
+    assert abs(table[118, 0] - edge) < 1e-14
+
+
+def test_centre_table_follows_blur_sigma_and_encoder(monkeypatch):
+    plain = pc.centre_table(ENC)
+    monkeypatch.setattr(pc, "BLUR_SIGMA", 1.0)
+    widened = pc.centre_table(ENC)
+    assert np.max(np.abs(widened - plain)) > 1e-3
+    assert abs(widened[59 + 3, 59] - pc.centre_vector((1.5, 0.0), ENC) @ pc.centre_vector((0.0, 0.0), ENC)) < 1e-14
+    monkeypatch.undo()
+    assert pc.centre_table(ENC) is plain
+    other = ssp.SspEncoder(vsa.VsaConfig(dimension=CFG.dimension, seed=CFG.seed + 1))
+    assert not np.array_equal(pc.centre_table(other), plain)
+
+
 def test_encode_object_matches_direct_formulas_bitwise():
     rng = np.random.default_rng(12)
     masks = 0

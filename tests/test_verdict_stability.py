@@ -1,24 +1,31 @@
 """Verdicts do not hang on the last bits of the encodings.
 
 Every vector the solver compares comes out of ``SspEncoder.encode_many``,
-``SspEncoder.encode_bundle`` or the palette. Solving a seeded slice once
-plainly and once with noise must reach the same verdicts: a decision that
-flips under such noise sits on its boundary, and a change to the encoder's
-formulas, or to any product of object vectors, that is exact only up to
-rounding could flip it too.
+``SspEncoder.encode_bundle`` or the palette, and the ranking compares
+objects through three tables of their dot products: the palette's Gram,
+the centre table and each scene pair's shape products. Solving a seeded
+slice once plainly and once with noise must reach the same verdicts: a
+decision that flips under such noise sits on its boundary, and a change
+to the encoder's formulas, to the tables, or to any product of object
+vectors, that is exact only up to rounding could flip it too.
 The noisy arm scales every encoding by (1 + 1e-9 * N(0, 1)), and then
 gives each perceived object its own copy of its three property vectors,
 each scaled the same way; a mask perceived again, under another
 hypothesis or in a replay, keeps its copy. So two objects that share a
 colour, centre or shape no longer share one vector, and a decision
-between two reads of one encoding is tested too. This is the standard
-such a change is judged by, next to the bitwise pins of today's formulas.
+between two reads of one encoding is tested too. The ranking reads those
+copies only through the shape products; so the arm also scales the
+palette's Gram and the centre table once, and each shape product by a
+noise fixed per pair of vectors, the same way. A scene perceived alike
+under two hypotheses so still scores alike, as it does plainly. This is
+the standard such a change is judged by, next to the bitwise pins of
+today's formulas.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from hologrid import deduction, harness as hn, perception as pc, ssp, vsa
+from hologrid import abduction as ab, deduction, harness as hn, perception as pc, ssp, vsa
 from hologrid.induction import LinearParameter
 
 from test_induction import recolour_by_shape_task
@@ -111,11 +118,41 @@ def test_verdicts_survive_relative_noise_on_every_encoding(monkeypatch):
             copies[mask] = jitter(np.array([obj.vector(p) for p in pc.PROPERTIES]))
         return pc.ObjectRepr(mask, *copies[mask])
 
+    plain_tables = {"palette": palette.gram, "centre": pc.centre_table(encoder)}
+    tables = {name: jitter(table) for name, table in plain_tables.items()}
+    reads = dict.fromkeys(("palette", "centre", "shape"), 0)
+    palette_gram, shape_products = vsa.Vocabulary.gram, ab._shape_products
+
+    def noisy_gram(vocabulary):
+        if vocabulary is not palette:
+            return palette_gram.__get__(vocabulary)
+        reads["palette"] += 1
+        return tables["palette"]
+
+    def noisy_centre_table(enc):
+        assert enc is encoder
+        reads["centre"] += 1
+        return tables["centre"]
+
+    pair_noise: dict = {}  # (output shape, input shape) bytes -> its fixed noise
+
+    def noisy_shape_products(out_shapes, in_shapes):
+        reads["shape"] += 1
+        keys = [v.tobytes() for v in in_shapes]
+        noise = [[pair_noise.setdefault((u.tobytes(), k), rng.standard_normal()) for k in keys] for u in out_shapes]
+        return shape_products(out_shapes, in_shapes) * (1.0 + NOISE * np.array(noise))
+
     monkeypatch.setattr(ssp.SspEncoder, "encode_many", noisy_encodings)
     monkeypatch.setattr(ssp.SspEncoder, "encode_bundle", noisy_bundle)
     monkeypatch.setattr(pc, "encode_object", noisy_object)
+    monkeypatch.setattr(vsa.Vocabulary, "gram", property(noisy_gram))
+    monkeypatch.setattr(ab, "centre_table", noisy_centre_table)
+    monkeypatch.setattr(ab, "_shape_products", noisy_shape_products)
     noisy_verdicts = [verdict(task, encoder, palette) for task in tasks]
     assert sum(perturbed) > 10_000 and len(copies) > 5_000
+    # Every scene pair the ranking compared read the three noisy tables.
+    assert reads["palette"] == reads["centre"] == reads["shape"] > 800
+    assert all(np.all(tables[name] != table) for name, table in plain_tables.items())
     for task, want, got in zip(tasks, plain, noisy_verdicts):
         assert got == want, task.id
     # The slice takes every accepting path: both sort-of-arc halves, shared

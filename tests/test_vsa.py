@@ -131,6 +131,34 @@ def test_normalize_rejects_zero_vector():
         vsa.normalize(np.zeros(16))
 
 
+@pytest.mark.parametrize("dimension", [64, 256, 1024, 4096])
+def test_normalize_rows_is_normalize_of_each_row_bitwise(dimension):
+    rng = np.random.default_rng(dimension)
+    for _ in range(50):
+        units = rng.standard_normal((15, 3, dimension))
+        units /= np.linalg.norm(units, axis=2, keepdims=True)
+        sums = units[:, : int(rng.integers(1, 4))].sum(axis=1)  # bundles of one to three unit rows
+        got = vsa.normalize_rows(sums)
+        assert np.array_equal(got, np.stack([vsa.normalize(row) for row in sums]))
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+def test_normalize_rows_refuses_a_zero_or_non_finite_row(bad):
+    rows = np.ones((3, 16))
+    rows[1] = bad
+    with pytest.raises(ValueError):
+        vsa.normalize_rows(rows)
+
+
+def test_vocabulary_gram_holds_every_entry_similarity_in_key_order():
+    vocab = vsa.Vocabulary(CFG, [(name, sym(name)) for name in ("apple", "pear", "plum")])
+    gram = vocab.gram
+    assert gram is vocab.gram and not gram.flags.writeable
+    for i, a in enumerate(vocab.keys()):
+        for j, b in enumerate(vocab.keys()):
+            assert abs(gram[i, j] - vsa.similarity(vocab[a], vocab[b])) < 1e-15
+
+
 def test_vocabulary_cleanup_picks_most_similar():
     vocab = vsa.Vocabulary(CFG, [(name, sym(name)) for name in ("apple", "pear", "plum")])
     noisy = vsa.normalize(vocab["pear"] + 0.2 * vocab["plum"])
