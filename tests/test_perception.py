@@ -321,15 +321,13 @@ def test_centre_table_entries_equal_centre_vector_dots_at_every_reachable_displa
     # so every displacement of two centres lies on it within 29.
     axis = np.arange(-29, 30) * 0.5
     vectors = np.array([[pc.centre_vector((x, y), ENC) for y in axis] for x in axis])
-    low, high = np.arange(59), np.arange(59)[::-1]
     worst = 0.0
     for dx in range(-58, 59):
-        for start in (low, high):  # pairs anchored at either end, reaching opposite corners
-            a = start[(start + dx >= 0) & (start + dx < 59)][:1]
-            for dy in range(-58, 59):
-                b = start[(start + dy >= 0) & (start + dy < 59)][:1]
-                dots = vectors[a + dx, b + dy] @ vectors[a, b].T
-                worst = max(worst, float(np.max(np.abs(table[dx + 59, dy + 59] - dots))))
+        for dy in range(-58, 59):
+            # The two pairs (dx, dy) apart that sit at either end of the lattice, reaching its corners.
+            for i, j in ((max(0, -dx), max(0, -dy)), (min(58, 58 - dx), min(58, 58 - dy))):
+                dot = vectors[i + dx, j + dy] @ vectors[i, j]
+                worst = max(worst, abs(table[dx + 59, dy + 59] - dot))
     assert worst < 1e-14
     # The rim (a displacement of 29.5) no two centres reach still encodes it.
     edge = pc.centre_vector((14.5, -14.5), ENC) @ pc.centre_vector((-15.0, 15.0), ENC)
