@@ -32,6 +32,11 @@ BUNDLES = {
     "centre": (STENCIL, pc._blur_weights(pc.BLUR_SIGMA)),
     "shape": (SHAPE, np.ones(len(SHAPE))),
 }
+# Shapes gathered from the lattice tables: the plus sign and a 4x6 bar's 24 cells.
+TABLE_SHAPES = {
+    "plus": SHAPE,
+    "bar-24": np.array([(c - 2.5, 1.5 - r) for r in range(4) for c in range(6)]),
+}
 
 
 @pytest.mark.parametrize("name", BUNDLES)
@@ -44,6 +49,12 @@ def test_ssp_bundle_summed_in_the_spectrum(benchmark, name):
 def test_ssp_bundle_summed_point_by_point(benchmark, name):
     points, weights = BUNDLES[name]
     benchmark(lambda: vsa.normalize(weights @ ENC.encode_many(points)))
+
+
+@pytest.mark.parametrize("name", TABLE_SHAPES)
+def test_ssp_bundle_from_the_lattice_tables(benchmark, name):
+    ENC.lattice_bundle(SHAPE)  # the tables are built once per encoder, on first use
+    benchmark(ENC.lattice_bundle, TABLE_SHAPES[name])
 
 
 def pixel_scene_pair(seed=0, pixels=40):

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from . import abduction, dsl, ssp, vsa
+from . import dsl, ssp, vsa
 from .abduction import AbductionResult
 from .dsl import Amount, Centre, Colour, Direction, OperationKind, ParamValue
 from .perception import PROPERTIES, ObjectRepr, shape_bundle
@@ -478,15 +478,13 @@ def _train_linear_factors(inputs, targets):
     return base, correction
 
 
-def _shortcut_predictor(pairs, slot: str, codec: ParamCodec) -> Optional[ParameterPredictor]:
-    """Constant when every value matches, copy when values track a property."""
+def _shortcut_predictor(pairs, slot: str) -> Optional[ParameterPredictor]:
+    """Constant when every value matches, copy when every value is exactly the object's own."""
     values = [v for _, v in pairs]
     if all(v == values[0] for v in values):
         return ConstantParameter(values[0])
-    if slot in PROPERTIES:
-        sims = [float(codec.encode(slot, v) @ obj.vector(slot)) for obj, v in pairs]
-        if all(s >= abduction.TAU_SAME for s in sims):
-            return CopyParameter(slot)
+    if slot in PROPERTIES and all(v == dsl.own_value(obj.mask, slot) for obj, v in pairs):
+        return CopyParameter(slot)
     return None
 
 
@@ -495,7 +493,7 @@ def train_parameter_predictor(pairs, slot: str, subset: PropertySubset, codec: P
     if not pairs:
         raise InductionError("parameter predictor needs at least one example")
     values = [v for _, v in pairs]
-    shortcut = _shortcut_predictor(pairs, slot, codec)
+    shortcut = _shortcut_predictor(pairs, slot)
     if shortcut is not None:
         return shortcut
     subset = canonical_subset(subset)
@@ -707,7 +705,7 @@ def induce(result: AbductionResult, codec: ParamCodec) -> Program:
         subsets = rank_properties(obs.bundles, obs.labels)
         # Subsets matter only when some predictor trains on property bundles.
         searched = not obs.labels.all() or any(
-            _shortcut_predictor(obs.pairs(slot), slot, codec) is None for slot in obs.pairs_by_slot
+            _shortcut_predictor(obs.pairs(slot), slot) is None for slot in obs.pairs_by_slot
         )
         folds = obs.folds() if searched else []
         # Without a fold to score, the top-ranked subset is the only candidate.

@@ -338,9 +338,13 @@ def centre_table(encoder: SspEncoder) -> NDArray[np.float64]:
 
 
 def shape_bundle(offsets, encoder: SspEncoder) -> HyperVector:
-    """Bundle of the encodings of (drow, dcol) cell offsets, each as the point (dcol, -drow)."""
-    pts = np.array([(dc, -dr) for dr, dc in sorted(offsets)])
-    return encoder.encode_bundle(pts, np.ones(len(pts)))
+    """Bundle of the encodings of (drow, dcol) cell offsets, each as the point (dcol, -drow).
+
+    Every offset from a bbox midpoint lies on the half-cell lattice, so the
+    encodings are gathered from the encoder's lattice tables
+    (``SspEncoder.lattice_bundle``).
+    """
+    return encoder.lattice_bundle(np.array([(dc, -dr) for dr, dc in sorted(offsets)]))
 
 
 def perceive(

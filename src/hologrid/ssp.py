@@ -29,6 +29,8 @@ _UNITARY_TOL = 1e-6
 # The half-cell lattice every readout scans: -29.5 ... 29.5 in steps of 0.5
 # holds every centre (within 14.5) and every amount (within 29) of a 30x30 grid.
 _LATTICE = np.arange(-59, 60) * 0.5
+# The row of each lattice coordinate, looked up exactly: a coordinate off the lattice has none.
+_LATTICE_ROW = {t: k for k, t in enumerate(_LATTICE.tolist())}
 
 
 class SspEncoder:
@@ -65,6 +67,19 @@ class SspEncoder:
         spectrum = (weights[:, None] * self._phasors(points)).sum(axis=0)  # no matmul: BLAS may thread it
         return vsa.normalize(np.fft.irfft(spectrum, self.config.dimension))
 
+    def lattice_bundle(self, points) -> HyperVector:
+        """The normalized sum of the encodings of points on the half-cell lattice within 29.5.
+
+        A point's half spectrum is the product of its two axes' rows of
+        ``_lattice``, so no complex exp is taken; the products are summed
+        in point order, as ``encode_bundle`` sums unit weights. Raises
+        ValueError for a point off that lattice.
+        """
+        phasors, _ = self._lattice
+        x, y = _lattice_rows(points)
+        spectrum = (phasors[0, x] * phasors[1, y]).sum(axis=0)
+        return vsa.normalize(np.fft.irfft(spectrum, self.config.dimension))
+
     def _phasors(self, points) -> NDArray[np.complex128]:
         """Half spectra exp(i * Theta^T x) of points given as an (M, 2) array."""
         pts = np.asarray(points, dtype=np.float64)
@@ -76,7 +91,7 @@ class SspEncoder:
     def _lattice(self):
         """Phasors exp(i * theta_d * t) of both axes on ``_LATTICE``, and the half-spectrum weights.
 
-        Built on the first readout, shape (2, 119, N/2 + 1). Dot products
+        Built on the first shape encoding or readout, shape (2, 119, N/2 + 1). Dot products
         through the half spectrum double every bin except DC and Nyquist.
         """
         phasors = np.exp(1j * np.stack([np.outer(_LATTICE, theta) for theta in self._half_phases]))
@@ -84,6 +99,18 @@ class SspEncoder:
         weights[0] = 1.0
         weights[-1] = 1.0
         return phasors, weights
+
+
+def _lattice_rows(points) -> NDArray[np.intp]:
+    """The ``_LATTICE`` rows of the x and of the y coordinates of (M, 2) points, (2, M); raises off the lattice."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
+        raise ValueError("expected points of shape (M, 2) with M > 0")
+    try:
+        rows = [(_LATTICE_ROW[x], _LATTICE_ROW[y]) for x, y in pts.tolist()]
+    except KeyError:
+        raise ValueError("points must lie on the half-cell lattice within 29.5") from None
+    return np.array(rows).T
 
 
 def _lattice_slice(lo: float, hi: float, step: float) -> slice:

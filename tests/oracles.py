@@ -144,6 +144,22 @@ def shape_bundle_direct(cells, half_phases) -> np.ndarray:
     return spectral_bundle_direct(half_phases, points, np.ones(len(points)))
 
 
+def shape_axis_product_direct(cells, half_phases) -> np.ndarray:
+    """Shape vector from per-axis phasors: each point's half spectrum is exp(i theta_0 x) * exp(i theta_1 y).
+
+    The points are those of ``shape_vector_direct``. Each axis row is built
+    with ``np.exp`` from its row of ``half_phases``, the two are multiplied,
+    and the products are added one at a time in point order; then one
+    inverse real FFT, and division by the norm.
+    """
+    n = 2 * (half_phases.shape[1] - 1)
+    total = None
+    for x, y in _shape_points_direct(cells):
+        term = np.exp(1j * (x * half_phases[0])) * np.exp(1j * (y * half_phases[1]))
+        total = term if total is None else total + term
+    return _unit(np.fft.irfft(total, n))
+
+
 def centre_vector_direct(point, sigma, encode_many) -> np.ndarray:
     """Blurred centre: the 3x3 stencil around ``point`` weighted by exp(-d^2 / 2 sigma^2), normalized."""
     stencil, weights = _stencil_direct(point, sigma)

@@ -697,6 +697,17 @@ def test_copy_parameter_shortcut_shape():
     assert isinstance(pred, ind.CopyParameter) and pred.prop == "shape"
 
 
+def test_a_near_identical_shape_is_not_copied():
+    # Each value is its object's shape less the top-left cell: its vector
+    # is within TAU_SAME of the object's own, but copying would mispredict it.
+    objs = [obj([[4] * 5] * 5), obj([[6] * 6] * 4)]
+    values = [Shape(frozenset(sorted(o.mask.offsets())[1:])) for o in objs]
+    assert all(CODEC.encode("shape", v) @ o.shape_vec >= ab.TAU_SAME for o, v in zip(objs, values))
+    pred = ind.train_parameter_predictor(list(zip(objs, values)), "shape", ("shape",), CODEC)
+    assert not isinstance(pred, ind.CopyParameter)
+    assert [pred.predict(o, o.mask.dims, CODEC) for o in objs] == values
+
+
 def test_shortcut_precedence_over_linear():
     # A linear map could fit these, but the constant shortcut must win.
     pairs = [(pixel(c, c - 1, 0), Amount(2.0, 0.0)) for c in (1, 2, 3)]
@@ -1076,11 +1087,10 @@ def test_novel_generate_share_is_read_when_called(monkeypatch):
 
 
 def test_same_object_similarity_is_read_when_called(monkeypatch):
-    pairs = [(pixel(2, 1, 1), Colour(2)), (pixel(7, 4, 4), Colour(7)), (pixel(4, 2, 5), Colour(4))]
-    assert isinstance(ind.train_parameter_predictor(pairs, "colour", ("colour",), CODEC), ind.CopyParameter)
-    # No similarity reaches a bar above one, so nothing counts as copied.
-    monkeypatch.setattr(ab, "TAU_SAME", 1.5)
-    assert not isinstance(ind.train_parameter_predictor(pairs, "colour", ("colour",), CODEC), ind.CopyParameter)
+    assert ab.candidate_operations(0.96, 1.0, 1.0) == {Op.IDENTITY}
+    # Above the bar, the same similarity says the colour changed.
+    monkeypatch.setattr(ab, "TAU_SAME", 0.97)
+    assert ab.candidate_operations(0.96, 1.0, 1.0) == {Op.RECOLOUR, Op.GENERATE}
 
 
 def test_induce_is_deterministic():
@@ -1187,6 +1197,13 @@ def test_program_json_rejects_a_linear_predictor_under_the_wrong_slot(slot):
     doc = linear_program_doc()
     doc["rules"][0]["parameters"]["shape"]["slot"] = slot
     with pytest.raises(ValueError, match="slot"):
+        ind.program_from_json(doc, CFG)
+
+
+def test_program_json_rejects_a_shape_offset_off_the_lattice():
+    doc = linear_program_doc()
+    doc["rules"][0]["parameters"]["shape"]["shape_values"][1]["value"] = [[0.0, 0.25]]
+    with pytest.raises(ValueError, match="half-cell lattice"):
         ind.program_from_json(doc, CFG)
 
 

@@ -36,7 +36,12 @@ class Once:
 
 def test_every_benchmark_is_smoke_tested():
     benchmarks = {name for name in vars(KERNELS) if name.startswith("test_")}
-    assert benchmarks == {*BUNDLE_BENCHMARKS, "test_similarity_matrices", "test_condition_batch"}
+    assert benchmarks == {
+        *BUNDLE_BENCHMARKS,
+        "test_ssp_bundle_from_the_lattice_tables",
+        "test_similarity_matrices",
+        "test_condition_batch",
+    }
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS.BUNDLES))
@@ -44,6 +49,13 @@ def test_every_benchmark_is_smoke_tested():
 def test_bundle_kernel_runs_once(kernel, name):
     once = Once()
     getattr(KERNELS, kernel)(once, name)
+    assert once.result.shape == (KERNELS.DIMENSION,)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS.TABLE_SHAPES))
+def test_lattice_bundle_kernel_runs_once(name):
+    once = Once()
+    KERNELS.test_ssp_bundle_from_the_lattice_tables(once, name)
     assert once.result.shape == (KERNELS.DIMENSION,)
 
 

@@ -13,12 +13,15 @@ from hologrid import ssp, vsa
 from hologrid.dsl import Shape
 from hologrid.induction import shape_vocabulary
 
+from test_verdict_stability import arc30_style_task
+
 from oracles import (
     bbox_direct,
     centre_bundle_direct,
     centre_vector_direct,
     identity_direct,
     segment_direct,
+    shape_axis_product_direct,
     shape_bundle_direct,
     shape_vector_direct,
 )
@@ -359,7 +362,7 @@ def test_encode_object_matches_direct_formulas_bitwise():
                 assert np.array_equal(o.colour_vec, PALETTE[mask.colour])
                 centre = centre_bundle_direct(mask.centre_point(), pc.BLUR_SIGMA, ENC._half_phases)
                 assert np.array_equal(o.centre_vec, centre)
-                assert np.array_equal(o.shape_vec, shape_bundle_direct(mask.cells, ENC._half_phases))
+                assert np.array_equal(o.shape_vec, shape_axis_product_direct(mask.cells, ENC._half_phases))
                 assert np.array_equal(o.shape_vec, pc.shape_bundle(mask.offsets(), ENC))
                 # Summing the encodings point by point agrees up to rounding.
                 by_point = centre_vector_direct(mask.centre_point(), pc.BLUR_SIGMA, ENC.encode_many)
@@ -367,6 +370,42 @@ def test_encode_object_matches_direct_formulas_bitwise():
                 assert np.max(np.abs(o.shape_vec - shape_vector_direct(mask.cells, ENC.encode_many))) < 1e-14
                 masks += 1
     assert masks > 100
+
+
+def test_shape_vectors_from_the_lattice_tables_match_the_exp_formulas():
+    masks = [pc.ObjectMask(1, frozenset({cell}), (30, 30)) for cell in ((0, 0), (29, 29), (7, 22))]
+    masks += [pc.ObjectMask(2, shape, (3, 3)) for shape in hn.stencil_shapes()]
+    # Full rectangles, odd and even sides, out to offsets of 14.5.
+    for h in range(1, 31):
+        masks += [pc.ObjectMask(3, frozenset((r, c) for r in range(h) for c in range(w)), (30, 30)) for w in range(1, 31)]
+    for seed in range(3):
+        for grid_in, grid_out in arc30_style_task(seed).train:
+            masks += pc.segment(grid_in, pc.ObjectHypothesis.COLOUR) + pc.segment(grid_out, pc.ObjectHypothesis.COLOUR)
+    assert max(max(map(abs, offset)) for m in masks for offset in m.offsets()) == 14.5
+    for mask in masks:
+        got = pc.shape_bundle(mask.offsets(), ENC)
+        assert np.max(np.abs(got - shape_bundle_direct(mask.cells, ENC._half_phases))) < 1e-15
+        assert np.max(np.abs(got - shape_vector_direct(mask.cells, ENC.encode_many))) < 1e-15
+
+
+def test_shape_vectors_take_no_complex_exp(monkeypatch):
+    calls = dict.fromkeys(("phasors", "centres", "encode_many", "table"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ssp.SspEncoder, "_phasors", counted("phasors", ssp.SspEncoder._phasors))
+    monkeypatch.setattr(ssp.SspEncoder, "encode_many", counted("encode_many", ssp.SspEncoder.encode_many))
+    monkeypatch.setattr(ssp.SspEncoder, "lattice_bundle", counted("table", ssp.SspEncoder.lattice_bundle))
+    monkeypatch.setattr(pc, "centre_vector", counted("centres", pc.centre_vector))
+    predictions, diag = deduction.solve_task(arc30_style_task(0), ENC, PALETTE)
+    assert diag.ok and calls["table"] > 20
+    # Each centre and each direct encoding takes its exps; no shape does.
+    assert calls["phasors"] == calls["centres"] + calls["encode_many"]
 
 
 def test_a_shape_has_one_vector_in_scenes_bundles_and_the_shape_table():

@@ -166,11 +166,22 @@ def test_readout_refuses_regions_off_the_table(region, step):
         ssp.decode(ENC, ENC.encode((0.0, 0.0)), region, step)
 
 
+@pytest.mark.parametrize("point", [(0.25, 0.0), (0.0, -0.25), (-30.0, 0.0), (0.0, -30.0), (30.0, 0.0), (0.0, 30.0)])
+def test_table_bundle_refuses_points_off_the_table(point):
+    # -30 would index row -1, which numpy would read as the row of 29.5.
+    with pytest.raises(ValueError):
+        ENC.lattice_bundle(np.array([(0.0, 0.0), point]))
+
+
 def test_readout_table_is_built_on_first_readout():
     enc = ssp.SspEncoder(CFG)
     enc.encode_many(np.array([[0.5, 1.0]]))
     assert "_lattice" not in vars(enc)
     ssp.decode(enc, enc.encode((0.5, 1.0)), ((-29.5, 29.5), (-29.5, 29.5)), step=0.5)
+    assert "_lattice" in vars(enc)
+    # A table bundle, as every shape vector is, builds it too.
+    enc = ssp.SspEncoder(CFG)
+    enc.lattice_bundle(np.array([[0.5, 1.0]]))
     assert "_lattice" in vars(enc)
 
 

@@ -1,7 +1,8 @@
 """Verdicts do not hang on the last bits of the encodings.
 
 Every vector the solver compares comes out of ``SspEncoder.encode_many``,
-``SspEncoder.encode_bundle`` or the palette, and the ranking compares
+``SspEncoder.encode_bundle``, ``SspEncoder.lattice_bundle`` (every shape
+vector) or the palette, and the ranking compares
 objects through three tables of their dot products: the palette's Gram,
 the centre table and each scene pair's shape products. Solving a seeded
 slice once plainly and once with noise must reach the same verdicts: a
@@ -95,8 +96,8 @@ def test_verdicts_survive_relative_noise_on_every_encoding(monkeypatch):
 
     rng = np.random.default_rng(2026)
     encode_many, encode_bundle = ssp.SspEncoder.encode_many, ssp.SspEncoder.encode_bundle
-    encode_object = pc.encode_object
-    perturbed = []
+    lattice_bundle, encode_object = ssp.SspEncoder.lattice_bundle, pc.encode_object
+    perturbed, shapes = [], []
 
     def jitter(vectors):
         return vectors * (1.0 + NOISE * rng.standard_normal(vectors.shape))
@@ -109,6 +110,11 @@ def test_verdicts_survive_relative_noise_on_every_encoding(monkeypatch):
     def noisy_bundle(self, points, weights):
         perturbed.append(len(points))  # the encodings it sums, as encode_many counts them
         return jitter(encode_bundle(self, points, weights))
+
+    def noisy_lattice_bundle(self, points):
+        perturbed.append(len(points))
+        shapes.append(len(points))
+        return jitter(lattice_bundle(self, points))
 
     copies: dict = {}  # mask -> its noisy vectors, so a mask perceived again is the same object
 
@@ -144,12 +150,14 @@ def test_verdicts_survive_relative_noise_on_every_encoding(monkeypatch):
 
     monkeypatch.setattr(ssp.SspEncoder, "encode_many", noisy_encodings)
     monkeypatch.setattr(ssp.SspEncoder, "encode_bundle", noisy_bundle)
+    monkeypatch.setattr(ssp.SspEncoder, "lattice_bundle", noisy_lattice_bundle)
     monkeypatch.setattr(pc, "encode_object", noisy_object)
     monkeypatch.setattr(vsa.Vocabulary, "gram", property(noisy_gram))
     monkeypatch.setattr(ab, "centre_table", noisy_centre_table)
     monkeypatch.setattr(ab, "_shape_products", noisy_shape_products)
     noisy_verdicts = [verdict(task, encoder, palette) for task in tasks]
     assert sum(perturbed) > 10_000 and len(copies) > 5_000
+    assert len(shapes) > 500  # every shape vector came through the noisy table path
     # Every scene pair the ranking compared read the three noisy tables.
     assert reads["palette"] == reads["centre"] == reads["shape"] > 800
     assert all(np.all(tables[name] != table) for name, table in plain_tables.items())
