@@ -1,4 +1,4 @@
-"""Microbenchmarks of the encoding, ranking-similarity and condition-training kernels.
+"""Microbenchmarks of the encoding, ranking-similarity, condition-training and cross-validation kernels.
 
 Run from the root of a checkout with pytest-benchmark installed:
 
@@ -19,6 +19,7 @@ from hologrid import abduction as ab
 from hologrid import induction as ind
 from hologrid import perception as pc
 from hologrid import vsa
+from hologrid.dsl import Amount, OperationKind
 from hologrid.ssp import SspEncoder
 
 DIMENSION = 1024
@@ -112,3 +113,33 @@ def test_condition_batch(benchmark):
     batch = condition_batch()
     assert batch[0].shape == (42, 15, 30)
     benchmark(ind._train_conditions, *batch)
+
+
+def cross_validation_inputs(seed=0, demos=5, per_demo=3):
+    """One rule kind as sort-of-arc cross-validates it: 7 subsets, 5 held-out demos and one constant ``amount`` slot.
+
+    Objects draw their property vectors from small pools; in every demo the
+    first object moves by one shared amount. The conditions are trained
+    beforehand, as ``induce`` trains them, so the kernel times the
+    parameter scoring and subset choice alone.
+    """
+    rng = np.random.default_rng(seed)
+    pools = [[vsa.normalize(rng.normal(size=DIMENSION)) for _ in range(4)] for _ in pc.PROPERTIES]
+    objects = [
+        pc.ObjectRepr(None, *(pool[rng.integers(len(pool))] for pool in pools)) for _ in range(demos * per_demo)
+    ]
+    demo_of = np.repeat(np.arange(demos), per_demo)
+    labels = np.arange(len(objects)) % per_demo == 0
+    pairs = {"amount": [(int(i), Amount(1.0, 0.0)) for i in np.flatnonzero(labels)]}
+    dims = {d: (10, 10) for d in range(demos)}
+    obs = ind._RuleObservations(OperationKind.MOVE, objects, demo_of, labels, pairs, dims, ind._Bundles(objects))
+    subsets = [s for k in range(1, 4) for s in combinations(pc.PROPERTIES, k)]
+    folds = obs.folds()
+    (conditions,) = ind.train_operation_predictor([(obs, subsets, folds)])
+    return obs, subsets, folds, ind.make_codec(ENC, PALETTE), conditions
+
+
+def test_cross_validation(benchmark):
+    inputs = cross_validation_inputs()
+    assert (len(inputs[1]), len(inputs[2])) == (7, 5)
+    benchmark(ind.cross_validate, *inputs)

@@ -27,7 +27,7 @@ from .vsa import HyperVector, Vocabulary, VsaConfig
 # Full-batch gradient descent budget, shared by both predictor families.
 LEARNING_RATE = 0.05
 MAX_EPOCHS = 500
-LOSS_FLOOR = 1e-4
+LOSS_FLOOR = 1e-4  # stops only the parameter trainer, whose squared loss an exact fit reaches
 INITIAL_STEEPNESS = 5.0
 DECODE_FLOOR = 0.3
 FIRE_THRESHOLD = 0.5  # a probability of exactly one half still fires
@@ -253,8 +253,11 @@ def _train_conditions(operators, starts, train, labels) -> _Conditions:
     squared length that renormalizes each step. Dependent rows leave steps
     in G's null space, which renormalizing would blow up, and with them the
     rounding of G a; so a is projected, P a, after every step. Steepness is
-    clamped at 1e-3. A run takes ``MAX_EPOCHS`` steps unless its loss falls
-    below ``LOSS_FLOOR`` first, from which point its row is frozen.
+    clamped at 1e-3. A run takes ``MAX_EPOCHS`` steps, with no loss-floor
+    test: a mean loss under ``LOSS_FLOOR`` over n training rows needs every
+    row's z past -log(expm1(n * LOSS_FLOOR)) (6.5 at n = 15), and no run on
+    the benchmark streams or criterion 4 gets there, so the test only cost
+    time. A run whose weights cannot be normalized is refused, and frozen.
 
     A run that mirrors an earlier one (``_mirror_runs``) is not trained:
     complementing the labels negates the label signs, the starting
@@ -281,23 +284,14 @@ def _train_conditions(operators, starts, train, labels) -> _Conditions:
     sign = np.where(labels, 1.0, -1.0)
     share = train / train.sum(axis=1, keepdims=True)  # each training row's weight in the mean
     rate = LEARNING_RATE * share * sign
-    # A run's loss is at least softplus(-z) / n at each of its n training rows, so a row
-    # with z <= decisive keeps it over 4 * LOSS_FLOOR; the loss is evaluated only when
-    # an active run has no such row. Rows outside training hold NaN, which never compares true.
-    decisive = np.where(train, -np.log(np.expm1(4.0 * LOSS_FLOOR * train.sum(axis=1, keepdims=True))), np.nan)
     active = ~refused
     everyone = not refused.any()  # active.all()
     for _ in range(MAX_EPOCHS):
+        if not (everyone or active.any()):
+            break
         distance = state[:, :width] - threshold[:, None]
         k = steepness[:, None]
         z = k * (sign * distance)
-        decided = (z <= decisive).any(axis=1)
-        if not (decided.all() if everyone else (decided | ~active).all()):
-            softplus = np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-            active &= ~(np.einsum("fi,fi->f", softplus, share) < LOSS_FLOOR)
-            everyone = bool(active.all())
-        if not (everyone or active.any()):
-            break
         push = rate / (1.0 + np.exp(z))  # signed by label
         step = k * push
         stepped = np.matmul((state[:, width:] + step)[:, None, :], operators)[:, 0]
@@ -646,32 +640,56 @@ def train_operation_predictor(plans) -> list[_KindConditions]:
     fit = _train_conditions(operators, starts, train, labels)
     if any(fit.refused[r] for r, (_, _, f) in enumerate(runs) if f is not None):
         raise ValueError("cannot normalize a zero or non-finite vector")
-    hits = fit.fires() == labels
+    # Each fold run's held-out accuracy, in run order; full-data runs hold nothing out.
+    folded = np.array([f is not None for *_, f in runs])
+    held = ~train[folded]
+    accuracy = iter((held & (fit.fires()[folded] == labels[folded])).sum(axis=1) / held.sum(axis=1))
     for r, (k, s, f) in enumerate(runs):
         if f is None:
             results[k].full[plans[k][1][s]] = (fit, r)
         else:
-            results[k].accuracy[s, f] = np.mean(hits[r, ~train[r]])
+            results[k].accuracy[s, f] = next(accuracy)
     return results
 
 
-def _fold_score(obs: _RuleObservations, subset, held_out, condition: float, codec: ParamCodec) -> float:
-    components = [condition]
+def _slot_accuracies(obs: _RuleObservations, held_out: int, subsets, codec: ParamCodec) -> list[list[float]]:
+    """Held-out accuracy under each subset of every slot observed on both sides of the fold.
+
+    A constant or copied value ignores the subset, so a slot that trains one
+    is trained and scored once for the fold; only a linear map is trained
+    per subset.
+    """
     dims = obs.out_dims[held_out]
-    slot_scores = []
+    accuracies = []
     for slot, pairs in obs.pairs_by_slot.items():
         train_pairs = [(obs.objects[i], v) for i, v in pairs if obs.demo_of[i] != held_out]
         test_pairs = [(obs.objects[i], v) for i, v in pairs if obs.demo_of[i] == held_out]
         if not train_pairs or not test_pairs:
             continue
-        predictor = train_parameter_predictor(train_pairs, slot, subset, codec)
-        slot_scores.append(
-            float(np.mean([predictor.predict(o, dims, codec) == v for o, v in test_pairs]))
-        )
-    if slot_scores:
-        components.append(float(np.mean(slot_scores)))
-    # Equal-weight average of condition accuracy and parameter accuracy.
-    return float(np.mean(components))
+
+        def accuracy(predictor) -> float:
+            return float(np.mean([predictor.predict(o, dims, codec) == v for o, v in test_pairs]))
+
+        first = train_parameter_predictor(train_pairs, slot, subsets[0], codec)
+        if not isinstance(first, LinearParameter):
+            accuracies.append([accuracy(first)] * len(subsets))
+            continue
+        rest = (train_parameter_predictor(train_pairs, slot, subset, codec) for subset in subsets[1:])
+        accuracies.append([accuracy(predictor) for predictor in (first, *rest)])
+    return accuracies
+
+
+def _fold_scores(obs: _RuleObservations, subsets, folds, codec: ParamCodec, conditions: _KindConditions) -> NDArray[np.float64]:
+    """(subsets, folds): the equal-weight average of condition accuracy and mean parameter accuracy."""
+    scores = np.empty((len(subsets), len(folds)))
+    for f, held_out in enumerate(folds):
+        slots = _slot_accuracies(obs, held_out, subsets, codec)
+        for s in range(len(subsets)):
+            components = [float(conditions.accuracy[s, f])]
+            if slots:
+                components.append(float(np.mean([accuracies[s] for accuracies in slots])))
+            scores[s, f] = float(np.mean(components))
+    return scores
 
 
 def cross_validate(obs: _RuleObservations, subsets, folds, codec: ParamCodec, conditions: _KindConditions) -> PropertySubset:
@@ -683,12 +701,8 @@ def cross_validate(obs: _RuleObservations, subsets, folds, codec: ParamCodec, co
     top-ranked candidate wins; ties keep the heuristic ranking order.
     """
     best_subset, best_score = subsets[0], -1.0
-    for s, subset in enumerate(subsets):
-        fold_scores = [
-            _fold_score(obs, subset, d, float(conditions.accuracy[s, f]), codec)
-            for f, d in enumerate(folds)
-        ]
-        score = float(np.mean(fold_scores)) if fold_scores else -1.0
+    for subset, fold_scores in zip(subsets, _fold_scores(obs, subsets, folds, codec, conditions)):
+        score = float(np.mean(fold_scores)) if folds else -1.0
         if score > best_score:
             best_subset, best_score = subset, score
     return best_subset

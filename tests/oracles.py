@@ -180,14 +180,14 @@ def bundle_direct(vectors) -> np.ndarray:
     return _unit(total)
 
 
-def condition_training_direct(pos, neg, learning_rate, max_epochs, loss_floor, initial_steepness):
+def condition_training_direct(pos, neg, learning_rate, max_epochs, initial_steepness):
     """Logistic condition predictor trained on the weight vector itself, in R^N.
 
     The weights start at the normalized difference of the class sums (the
-    positive sum when that difference vanishes) and take full-batch
-    gradient steps on sigmoid(k * (w.x - b)), renormalized after each one.
-    Returns (weights, steepness, threshold); raises ValueError when a
-    weight vector cannot be normalized.
+    positive sum when that difference vanishes) and take ``max_epochs``
+    full-batch gradient steps on sigmoid(k * (w.x - b)), renormalized after
+    each one. Returns (weights, steepness, threshold); raises ValueError
+    when a weight vector cannot be normalized.
     """
     pos = np.asarray(pos, dtype=np.float64)
     neg = np.asarray(neg, dtype=np.float64)
@@ -203,9 +203,6 @@ def condition_training_direct(pos, neg, learning_rate, max_epochs, loss_floor, i
         margins = xs @ w - b
         z = k * margins
         r = (1.0 / (1.0 + np.exp(-z)) - ys) / len(ys)
-        loss = float(np.mean(np.maximum(z, 0.0) - z * ys + np.log1p(np.exp(-np.abs(z)))))
-        if loss < loss_floor:
-            break
         grad_w = k * (xs.T @ r)
         grad_k = float(r @ margins)
         grad_b = float(-k * r.sum())
@@ -215,10 +212,8 @@ def condition_training_direct(pos, neg, learning_rate, max_epochs, loss_floor, i
     return w, k, b
 
 
-def span_conditions_direct(
-    operators, starts, train, labels, learning_rate, max_epochs, loss_floor, initial_steepness
-):
-    """Condition training for a batch of runs over each run's Gram, evaluating the loss in every epoch.
+def span_conditions_direct(operators, starts, train, labels, learning_rate, max_epochs, initial_steepness):
+    """Condition training for a batch of runs over each run's Gram, every run for ``max_epochs`` steps.
 
     Run f's weights are a combination a of its rows, starting from
     ``starts[f]`` (all zero for a start that cannot be normalized, which
@@ -228,10 +223,9 @@ def span_conditions_direct(
     to a_i and its sum taken off the threshold; the stepped a is projected
     and renormalized by its length, sqrt(P a . G a). Every run is
     trained itself: a run that mirrors another (complementary labels, same
-    rows) is trained from its own start, not negated. A run's loss below
-    ``loss_floor`` freezes it, and a weight vector that cannot be normalized
-    freezes and refuses it. Returns (weights, steepness, threshold, scores,
-    refused).
+    rows) is trained from its own start, not negated. A weight vector that
+    cannot be normalized freezes and refuses its run. Returns (weights,
+    steepness, threshold, scores, refused).
     """
     train = np.asarray(train, dtype=bool)
     pos, neg = train & labels, train & ~labels
@@ -255,13 +249,10 @@ def span_conditions_direct(
     rate = learning_rate * share * sign
     active = ~refused
     for _ in range(max_epochs):
-        distance = scores - threshold[:, None]
-        z = steepness[:, None] * (sign * distance)  # a row's loss is softplus(-z)
-        softplus = np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-        loss = np.einsum("fi,fi->f", softplus, share)
-        active &= ~(loss < loss_floor)
         if not active.any():
             break
+        distance = scores - threshold[:, None]
+        z = steepness[:, None] * (sign * distance)  # a row's loss is softplus(-z)
         push = rate / (1.0 + np.exp(z))  # sign times learning_rate times minus the loss gradient in z
         step = steepness[:, None] * push
         similarities, stepped = apply(weights + step)
@@ -286,7 +277,7 @@ def span_conditions_direct(
     return weights, steepness, threshold, scores, refused
 
 
-def span_conditions_two_product_direct(coords, train, labels, learning_rate, max_epochs, loss_floor, initial_steepness):
+def span_conditions_two_product_direct(coords, train, labels, learning_rate, max_epochs, initial_steepness):
     """Condition training in span coordinates, one product for the weight step and one for the scores.
 
     ``coords[f]`` holds run f's rows in an orthonormal basis of their span,
@@ -329,13 +320,10 @@ def span_conditions_two_product_direct(coords, train, labels, learning_rate, max
     flip_share = flip * share
     active = ~refused
     for _ in range(max_epochs):
-        margins = scores - threshold[:, None]
-        flipped = steepness[:, None] * margins * flip
-        softplus = np.maximum(flipped, 0.0) + np.log1p(np.exp(-np.abs(flipped)))
-        loss = np.einsum("fi,fi->f", softplus, share)
-        active &= ~(loss < loss_floor)
         if not active.any():
             break
+        margins = scores - threshold[:, None]
+        flipped = steepness[:, None] * margins * flip  # a row's loss is softplus(flipped)
         resid = (1.0 / (1.0 + np.exp(-flipped))) * flip_share
         step = weights - learning_rate * (steepness[:, None] * combine(resid))
         lengths = norm(step)

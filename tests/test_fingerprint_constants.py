@@ -4,7 +4,9 @@
 report is built, promising that the value printed is the value the solver
 used. That holds only if the constant is assigned in exactly one module
 and no module copies it into its own namespace with ``from … import``,
-where a later change to the home module's value would not reach it.
+where a later change to the home module's value would not reach it. It
+also holds only while the solver reads the constant at all: one whose last
+reader is deleted would stay in every report while changing nothing.
 """
 from __future__ import annotations
 
@@ -62,3 +64,31 @@ def test_each_fingerprinted_constant_has_one_home_and_no_copies():
             problems.append(f"{name} is assigned in {owners}, but the fingerprint reads {home}.{name}")
         problems.extend(f"{m}.py binds {name} with from-import" for m, tree in trees.items() if name in from_imports(tree))
     assert problems == []
+
+
+def reads_outside_the_fingerprint(tree: ast.Module, module: str) -> set[str]:
+    """Names the module loads, bare or as ``alias.NAME``, outside ``harness._fingerprint``.
+
+    A bare name counts only in the module that assigns it, which the test
+    above makes the constant's home.
+    """
+    skipped = set()
+    if module == "harness":
+        skipped = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_fingerprint" for n in ast.walk(f)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in module_assignments(tree):
+            names.add(node.id)
+    return names
+
+
+def test_the_solver_reads_each_fingerprinted_constant():
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        read |= reads_outside_the_fingerprint(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    unread = sorted(set(fingerprinted_constants()) - read)
+    assert unread == [], f"fingerprinted but read by no solver code: {unread}"

@@ -230,9 +230,7 @@ ALL_SUBSETS = [
 
 
 def direct(pos, neg):
-    return condition_training_direct(
-        pos, neg, ind.LEARNING_RATE, ind.MAX_EPOCHS, ind.LOSS_FLOOR, ind.INITIAL_STEEPNESS
-    )
+    return condition_training_direct(pos, neg, ind.LEARNING_RATE, ind.MAX_EPOCHS, ind.INITIAL_STEEPNESS)
 
 
 def unit(v):
@@ -519,8 +517,8 @@ def condition_batch(rng, runs=12, m=10, dim=48):
     """A seeded batch of condition runs, each over m unit rows in R^dim.
 
     A run's rows are +-unit(p0 + spread * p_i) for p_i from a small pool, so
-    rows recur. Half the runs label a row by its sign, so they separate, some
-    fast enough to freeze early; the rest label at random. The batch also
+    rows recur. Half the runs label a row by its sign, so they separate; the
+    rest label at random. The batch also
     holds a run's mirror (the same rows and training rows under
     complementary labels), a run whose classes cancel and a run whose
     starting weights cannot be normalized. Returns (rows, train, labels).
@@ -573,31 +571,17 @@ def fires_direct_batch(steepness, threshold, scores):
     return 1.0 / (1.0 + np.exp(-steepness[:, None] * (scores - threshold[:, None]))) >= 0.5
 
 
-@pytest.mark.parametrize("floor", [ind.LOSS_FLOOR, 1e-2])
-def test_span_training_equals_the_every_epoch_loss_oracle_bitwise(floor, monkeypatch):
-    # The trainer evaluates the loss (its one np.log1p) only where the bound
-    # cannot decide; at a floor of 1e-2 runs freeze mid-batch, so it must.
-    monkeypatch.setattr(ind, "LOSS_FLOOR", floor)
-    log1p, evaluated = np.log1p, []
-
-    def counted_log1p(*args, **kwargs):
-        evaluated.append(1)
-        return log1p(*args, **kwargs)
-
+def test_span_training_equals_the_every_epoch_oracle_bitwise():
     refused = 0
     for _, train, labels, operators, starts in seeded_condition_batches():
         want = span_conditions_direct(
-            operators, starts, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
+            operators, starts, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, ind.INITIAL_STEEPNESS
         )
-        monkeypatch.setattr(np, "log1p", counted_log1p)
         fit = ind._train_conditions(operators, starts, train, labels)
-        monkeypatch.setattr(np, "log1p", log1p)
         for got, expected in zip(fields(fit), want):
             assert np.array_equal(got, expected)
         refused += fit.refused.sum()
     assert refused == 6
-    if floor == 1e-2:
-        assert 0 < len(evaluated) < 6 * ind.MAX_EPOCHS
 
 
 def span_coordinates(rows):
@@ -611,16 +595,14 @@ def span_coordinates(rows):
     return rows @ q, q
 
 
-@pytest.mark.parametrize("floor", [ind.LOSS_FLOOR, 1e-2])
-def test_span_training_agrees_with_the_two_product_oracle(floor, monkeypatch):
+def test_span_training_agrees_with_the_two_product_oracle():
     # The same descent in QR coordinates, with weights, threshold and scores
     # kept apart: a different representation and summation order, so
     # agreement to rounding, and equal verdicts.
-    monkeypatch.setattr(ind, "LOSS_FLOOR", floor)
     for rows, train, labels, operators, starts in seeded_condition_batches():
         coords, bases = (np.stack(part) for part in zip(*map(span_coordinates, rows)))
         weights, steepness, threshold, scores, refused = span_conditions_two_product_direct(
-            coords, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, floor, ind.INITIAL_STEEPNESS
+            coords, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, ind.INITIAL_STEEPNESS
         )
         fit = ind._train_conditions(operators, starts, train, labels)
         for got, expected in (
@@ -847,14 +829,17 @@ def test_circulant_matrix_product_is_binding():
 
 
 def dense_descent(X, Y):
-    """Dense reference: the factored trainer's initialization and schedule on an explicit matrix."""
+    """Dense reference: the factored trainer's initialization and schedule on an explicit matrix.
+
+    Returns the map and the number of steps taken before the loss fell under ``LOSS_FLOOR``.
+    """
     W = ind.circulant_matrix(np.mean([vsa.unbind(y, x) for x, y in zip(X, Y)], axis=0))
-    for _ in range(ind.MAX_EPOCHS):
+    for steps in range(ind.MAX_EPOCHS):
         loss, grad = ind.parameter_loss_grad(W, X, Y)
         if loss < ind.LOSS_FLOOR:
-            break
+            return W, steps
         W = W - ind.LEARNING_RATE * grad
-    return W
+    return W, ind.MAX_EPOCHS
 
 
 def test_factored_training_matches_dense_training():
@@ -863,12 +848,32 @@ def test_factored_training_matches_dense_training():
     X = np.stack([vsa.normalize(rng.normal(size=n)) for _ in range(m)])
     Y = np.stack([vsa.normalize(rng.normal(size=n)) for _ in range(m)])
     base, correction = ind._train_linear_factors(X, Y)
-    W = dense_descent(X, Y)
+    W, _ = dense_descent(X, Y)
     factored = ind.circulant_matrix(base) + correction.T @ X
     assert np.allclose(factored, W, atol=1e-8)
     probe = vsa.normalize(rng.normal(size=n))
     lp = ind.LinearParameter("colour", ("colour",), base, X, correction)
     assert np.allclose(lp.apply(probe), W @ probe, atol=1e-8)
+
+
+def test_linear_training_stops_at_the_loss_floor(monkeypatch):
+    # The correction fits three independent rows exactly, so the squared loss
+    # falls through LOSS_FLOOR and the descent stops there, early.
+    rng = np.random.default_rng(43)
+    n = 64
+    X = np.stack([vsa.normalize(rng.normal(size=n)) for _ in range(3)])
+    Y = np.stack([vsa.normalize(rng.normal(size=n)) for _ in range(3)])
+    W, steps = dense_descent(X, Y)
+    assert 0 < steps < ind.MAX_EPOCHS
+    base, correction = ind._train_linear_factors(X, Y)
+    factored = ind.circulant_matrix(base) + correction.T @ X
+    assert np.allclose(factored, W, atol=1e-8)
+    loss = ind.parameter_loss(factored, X, Y)
+    assert loss < ind.LOSS_FLOOR
+    # The floor is read at call time: without it the descent runs on to a smaller loss.
+    monkeypatch.setattr(ind, "LOSS_FLOOR", 0.0)
+    base, correction = ind._train_linear_factors(X, Y)
+    assert ind.parameter_loss(ind.circulant_matrix(base) + correction.T @ X, X, Y) < loss / 100
 
 
 def recolour_by_shape_task(seed):
@@ -919,7 +924,7 @@ def test_recolour_by_shape_trains_a_linear_parameter(dimension, monkeypatch):
         return  # the dense map below is N x N
     X, Y = calls[-1]
     assert X is predictor.inputs
-    W = dense_descent(X, Y)
+    W, _ = dense_descent(X, Y)
     factored = ind.circulant_matrix(predictor.base) + predictor.correction.T @ X
     assert np.max(np.abs(factored - W)) < 1e-9
 
@@ -978,6 +983,124 @@ def test_cross_validation_tie_keeps_rank_order():
 def test_cross_validation_single_demo_falls_back_to_top_rank():
     obs = make_observations([[pixel(2, 1, 1), pixel(7, 5, 5)]], [[True, False]])
     assert cross_validate(obs, [("shape",), ("colour",)]) == ("shape",)
+
+
+def fold_scores_per_subset_and_fold(obs, subsets, folds, conditions, trained):
+    """Cross-validation scores by training every slot anew for each (subset, fold): the oracle for ``ind._fold_scores``.
+
+    Appends the class of every parameter predictor it trains to ``trained``.
+    """
+    scores = np.empty((len(subsets), len(folds)))
+    for s, subset in enumerate(subsets):
+        for f, held_out in enumerate(folds):
+            dims = obs.out_dims[held_out]
+            slot_scores = []
+            for slot, pairs in obs.pairs_by_slot.items():
+                train_pairs = [(obs.objects[i], v) for i, v in pairs if obs.demo_of[i] != held_out]
+                test_pairs = [(obs.objects[i], v) for i, v in pairs if obs.demo_of[i] == held_out]
+                if not train_pairs or not test_pairs:
+                    continue
+                predictor = ind.train_parameter_predictor(train_pairs, slot, subset, CODEC)
+                trained.append(type(predictor))
+                slot_scores.append(float(np.mean([predictor.predict(o, dims, CODEC) == v for o, v in test_pairs])))
+            components = [float(conditions.accuracy[s, f])]
+            if slot_scores:
+                components.append(float(np.mean(slot_scores)))
+            scores[s, f] = float(np.mean(components))
+    return scores
+
+
+def assert_cross_validation_matches_the_oracle(obs, subsets, trained):
+    """Equal fold scores, bit for bit, and the subset the oracle's scores pick; returns the fold count."""
+    folds = obs.folds()
+    (conditions,) = ind.train_operation_predictor([(obs, subsets, folds)])
+    want = fold_scores_per_subset_and_fold(obs, subsets, folds, conditions, trained)
+    assert np.array_equal(ind._fold_scores(obs, subsets, folds, CODEC, conditions), want)
+    chosen = ind.cross_validate(obs, subsets, folds, CODEC, conditions)
+    assert chosen == (subsets[int(np.argmax(want.mean(axis=1)))] if folds else subsets[0])
+    return len(folds)
+
+
+def slot_observations(rng):
+    """Seeded observations over perceived pixels and squares with one to three parameter slots.
+
+    Every positive moves by one constant amount; each keeps its own colour,
+    or each takes colour 3 or 5 at random; each takes one of three centres at
+    random. So the slots train constant, copied and linear predictors, and a
+    random slot is constant in the folds whose training values agree.
+    """
+    groups, labels = [], []
+    for _ in range(int(rng.integers(2, 5))):
+        count = int(rng.integers(2, 5))
+        groups.append([
+            (pixel, square)[rng.integers(2)](int(rng.integers(1, 10)), int(rng.integers(0, 5)), int(rng.integers(0, 5)))
+            for _ in range(count)
+        ])
+        wanted = rng.random(count) < 0.6
+        wanted[0] = True
+        labels.append(wanted)
+    obs = make_observations(groups, labels)
+    positives = np.flatnonzero(obs.labels)
+    copied = rng.random() < 0.5
+    slots = {
+        "amount": lambda o: Amount(1.0, 0.0),
+        "colour": lambda o: Colour(o.mask.colour) if copied else Colour(int(rng.choice([3, 5]))),
+        "centre": lambda o: Centre(*[(0.0, 0.0), (1.0, -1.0), (-2.0, 1.5)][rng.integers(3)]),
+    }
+    chosen = [name for name in slots if rng.random() < 0.5] or ["amount"]
+    obs.pairs_by_slot = {slot: [(int(i), slots[slot](obs.objects[i])) for i in positives] for slot in chosen}
+    return obs
+
+
+def test_cross_validation_scores_equal_the_per_subset_and_fold_loop_bitwise():
+    rng = np.random.default_rng(61)
+    trained, folds = [], 0
+    for _ in range(15):
+        obs = slot_observations(rng)
+        folds += assert_cross_validation_matches_the_oracle(obs, ALL_SUBSETS, trained)
+    assert folds > 40
+    assert {ind.ConstantParameter, ind.CopyParameter, ind.LinearParameter} <= set(trained)
+
+
+def test_cross_validation_on_recolour_by_shape_equals_the_oracle_bitwise():
+    checked, trained = 0, []
+    for seed in (0, 2):
+        result = ab.abduce(recolour_by_shape_task(seed).train, ENC, PALETTE)
+        for obs in ind._observations(result).values():
+            if obs.labels.any():
+                checked += assert_cross_validation_matches_the_oracle(obs, ind.rank_properties(obs.bundles, obs.labels), trained)
+    assert checked == 8 and ind.LinearParameter in trained
+
+
+def test_a_shortcut_slot_is_trained_once_per_fold(monkeypatch):
+    # Per demo: a square that becomes colour 3 and moves right, a pixel that
+    # becomes colour 5 and moves right, and an object left alone. The colour
+    # needs a linear map under each subset; the constant amount does not.
+    groups = [[square(2, 0, 0), pixel(7, 5, 5), pixel(4, 3, 3)],
+              [pixel(6, 0, 0), square(8, 4, 4), pixel(4, 3, 3)],
+              [square(1, 4, 0), pixel(9, 0, 5), square(4, 2, 2)]]
+    labels = [[True, True, False]] * 3
+    obs = make_observations(groups, labels)
+    colours = [Colour(3), Colour(5), Colour(5), Colour(3), Colour(3), Colour(5)]
+    positives = np.flatnonzero(obs.labels)
+    obs.pairs_by_slot = {
+        "colour": [(int(i), c) for i, c in zip(positives, colours)],
+        "amount": [(int(i), Amount(1.0, 0.0)) for i in positives],
+    }
+    calls = []
+
+    def counting(pairs, slot, subset, codec, train=ind.train_parameter_predictor):
+        predictor = train(pairs, slot, subset, codec)
+        calls.append((slot, type(predictor)))
+        return predictor
+
+    monkeypatch.setattr(ind, "train_parameter_predictor", counting)
+    folds = obs.folds()
+    (conditions,) = ind.train_operation_predictor([(obs, ALL_SUBSETS, folds)])
+    ind.cross_validate(obs, ALL_SUBSETS, folds, CODEC, conditions)
+    assert len(folds) == 3
+    assert calls.count(("amount", ind.ConstantParameter)) == len(calls) - calls.count(("colour", ind.LinearParameter)) == 3
+    assert calls.count(("colour", ind.LinearParameter)) == 3 * len(ALL_SUBSETS)
 
 
 # ---------------------------------------------------------------- induce

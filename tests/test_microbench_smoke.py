@@ -41,6 +41,7 @@ def test_every_benchmark_is_smoke_tested():
         "test_ssp_bundle_from_the_lattice_tables",
         "test_similarity_matrices",
         "test_condition_batch",
+        "test_cross_validation",
     }
 
 
@@ -71,3 +72,9 @@ def test_condition_batch_kernel_runs_once():
     fit = once.result
     assert fit.weights.shape == fit.scores.shape == (42, 15)
     assert fit.steepness.shape == fit.threshold.shape == fit.refused.shape == (42,)
+
+
+def test_cross_validation_kernel_runs_once():
+    once = Once()
+    KERNELS.test_cross_validation(once)
+    assert once.result in KERNELS.cross_validation_inputs()[1]
