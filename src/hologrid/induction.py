@@ -108,27 +108,6 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def operation_loss(weights, steepness, threshold, inputs, targets) -> float:
-    """Binary cross-entropy of sigmoid(steepness * (inputs @ weights - threshold))."""
-    z = steepness * (inputs @ weights - threshold)
-    # log(1 + e^-|z|) form stays finite for any z.
-    per_sample = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
-    return float(per_sample.mean())
-
-
-def operation_loss_grad(weights, steepness, threshold, inputs, targets):
-    """Loss plus exact gradients w.r.t. weights, steepness, and threshold."""
-    margins = inputs @ weights - threshold
-    z = steepness * margins
-    probs = _sigmoid(z)
-    resid = (probs - targets) / len(targets)
-    loss = operation_loss(weights, steepness, threshold, inputs, targets)
-    grad_w = steepness * (inputs.T @ resid)
-    grad_steepness = float(resid @ margins)
-    grad_threshold = float(-steepness * resid.sum())
-    return loss, grad_w, grad_steepness, grad_threshold
-
-
 @dataclass
 class OperationPredictor:
     """Condition side of a rule.
@@ -248,9 +227,10 @@ def _train_conditions(operators, starts, train, labels) -> _Conditions:
     start is refused), ``train[f]`` marks the rows it trains on (at least one
     of each label) and ``labels[f]`` the targets. Every step adds a
     combination of training rows, so the weights stay a combination a of the
-    rows (the representer theorem) and the descent on ``operation_loss`` runs
-    on a, step for step as in R^N: G a holds every similarity and a·G a the
-    squared length that renormalizes each step. Dependent rows leave steps
+    rows (the representer theorem) and the descent on the mean binary
+    cross-entropy of sigmoid(k * (w·x - b)) runs on a, step for step as in
+    R^N: G a holds every similarity and a·G a the squared length that
+    renormalizes each step. Dependent rows leave steps
     in G's null space, which renormalizing would blow up, and with them the
     rounding of G a; so a is projected, P a, after every step. Steepness is
     clamped at 1e-3. A run takes ``MAX_EPOCHS`` steps, with no loss-floor
@@ -427,26 +407,6 @@ class LinearParameter:
 
 
 ParameterPredictor = Union[ConstantParameter, CopyParameter, LinearParameter]
-
-
-def parameter_loss(weights, inputs, targets) -> float:
-    """Mean squared reconstruction error of a dense map; inputs/targets as rows."""
-    resid = inputs @ weights.T - targets
-    return float(np.mean(np.sum(resid * resid, axis=1)))
-
-
-def parameter_loss_grad(weights, inputs, targets):
-    resid = inputs @ weights.T - targets
-    loss = float(np.mean(np.sum(resid * resid, axis=1)))
-    grad = (2.0 / len(inputs)) * resid.T @ inputs
-    return loss, grad
-
-
-def circulant_matrix(vec: HyperVector) -> NDArray[np.float64]:
-    """Dense matrix whose product equals binding with ``vec``; test bridge."""
-    n = vec.shape[0]
-    i, j = np.indices((n, n))
-    return vec[(i - j) % n]
 
 
 def _train_linear_factors(inputs, targets):

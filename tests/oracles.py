@@ -23,6 +23,13 @@ def conv_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def circulant_direct(a: np.ndarray) -> np.ndarray:
+    """Dense matrix M[k, i] = a[(k - i) mod N], so M @ b is conv_direct(a, b)."""
+    n = a.shape[0]
+    k, i = np.indices((n, n))
+    return a[(k - i) % n]
+
+
 def invert_direct(a: np.ndarray) -> np.ndarray:
     """Index-reversed involution: out[i] = a[(-i) mod N], written as a loop."""
     n = a.shape[0]

@@ -17,7 +17,7 @@ from hologrid import harness as hn
 from hologrid import induction as ind
 from hologrid import ssp, vsa
 
-from oracles import conv_direct, hitting_sets_brute_force
+from oracles import circulant_direct, conv_direct, hitting_sets_brute_force, linear_loss_direct, logistic_loss_direct
 
 FULL_DIMENSION = 4096
 ONED_ARC_DIR = os.environ.get("ONED_ARC_DIR")
@@ -91,49 +91,81 @@ def central_difference(fn, x, h):
     return grad
 
 
-def test_criterion_2_gradient_checks():
+def condition_step_error(monkeypatch, rows, train, labels, learning_rate):
+    """How far one ``_train_conditions`` step lands from the descent step on the oracle loss.
+
+    The weights are taken in R^N (coefficients @ rows). The expected step
+    moves (w, k, b) by -learning_rate times the central difference of the
+    mean binary cross-entropy over the training rows and renormalizes w;
+    the distance is relative to that step's length.
+    """
+    fits = []
+    for epochs in (0, 1):
+        monkeypatch.setattr(ind, "MAX_EPOCHS", epochs)
+        runs = (ind._operator(rows)[None], ind._starts(rows, train[None], labels[None]), train[None], labels[None])
+        fit = ind._train_conditions(*runs)
+        fits.append(np.concatenate([fit.weights[0] @ rows, fit.steepness, fit.threshold]))
+    before, after = fits
+    xs, ys = rows[train], labels[train].astype(np.float64)
+    wkb = before.copy()
+    step = learning_rate * central_difference(lambda: logistic_loss_direct(wkb[:-2], wkb[-2], wkb[-1], xs, ys), wkb, 1e-6)
+    want = before - step
+    want[:-2] /= np.linalg.norm(want[:-2])
+    return float(np.linalg.norm(after - want) / np.linalg.norm(step))
+
+
+def linear_step_error(monkeypatch, inputs, targets, learning_rate):
+    """How far one ``_train_linear_factors`` step lands from the descent step on the oracle loss.
+
+    The factored map is taken densely (circulant(base) + correction^T X)
+    and the expected step is -learning_rate times the central difference
+    of the mean squared residual; the distance is relative to its length.
+    """
+    maps = []
+    for epochs in (0, 1):
+        monkeypatch.setattr(ind, "MAX_EPOCHS", epochs)
+        base, correction = ind._train_linear_factors(inputs, targets)
+        maps.append(circulant_direct(base) + correction.T @ inputs)
+    before, after = maps
+    weights = before.copy()
+    step = learning_rate * central_difference(lambda: linear_loss_direct(weights, inputs, targets), weights, 1e-6)
+    return float(np.linalg.norm(after - (before - step)) / np.linalg.norm(step))
+
+
+def condition_case(rng, n):
+    """Unit rows with labels of both kinds; each row held out with chance 1/4, but one of each label trains."""
+    m = int(rng.integers(4, 9))
+    rows = rng.standard_normal((m, n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    labels = rng.permutation(m) < rng.integers(1, m)
+    train = rng.random(m) < 0.75
+    train[np.argmax(labels)] = train[np.argmin(labels)] = True
+    return rows, train, labels
+
+
+def linear_case(rng, n):
+    m = int(rng.integers(2, 6))
+    return rng.standard_normal((m, n)), rng.standard_normal((m, n))
+
+
+def test_criterion_2_gradient_checks(monkeypatch):
     rng = np.random.default_rng(20)
-    n = 48
-    worst_op = 0.0
-    for _ in range(10):
-        m = int(rng.integers(4, 9))
-        inputs = rng.standard_normal((m, n))
-        inputs /= np.linalg.norm(inputs, axis=1, keepdims=True)
-        targets = rng.integers(0, 2, size=m).astype(np.float64)
-        weights = rng.standard_normal(n)
-        weights /= np.linalg.norm(weights)
-        steepness = float(rng.uniform(0.5, 4.0))
-        threshold = float(rng.uniform(-0.5, 0.5))
-
-        _, grad_w, grad_k, grad_b = ind.operation_loss_grad(weights, steepness, threshold, inputs, targets)
-        num_w = central_difference(lambda: ind.operation_loss(weights, steepness, threshold, inputs, targets), weights, 1e-6)
-        packed = np.array([steepness, threshold])
-        num_kb = central_difference(
-            lambda: ind.operation_loss(weights, float(packed[0]), float(packed[1]), inputs, targets), packed, 1e-6
-        )
-        analytic = np.concatenate([grad_w, [grad_k, grad_b]])
-        numeric = np.concatenate([num_w, num_kb])
-        worst_op = max(worst_op, float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)))
-    op_ok = worst_op < 1e-4
-
-    worst_par = 0.0
-    pn = 12
-    for _ in range(10):
-        m = int(rng.integers(2, 6))
-        inputs = rng.standard_normal((m, pn))
-        targets = rng.standard_normal((m, pn))
-        weights = rng.standard_normal((pn, pn))
-        _, analytic = ind.parameter_loss_grad(weights, inputs, targets)
-        numeric = central_difference(lambda: ind.parameter_loss(weights, inputs, targets), weights, 1e-6)
-        worst_par = max(worst_par, float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)))
-    par_ok = worst_par < 1e-4
-
+    worst_condition = max(condition_step_error(monkeypatch, *condition_case(rng, 48), ind.LEARNING_RATE) for _ in range(10))
+    worst_linear = max(linear_step_error(monkeypatch, *linear_case(rng, 12), ind.LEARNING_RATE) for _ in range(10))
     report_line(
         2,
-        "gradient checks",
-        op_ok and par_ok,
-        f"operation rel err {worst_op:.2e}, parameter rel err {worst_par:.2e}",
+        "trainer step checks",
+        worst_condition < 1e-4 and worst_linear < 1e-4,
+        f"condition step rel err {worst_condition:.2e}, linear step rel err {worst_linear:.2e}",
     )
+
+
+def test_criterion_2_rejects_a_step_at_twice_the_learning_rate(monkeypatch):
+    rng = np.random.default_rng(21)
+    rate = ind.LEARNING_RATE
+    monkeypatch.setattr(ind, "LEARNING_RATE", 2 * rate)
+    assert condition_step_error(monkeypatch, *condition_case(rng, 48), rate) > 1e-4
+    assert linear_step_error(monkeypatch, *linear_case(rng, 12), rate) > 1e-4
 
 
 @dataclass(frozen=True, order=True)

@@ -15,10 +15,10 @@ from hologrid.harness import TaskRecord
 
 from oracles import (
     bundle_direct,
+    circulant_direct,
     condition_training_direct,
     conv_direct,
     linear_loss_direct,
-    logistic_loss_direct,
     name_decode_direct,
     property_scores_direct,
     span_conditions_direct,
@@ -180,44 +180,6 @@ def test_predictor_probability_monotone_in_similarity():
         probs.append(float(1 / (1 + np.exp(-pred.steepness * (sims[-1] - pred.threshold)))))
     order = np.argsort(sims)
     assert all(np.diff(np.array(probs)[order]) >= 0)
-
-
-def test_operation_loss_matches_naive_oracle():
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(6, 32))
-    y = rng.integers(0, 2, size=6).astype(float)
-    w = vsa.normalize(rng.normal(size=32))
-    ours = ind.operation_loss(w, 3.0, 0.2, X, y)
-    theirs = logistic_loss_direct(w, 3.0, 0.2, X, y)
-    assert ours == pytest.approx(theirs, rel=1e-9)
-
-
-def test_operation_gradients_match_finite_differences():
-    rng = np.random.default_rng(17)
-    X = rng.normal(size=(5, 24))
-    y = rng.integers(0, 2, size=5).astype(float)
-    w = vsa.normalize(rng.normal(size=24))
-    kappa, b = 2.5, 0.1
-    loss, gw, gk, gb = ind.operation_loss_grad(w, kappa, b, X, y)
-    assert loss == pytest.approx(ind.operation_loss(w, kappa, b, X, y), rel=1e-12)
-    eps = 1e-6
-
-    def central(f, x0):
-        return (f(x0 + eps) - f(x0 - eps)) / (2 * eps)
-
-    for i in [0, 7, 23]:
-        def f_wi(v, i=i):
-            w2 = w.copy()
-            w2[i] = v
-            return ind.operation_loss(w2, kappa, b, X, y)
-
-        assert gw[i] == pytest.approx(central(f_wi, w[i]), rel=1e-4, abs=1e-10)
-    assert gk == pytest.approx(
-        central(lambda v: ind.operation_loss(w, v, b, X, y), kappa), rel=1e-4
-    )
-    assert gb == pytest.approx(
-        central(lambda v: ind.operation_loss(w, kappa, v, X, y), b), rel=1e-4, abs=1e-8
-    )
 
 
 # ---------------------------------------------------------------- condition training over subset Grams
@@ -805,27 +767,11 @@ def test_decode_matches_the_name_parsing_oracle():
     assert outcomes == {(slot, none) for slot in named for none in (True, False)}
 
 
-def test_parameter_loss_matches_naive_oracle():
-    rng = np.random.default_rng(23)
-    W = rng.normal(size=(16, 16))
-    X = rng.normal(size=(4, 16))
-    Y = rng.normal(size=(4, 16))
-    loss, grad = ind.parameter_loss_grad(W, X, Y)
-    assert loss == pytest.approx(linear_loss_direct(W, X, Y), rel=1e-9)
-    eps = 1e-6
-    for i, j in [(0, 0), (3, 11), (15, 15)]:
-        up, down = W.copy(), W.copy()
-        up[i, j] += eps
-        down[i, j] -= eps
-        fd = (ind.parameter_loss(up, X, Y) - ind.parameter_loss(down, X, Y)) / (2 * eps)
-        assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-
-
 def test_circulant_matrix_product_is_binding():
     rng = np.random.default_rng(29)
     v = rng.normal(size=16)
     x = rng.normal(size=16)
-    assert np.allclose(ind.circulant_matrix(v) @ x, conv_direct(v, x), atol=1e-9)
+    assert np.allclose(circulant_direct(v) @ x, conv_direct(v, x), atol=1e-9)
 
 
 def dense_descent(X, Y):
@@ -833,12 +779,12 @@ def dense_descent(X, Y):
 
     Returns the map and the number of steps taken before the loss fell under ``LOSS_FLOOR``.
     """
-    W = ind.circulant_matrix(np.mean([vsa.unbind(y, x) for x, y in zip(X, Y)], axis=0))
+    W = circulant_direct(np.mean([vsa.unbind(y, x) for x, y in zip(X, Y)], axis=0))
     for steps in range(ind.MAX_EPOCHS):
-        loss, grad = ind.parameter_loss_grad(W, X, Y)
-        if loss < ind.LOSS_FLOOR:
+        resid = X @ W.T - Y
+        if np.mean(np.sum(resid * resid, axis=1)) < ind.LOSS_FLOOR:
             return W, steps
-        W = W - ind.LEARNING_RATE * grad
+        W = W - ind.LEARNING_RATE * ((2.0 / len(X)) * resid.T @ X)
     return W, ind.MAX_EPOCHS
 
 
@@ -849,7 +795,7 @@ def test_factored_training_matches_dense_training():
     Y = np.stack([vsa.normalize(rng.normal(size=n)) for _ in range(m)])
     base, correction = ind._train_linear_factors(X, Y)
     W, _ = dense_descent(X, Y)
-    factored = ind.circulant_matrix(base) + correction.T @ X
+    factored = circulant_direct(base) + correction.T @ X
     assert np.allclose(factored, W, atol=1e-8)
     probe = vsa.normalize(rng.normal(size=n))
     lp = ind.LinearParameter("colour", ("colour",), base, X, correction)
@@ -866,14 +812,14 @@ def test_linear_training_stops_at_the_loss_floor(monkeypatch):
     W, steps = dense_descent(X, Y)
     assert 0 < steps < ind.MAX_EPOCHS
     base, correction = ind._train_linear_factors(X, Y)
-    factored = ind.circulant_matrix(base) + correction.T @ X
+    factored = circulant_direct(base) + correction.T @ X
     assert np.allclose(factored, W, atol=1e-8)
-    loss = ind.parameter_loss(factored, X, Y)
+    loss = linear_loss_direct(factored, X, Y)
     assert loss < ind.LOSS_FLOOR
     # The floor is read at call time: without it the descent runs on to a smaller loss.
     monkeypatch.setattr(ind, "LOSS_FLOOR", 0.0)
     base, correction = ind._train_linear_factors(X, Y)
-    assert ind.parameter_loss(ind.circulant_matrix(base) + correction.T @ X, X, Y) < loss / 100
+    assert linear_loss_direct(circulant_direct(base) + correction.T @ X, X, Y) < loss / 100
 
 
 def recolour_by_shape_task(seed):
@@ -925,7 +871,7 @@ def test_recolour_by_shape_trains_a_linear_parameter(dimension, monkeypatch):
     X, Y = calls[-1]
     assert X is predictor.inputs
     W, _ = dense_descent(X, Y)
-    factored = ind.circulant_matrix(predictor.base) + predictor.correction.T @ X
+    factored = circulant_direct(predictor.base) + predictor.correction.T @ X
     assert np.max(np.abs(factored - W)) < 1e-9
 
 

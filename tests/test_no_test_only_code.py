@@ -17,11 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hologrid").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 KEEP = {
-    "circulant_matrix": "the dense bridge of the factored-versus-dense LinearParameter test",
     "fractional_power": "a primitive of the paper's spatial algebra",
-    "operation_loss_grad": "the exact condition gradient that criterion 2 checks",
-    "parameter_loss": "the dense parameter loss that criterion 2 checks",
-    "parameter_loss_grad": "the dense parameter gradient that criterion 2 checks",
     "validate_sort_of_arc": "an oracle of generated tasks, independent of the solver",
     "program_from_json": "the documented reload half of program JSON",
 }
