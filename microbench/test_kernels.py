@@ -80,12 +80,13 @@ def test_similarity_matrices(benchmark):
     benchmark(ab.similarity_matrices, outs, ins, ENC, PALETTE)
 
 
-def condition_batch(seed=0, demos=3, per_demo=5, kinds=2):
-    """One task's condition batch as sort-of-arc trains it: 42 runs over M = 15 objects.
+def condition_plans(seed=0, demos=3, per_demo=5, kinds=2):
+    """One task's condition training as sort-of-arc plans it: 42 runs over M = 15 objects.
 
     Objects draw their colour, centre and shape vectors from small pools.
     Each of ``kinds`` edit kinds labels the objects at random, and trains
     every property subset on all demos and with demo 0 or 1 held out.
+    Returns ``train_operation_predictor``'s plans.
     """
     rng = np.random.default_rng(seed)
     pools = [[vsa.normalize(rng.normal(size=DIMENSION)) for _ in range(4)] for _ in pc.PROPERTIES]
@@ -94,25 +95,50 @@ def condition_batch(seed=0, demos=3, per_demo=5, kinds=2):
     ]
     bundles = ind._Bundles(objects)
     demo_of = np.repeat(np.arange(demos), per_demo)
+    dims = {d: (10, 10) for d in range(demos)}
     subsets = [s for k in range(1, 4) for s in combinations(pc.PROPERTIES, k)]
-    operators, starts, train, labels = [], [], [], []
-    for _ in range(kinds):
+    plans = []
+    for kind in list(OperationKind)[:kinds]:
         wanted = rng.random(len(objects)) < 0.5
         wanted[::per_demo], wanted[1::per_demo] = True, False  # both labels in every demo
-        for subset in subsets:
-            rows = bundles.rows(subset)
-            used = np.stack([demo_of != held_out for held_out in (None, 0, 1)])
-            operators.extend([ind._operator(rows)] * len(used))
-            starts.extend(ind._starts(rows, used, np.tile(wanted, (len(used), 1))))
+        plans.append((ind._RuleObservations(kind, objects, demo_of, wanted, {}, dims, bundles), subsets, [0, 1]))
+    return plans
+
+
+def condition_batch(plans):
+    """The trainer's inputs for ``plans``, in its grouped layout: one operator per subset, (7, 15, 30), and 42 runs.
+
+    A subset's group holds its runs of every kind, on all demos and with
+    demo 0 or 1 held out.
+    """
+    (obs, subsets, folds), *_ = plans
+    operators, group_of, starts, train, labels = [], [], [], [], []
+    for g, subset in enumerate(subsets):
+        rows = obs.bundles.rows(subset)
+        operators.append(ind._operator(rows))
+        for kind, *_ in plans:
+            used = np.stack([kind.demo_of != held_out for held_out in (None, *folds)])
+            wanted = np.tile(kind.labels, (len(used), 1))
+            group_of.extend([g] * len(used))
+            starts.extend(ind._starts(rows, used, wanted))
             train.extend(used)
-            labels.extend([wanted] * len(used))
-    return tuple(np.stack(part) for part in (operators, starts, train, labels))
+            labels.extend(wanted)
+    return np.stack(operators), np.array(group_of), *(np.stack(part) for part in (starts, train, labels))
 
 
 def test_condition_batch(benchmark):
-    batch = condition_batch()
-    assert batch[0].shape == (42, 15, 30)
+    batch = condition_batch(condition_plans())
+    assert batch[0].shape == (7, 15, 30) and len(batch[1]) == 42
     benchmark(ind._train_conditions, *batch)
+
+
+def test_train_operation_predictor(benchmark):
+    # Batch assembly (subset rows, operators, starts) and training. Subset
+    # ranking runs first, as in a task, and builds the objects' property stack.
+    plans = condition_plans()
+    for obs, _, _ in plans:
+        ind.rank_properties(obs.bundles, obs.labels)
+    benchmark(ind.train_operation_predictor, plans)
 
 
 def cross_validation_inputs(seed=0, demos=5, per_demo=3):

@@ -182,35 +182,21 @@ class _Conditions:
         z = self.steepness[:, None] * (self.scores - self.threshold[:, None])
         return _sigmoid(z) >= FIRE_THRESHOLD
 
-    def with_mirrors(self, mirror) -> "_Conditions":
-        """The full batch of runs that ``_mirror_runs`` returned ``mirror`` for.
 
-        This batch holds the runs where ``mirror`` is -1, in order; each
-        other run f is run ``mirror[f]`` with weights, threshold and scores
-        negated and steepness kept.
-        """
-        own = mirror < 0
-        source = np.empty(len(mirror), dtype=np.int64)
-        source[own] = np.arange(own.sum())
-        source[~own] = source[mirror[~own]]
-        sign = np.where(own, 1.0, -1.0)
-        weights, scores = (part[source] * sign[:, None] for part in (self.weights, self.scores))
-        return _Conditions(weights, self.steepness[source], self.threshold[source] * sign, scores, self.refused[source])
-
-
-def _mirror_runs(operators, starts, train) -> NDArray[np.int64]:
+def _mirror_runs(group_of, starts, train) -> NDArray[np.int64]:
     """The earlier run each run mirrors, or -1.
 
-    Run g mirrors run f when both have the same rows and training rows and
-    g's starting coefficients are the negation of f's. A start's signs are
-    its run's training labels, so g's are the complement of f's. A run
-    whose classes cancel starts from its positive prototype, which no start
-    negates (its zeros would be -0.0), so it is never mirrored.
+    Run g mirrors run f when both are in one group, so share their rows,
+    train on the same rows, and g's starting coefficients are the negation
+    of f's. A start's signs are its run's training labels, so g's are the
+    complement of f's. A run whose classes cancel starts from its positive
+    prototype, which no start negates (its zeros would be -0.0), so it is
+    never mirrored.
     """
     mirror = np.full(len(train), -1)
-    trained: dict[tuple[bytes, ...], int] = {}
-    for f, (operator, start, used) in enumerate(zip(operators, starts, train)):
-        key = (operator.tobytes(), used.tobytes())
+    trained: dict[tuple, int] = {}
+    for f, (g, start, used) in enumerate(zip(group_of.tolist(), starts, train)):
+        key = (g, used.tobytes())
         partner = trained.get(key + ((-start[used]).tobytes(),))
         if partner is not None:
             mirror[f] = partner
@@ -219,13 +205,14 @@ def _mirror_runs(operators, starts, train) -> NDArray[np.int64]:
     return mirror
 
 
-def _train_conditions(operators, starts, train, labels) -> _Conditions:
-    """Condition training for a batch of runs, each over its own rows.
+def _train_conditions(operators, group_of, starts, train, labels) -> _Conditions:
+    """Condition training for a batch of runs, in groups that share their rows.
 
-    Run f's rows give ``operators[f]`` = [G P] (``_operator``), its weights
-    start from the coefficients ``starts[f]`` (``_starts``; a run with no
-    start is refused), ``train[f]`` marks the rows it trains on (at least one
-    of each label) and ``labels[f]`` the targets. Every step adds a
+    ``operators[s]`` = [G P] (``_operator``) of group s's rows, (S, M, 2M),
+    and ``group_of[f]`` is run f's group. Run f's weights start from the
+    coefficients ``starts[f]`` (``_starts``; a run with no start is
+    refused), ``train[f]`` marks the rows it trains on (at least one of
+    each label) and ``labels[f]`` the targets. Every step adds a
     combination of training rows, so the weights stay a combination a of the
     rows (the representer theorem) and the descent on the mean binary
     cross-entropy of sigmoid(k * (w·x - b)) runs on a, step for step as in
@@ -242,16 +229,26 @@ def _train_conditions(operators, starts, train, labels) -> _Conditions:
     A run that mirrors an earlier one (``_mirror_runs``) is not trained:
     complementing the labels negates the label signs, the starting
     coefficients and the threshold, so the loss and the steepness stay equal
-    and every step is negated, bit for bit. The mirrored run is the earlier
-    one with weights, threshold and scores negated.
+    and every step is negated, bit for bit; it is the earlier run with
+    weights, threshold and scores negated. The other runs train laid out as
+    (S, R, M), R the most in a group, one product (R, M) @ (M, 2M) per group
+    and step. Runs with no start, so refused, pad the smaller groups and are
+    left out of the result.
     """
-    mirror = _mirror_runs(operators, starts, train)
-    if (mirror >= 0).any():
-        own = mirror < 0
-        return _train_conditions(operators[own], starts[own], train[own], labels[own]).with_mirrors(mirror)
+    mirror = _mirror_runs(group_of, starts, train)
+    own = mirror < 0
+    # Run f's slot in the layout: its group's row, at its rank among the group's trained runs.
+    rank = np.tril((group_of[:, None] == group_of) & own, -1).sum(axis=1)
+    width, size = operators.shape[1], rank[own].max() + 1
+    place = group_of * size + rank
+    place[~own] = place[mirror[~own]]
+    source = np.full(len(operators) * size, -1)
+    source[place[own]] = np.flatnonzero(own)
+    starts, train, labels = starts[source], train[source], labels[source]  # padding copies the last run's rows,
+    starts[source < 0] = 0.0  # but has no start
+    shape = (len(operators), size, width)
     # A run's state a^T [G P] = [G a, P a] (G and P are symmetric): its scores and coefficients.
-    width = operators.shape[1]
-    state = np.matmul(starts[:, None, :], operators)[:, 0]
+    state = np.matmul(starts.reshape(shape), operators).reshape(len(source), -1)
     pos, neg = train & labels, train & ~labels
     refused = ~starts.any(axis=1)
     scores = state[:, :width]
@@ -274,7 +271,7 @@ def _train_conditions(operators, starts, train, labels) -> _Conditions:
         z = k * (sign * distance)
         push = rate / (1.0 + np.exp(z))  # signed by label
         step = k * push
-        stepped = np.matmul((state[:, width:] + step)[:, None, :], operators)[:, 0]
+        stepped = np.matmul((state[:, width:] + step).reshape(shape), operators).reshape(len(source), -1)
         lengths = np.sqrt(np.einsum("fi,fi->f", stepped[:, :width], stepped[:, width:]))
         if not (0.0 < lengths.min() and lengths.max() < np.inf):
             ok = _normable(lengths)
@@ -288,7 +285,9 @@ def _train_conditions(operators, starts, train, labels) -> _Conditions:
             for new, old in zip(update, (state, threshold, steepness)):
                 new[~active] = old[~active]
         state, threshold, steepness = update
-    return _Conditions(state[:, width:], steepness, threshold, state[:, :width], refused)
+    run_sign = np.where(own, 1.0, -1.0)
+    weights, scores = (part[place] * run_sign[:, None] for part in (state[:, width:], state[:, :width]))
+    return _Conditions(weights, steepness[place], threshold[place] * run_sign, scores, refused[place])
 
 
 # --------------------------------------------------------------------------
@@ -573,7 +572,8 @@ def train_operation_predictor(plans) -> list[_KindConditions]:
     one per subset on every object, so the final fit is ready whichever
     subset wins. A fold with no negatives to train on keeps the vacuous
     condition, which fires on every held-out object. Each subset's rows and
-    operator are built once, for the runs of every kind.
+    operator are built once, and its runs of every kind train as one group
+    through that operator (``_train_conditions``).
     """
     results, by_subset = [], {}  # (bundles, subset) -> per run (kind, subset index, fold or None, training rows)
     for k, (obs, subsets, folds) in enumerate(plans):
@@ -589,15 +589,15 @@ def train_operation_predictor(plans) -> list[_KindConditions]:
             group.extend((k, s, f, train) for f, train in trained + [(None, everything)])
     if not by_subset:
         return results
-    runs, batch = [], []  # per run (kind, subset index, fold); per subset the trainer's inputs
-    for (bundles, subset), group in by_subset.items():
+    runs, batch = [], []  # per run (kind, subset index, fold); per subset its operator and group of runs
+    for g, ((bundles, subset), group) in enumerate(by_subset.items()):
         rows = bundles.rows(subset)
         train = np.stack([used for *_, used in group])
         labels = np.stack([plans[k][0].labels for k, *_ in group])
-        batch.append((np.repeat(_operator(rows)[None], len(group), axis=0), _starts(rows, train, labels), train, labels))
+        batch.append((_operator(rows)[None], np.full(len(group), g), _starts(rows, train, labels), train, labels))
         runs.extend((k, s, f) for k, s, f, _ in group)
-    operators, starts, train, labels = (np.concatenate(part) for part in zip(*batch))
-    fit = _train_conditions(operators, starts, train, labels)
+    operators, group_of, starts, train, labels = (np.concatenate(part) for part in zip(*batch))
+    fit = _train_conditions(operators, group_of, starts, train, labels)
     if any(fit.refused[r] for r, (_, _, f) in enumerate(runs) if f is not None):
         raise ValueError("cannot normalize a zero or non-finite vector")
     # Each fold run's held-out accuracy, in run order; full-data runs hold nothing out.

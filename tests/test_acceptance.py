@@ -102,8 +102,8 @@ def condition_step_error(monkeypatch, rows, train, labels, learning_rate):
     fits = []
     for epochs in (0, 1):
         monkeypatch.setattr(ind, "MAX_EPOCHS", epochs)
-        runs = (ind._operator(rows)[None], ind._starts(rows, train[None], labels[None]), train[None], labels[None])
-        fit = ind._train_conditions(*runs)
+        runs = (ind._starts(rows, train[None], labels[None]), train[None], labels[None])
+        fit = ind._train_conditions(ind._operator(rows)[None], np.zeros(1, dtype=np.int64), *runs)
         fits.append(np.concatenate([fit.weights[0] @ rows, fit.steepness, fit.threshold]))
     before, after = fits
     xs, ys = rows[train], labels[train].astype(np.float64)

@@ -242,6 +242,9 @@ def random_observations(rng, dim=64):
     )
 
 
+ONE_GROUP = np.zeros(1, dtype=np.int64)  # a batch of one run, in group 0
+
+
 def run_inputs(rows, train, labels):
     """A run's operator [G P] and starting coefficients over ``rows``, as ``train_operation_predictor`` builds them."""
     return ind._operator(rows), ind._starts(rows, train[None], labels[None])[0]
@@ -271,10 +274,12 @@ def test_span_training_matches_direct_oracle_on_random_folds():
                     runs.append((s, d))
         rows = [obs.bundles.rows(subset) for subset in ALL_SUBSETS]
         if runs:
+            # One group per subset, as train_operation_predictor lays the batch out.
+            train = np.stack([demo_of != d for _, d in runs])
+            starts = np.stack([run_inputs(rows[s], used, obs.labels)[1] for (s, _), used in zip(runs, train)])
             fit = ind._train_conditions(
-                *(np.stack(part) for part in zip(*(run_inputs(rows[s], demo_of != d, obs.labels) for s, d in runs))),
-                np.stack([demo_of != d for _, d in runs]),
-                np.tile(obs.labels, (len(runs), 1)),
+                np.stack([ind._operator(r) for r in rows]), np.array([s for s, _ in runs]),
+                starts, train, np.tile(obs.labels, (len(runs), 1)),
             )
         for r, (s, d) in enumerate(runs):
             X = bundles(obs.objects, ALL_SUBSETS[s])
@@ -303,8 +308,8 @@ def test_span_training_matches_direct_oracle_on_random_folds():
 
 def test_subset_grams_hold_the_similarities_of_their_rows(monkeypatch):
     # The batch train_operation_predictor hands the trainer: one operator
-    # [G P] per subset, shared by the runs of every kind, and unit starting
-    # weights.
+    # [G P] per subset, shared by the group of runs of every kind under that
+    # subset, and unit starting weights. Mirrors pair only within a group.
     batches = []
 
     def capture(*batch):
@@ -314,23 +319,25 @@ def test_subset_grams_hold_the_similarities_of_their_rows(monkeypatch):
     train_conditions = ind._train_conditions
     monkeypatch.setattr(ind, "_train_conditions", capture)
     rng = np.random.default_rng(5)
-    checked = 0
+    checked = moves = crossed = 0
     for _ in range(40):
         obs = random_observations(rng)
         if obs.labels.all() or not obs.labels.any():
             continue
         other = ind._RuleObservations(Op.RECOLOUR, obs.objects, obs.demo_of, ~obs.labels, {}, obs.out_dims, obs.bundles)
         ind.train_operation_predictor([(obs, ALL_SUBSETS, obs.folds()), (other, ALL_SUBSETS[::-1], other.folds())])
-        operators, starts, train, labels = batches[0]  # the whole batch, before mirrored runs are set aside
+        operators, group_of, starts, train, labels = batches[0]  # the whole batch, before mirrored runs are set aside
         batches.clear()
         assert np.array_equal(labels[0], obs.labels) and np.array_equal(labels[-1], other.labels)
-        assert len({o.tobytes() for o in operators}) == len(ALL_SUBSETS)
+        assert len(operators) == len({o.tobytes() for o in operators}) == len(ALL_SUBSETS)
         grams, projectors = np.split(operators, 2, axis=2)
         for subset in ALL_SUBSETS:
             X = bundles(obs.objects, subset)
-            mine = [np.max(np.abs(g - X @ X.T)) < 1e-14 for g in grams]
-            assert sum(mine) == len(grams) // len(ALL_SUBSETS)
-            for g, p, start, used, wanted in zip(grams[mine], projectors[mine], starts[mine], train[mine], labels[mine]):
+            (s,) = np.flatnonzero([np.max(np.abs(g - X @ X.T)) < 1e-14 for g in grams])
+            mine = group_of == s
+            assert mine.sum() == len(group_of) // len(ALL_SUBSETS)
+            g, p = grams[s], projectors[s]
+            for start, used, wanted in zip(starts[mine], train[mine], labels[mine]):
                 # A combination's similarity to each row, and its length; its
                 # projection onto the row space combines the rows the same way.
                 assert np.max(np.abs(g @ start - X @ (start @ X))) < 1e-14
@@ -338,7 +345,23 @@ def test_subset_grams_hold_the_similarities_of_their_rows(monkeypatch):
                 assert abs(np.linalg.norm(start @ X) - 1.0) < 1e-14
                 assert start[used & wanted].min() > 0.0
             checked += 1
-    assert checked > 150
+        # A run mirrors only a run of its own group. Where rows recur, a start can
+        # also negate a start of another group, over other rows: no mirror.
+        mirror = ind._mirror_runs(group_of, starts, train)
+        mirrored = np.flatnonzero(mirror >= 0)
+        assert np.array_equal(group_of[mirrored], group_of[mirror[mirrored]])
+        for f in range(len(train)):
+            negates = [e for e in range(f) if mirror[e] < 0 and np.array_equal(train[e], train[f])
+                       and np.array_equal(starts[e][train[f]], -starts[f][train[f]])]
+            crossed += any(group_of[e] != group_of[f] for e in negates)
+            assert (mirror[f] >= 0) == any(group_of[e] == group_of[f] for e in negates)
+        # Moved to a group of its own, a mirroring run negates only runs of other groups.
+        for f in mirrored:
+            moved = group_of.copy()
+            moved[f] = len(operators)
+            assert ind._mirror_runs(moved, starts, train)[f] == -1
+        moves += len(mirrored)
+    assert checked > 150 and moves > 100 and crossed > 0
 
 
 def test_linearly_dependent_rows_train_like_the_direct_oracle():
@@ -387,7 +410,7 @@ def test_cancelling_bundles_start_from_positive_prototype():
     diff = labels - (~labels).astype(float)
     assert np.sqrt(abs(diff @ (rows @ rows.T) @ diff)) > 1e-12 > np.linalg.norm(diff @ rows)
     assert np.array_equal(start != 0, labels)
-    fit = ind._train_conditions(operator[None], start[None], train[None], labels[None])
+    fit = ind._train_conditions(operator[None], ONE_GROUP, start[None], train[None], labels[None])
     assert np.max(np.abs(fit.weights[0] @ rows - w)) < 1e-9
 
 
@@ -402,7 +425,7 @@ def test_zero_norm_weights_are_refused():
     train = np.ones(4, dtype=bool)
     operator, start = run_inputs(rows, train, labels)
     assert not start.any()
-    fit = ind._train_conditions(operator[None], start[None], train[None], labels[None])
+    fit = ind._train_conditions(operator[None], ONE_GROUP, start[None], train[None], labels[None])
     assert fit.refused[0]
     # The refusal surfaces as the ValueError that induce turns into a vacuous condition.
     obs = make_observations([[pc.ObjectRepr(None, r, r, r) for r in rows]], [labels])
@@ -437,19 +460,26 @@ def test_mirrored_runs_equal_separately_trained_runs():
                     runs.append((rows, train, ~obs.labels))
         if not runs:
             continue
-        runs = [runs[i] for i in rng.permutation(len(runs))]
-        inputs = [np.stack(part) for part in zip(*(run_inputs(*run) for run in runs))]
-        inputs += [np.stack([run[k] for run in runs]) for k in (1, 2)]
-        operators, starts, train, _ = inputs
-        fit = ind._train_conditions(*inputs)
-        for r in range(len(runs)):
-            alone = ind._train_conditions(*(part[r : r + 1] for part in inputs))
-            assert_same_runs(fit, r, alone)
         cancelled = np.array([
             np.linalg.norm((used & wanted) @ rows - (used & ~wanted) @ rows) < 1e-12 for rows, used, wanted in runs
         ])
+        # One operator per run. A run shares its group with its complement, so
+        # that it can mirror it, unless their classes cancel: then each trains
+        # in its own group. Every group trains one run, one product per run.
+        group_of = np.where(cancelled, np.arange(len(runs)), np.arange(len(runs)) // 2 * 2)
+        order = rng.permutation(len(runs))
+        runs, group_of = [runs[i] for i in order], group_of[order]
+        operators, starts = (np.stack(part) for part in zip(*(run_inputs(*run) for run in runs)))
+        operators = operators[np.argsort(order)]  # operator g belongs to group g
+        train, labels = (np.stack([run[k] for run in runs]) for k in (1, 2))
+        fit = ind._train_conditions(operators, group_of, starts, train, labels)
+        for r in range(len(runs)):
+            alone = ind._train_conditions(
+                operators[group_of[r]][None], ONE_GROUP, starts[r : r + 1], train[r : r + 1], labels[r : r + 1]
+            )
+            assert_same_runs(fit, r, alone)
         # Each labeling's classes cancel exactly when the other's do.
-        mirror = ind._mirror_runs(operators, starts, train)
+        mirror = ind._mirror_runs(group_of, starts, train)
         assert (mirror >= 0).sum() == (~cancelled).sum() // 2
         mirrored += (~cancelled).sum() // 2
     assert mirrored > 100
@@ -467,12 +497,61 @@ def test_a_run_whose_classes_cancel_is_not_mirrored():
     train = np.ones((2, 6), dtype=bool)
     operators = np.stack([ind._operator(rows)] * 2)
     starts = ind._starts(rows, train, labels)
-    fit = ind._train_conditions(operators, starts, train, labels)
+    fit = ind._train_conditions(operators, np.arange(2), starts, train, labels)
     for r in range(2):
-        alone = ind._train_conditions(operators[:1], starts[r : r + 1], train[r : r + 1], labels[r : r + 1])
+        alone = ind._train_conditions(operators[:1], ONE_GROUP, starts[r : r + 1], train[r : r + 1], labels[r : r + 1])
         assert_same_runs(fit, r, alone)
     assert not np.array_equal(fit.weights[1], -fit.weights[0])
-    assert np.array_equal(ind._mirror_runs(operators, starts, train), [-1, -1])
+    # Not even in one group, where the two runs share their rows.
+    assert np.array_equal(ind._mirror_runs(np.zeros(2, dtype=np.int64), starts, train), [-1, -1])
+
+
+def test_ragged_groups_train_each_run_as_alone():
+    # The batch of a task whose groups differ in size: one kind trains two
+    # subsets and a second kind one of them (12 runs there), a kind without
+    # folds adds a single run under a third subset, and a complementary kind
+    # adds runs that mirror the first kind's. Padding fills the smaller
+    # groups; each run trains as it would alone, to rounding (a group of
+    # several runs takes one matrix product, where a run alone takes a
+    # vector product), and the result holds no padding run.
+    rng = np.random.default_rng(41)
+    pools = {p: [unit(rng.normal(size=CFG.dimension)) for _ in range(8)] for p in pc.PROPERTIES}
+    demo_of = np.repeat(np.arange(5), 3)
+    objects = [pc.ObjectRepr(None, *(pools[p][rng.integers(8)] for p in pc.PROPERTIES)) for _ in demo_of]
+    shared = ind._Bundles(objects)
+
+    def kind(kind, labels):
+        return ind._RuleObservations(kind, objects, demo_of, labels, {}, {d: (7, 7) for d in range(5)}, shared)
+
+    first, second, once = (kind(k, np.arange(15) % 3 == r) for k, r in ((Op.MOVE, 0), (Op.RECOLOUR, 1), (Op.GROW, 2)))
+    complement = kind(Op.RESHAPE, ~first.labels)
+    plans = [
+        (first, ALL_SUBSETS[:2], first.folds()), (second, ALL_SUBSETS[:1], second.folds()),
+        (once, ALL_SUBSETS[2:3], []), (complement, ALL_SUBSETS[1:2], complement.folds()),
+    ]
+    batches = []
+    train_conditions = ind._train_conditions
+
+    def capture(*batch):
+        batches.append(batch)
+        return train_conditions(*batch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ind, "_train_conditions", capture)
+        ind.train_operation_predictor(plans)
+    operators, group_of, starts, train, labels = batches[0]
+    mirror = ind._mirror_runs(group_of, starts, train)
+    assert np.array_equal(np.bincount(group_of), [12, 12, 1])
+    assert np.array_equal(np.bincount(group_of[mirror < 0]), [12, 6, 1])
+    fit = train_conditions(*batches[0])
+    assert all(len(part) == len(group_of) for part in fields(fit))
+    assert not fit.refused.any()
+    for r, g in enumerate(group_of):
+        alone = train_conditions(operators[g][None], ONE_GROUP, starts[r : r + 1], train[r : r + 1], labels[r : r + 1])
+        for got, want in zip(fields(fit)[:4], fields(alone)):
+            assert np.max(np.abs(got[r] - want[0])) < 1e-12
+        assert fit.refused[r] == alone.refused[0]
+        assert np.array_equal(fit.fires()[r], alone.fires()[0])
 
 
 def condition_batch(rng, runs=12, m=10, dim=48):
@@ -515,13 +594,22 @@ def condition_batch(rng, runs=12, m=10, dim=48):
 
 
 def seeded_condition_batches():
-    """Each batch as (rows, train, labels, operators, starts)."""
+    """Each batch as (rows, train, labels, operators, group_of, starts).
+
+    Runs over equal rows share a group and its operator: only a run and its
+    mirror do, so every group trains one run, one product per run.
+    """
     rng = np.random.default_rng(19)
     batches = []
     for _ in range(6):
         rows, train, labels = condition_batch(rng)
-        inputs = (np.stack(part) for part in zip(*map(run_inputs, rows, train, labels)))
-        batches.append((rows, train, labels, *inputs))
+        first: dict[bytes, int] = {}
+        for f, run in enumerate(rows):
+            first.setdefault(run.tobytes(), f)
+        group_of = np.array([list(first).index(run.tobytes()) for run in rows])
+        operators = np.stack([ind._operator(rows[f]) for f in first.values()])
+        starts = np.stack([run_inputs(*run)[1] for run in zip(rows, train, labels)])
+        batches.append((rows, train, labels, operators, group_of, starts))
     return batches
 
 
@@ -535,11 +623,12 @@ def fires_direct_batch(steepness, threshold, scores):
 
 def test_span_training_equals_the_every_epoch_oracle_bitwise():
     refused = 0
-    for _, train, labels, operators, starts in seeded_condition_batches():
+    for _, train, labels, operators, group_of, starts in seeded_condition_batches():
+        assert len(operators) == len(train) - 1  # one run shares its operator with its mirror
         want = span_conditions_direct(
-            operators, starts, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, ind.INITIAL_STEEPNESS
+            operators[group_of], starts, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, ind.INITIAL_STEEPNESS
         )
-        fit = ind._train_conditions(operators, starts, train, labels)
+        fit = ind._train_conditions(operators, group_of, starts, train, labels)
         for got, expected in zip(fields(fit), want):
             assert np.array_equal(got, expected)
         refused += fit.refused.sum()
@@ -561,12 +650,12 @@ def test_span_training_agrees_with_the_two_product_oracle():
     # The same descent in QR coordinates, with weights, threshold and scores
     # kept apart: a different representation and summation order, so
     # agreement to rounding, and equal verdicts.
-    for rows, train, labels, operators, starts in seeded_condition_batches():
+    for rows, train, labels, operators, group_of, starts in seeded_condition_batches():
         coords, bases = (np.stack(part) for part in zip(*map(span_coordinates, rows)))
         weights, steepness, threshold, scores, refused = span_conditions_two_product_direct(
             coords, train, labels, ind.LEARNING_RATE, ind.MAX_EPOCHS, ind.INITIAL_STEEPNESS
         )
-        fit = ind._train_conditions(operators, starts, train, labels)
+        fit = ind._train_conditions(operators, group_of, starts, train, labels)
         for got, expected in (
             (fit.steepness, steepness),
             (fit.threshold, threshold),
@@ -594,9 +683,9 @@ def test_coefficients_stay_in_the_row_space():
     # Projected away, a stays in the row space, where a.G a = 1 bounds it by
     # the smallest non-zero eigenvalue; without the projection the seeded
     # batches grow a to a norm of about 6,000.
-    for rows, train, labels, operators, starts in seeded_condition_batches():
-        fit = ind._train_conditions(operators, starts, train, labels)
-        for run, operator, a, refused in zip(rows, operators, fit.weights, fit.refused):
+    for rows, train, labels, operators, group_of, starts in seeded_condition_batches():
+        fit = ind._train_conditions(operators, group_of, starts, train, labels)
+        for run, operator, a, refused in zip(rows, operators[group_of], fit.weights, fit.refused):
             if refused:
                 continue
             gram, projector = run @ run.T, operator[:, len(run) :]

@@ -41,6 +41,7 @@ def test_every_benchmark_is_smoke_tested():
         "test_ssp_bundle_from_the_lattice_tables",
         "test_similarity_matrices",
         "test_condition_batch",
+        "test_train_operation_predictor",
         "test_cross_validation",
     }
 
@@ -72,6 +73,15 @@ def test_condition_batch_kernel_runs_once():
     fit = once.result
     assert fit.weights.shape == fit.scores.shape == (42, 15)
     assert fit.steepness.shape == fit.threshold.shape == fit.refused.shape == (42,)
+
+
+def test_train_operation_predictor_kernel_runs_once():
+    once = Once()
+    KERNELS.test_train_operation_predictor(once)
+    assert len(once.result) == 2
+    for conditions in once.result:
+        assert conditions.accuracy.shape == (7, 2)
+        assert len(conditions.full) == 7
 
 
 def test_cross_validation_kernel_runs_once():
