@@ -111,14 +111,14 @@ def condition_batch(plans):
     A subset's group holds its runs of every kind, on all demos and with
     demo 0 or 1 held out.
     """
-    (obs, subsets, folds), *_ = plans
+    (first, subsets, folds), *_ = plans
     operators, group_of, starts, train, labels = [], [], [], [], []
     for g, subset in enumerate(subsets):
-        rows = obs.bundles.rows(subset)
+        rows = first.bundles.rows(subset)
         operators.append(ind._operator(rows))
-        for kind, *_ in plans:
-            used = np.stack([kind.demo_of != held_out for held_out in (None, *folds)])
-            wanted = np.tile(kind.labels, (len(used), 1))
+        for obs, _, _ in plans:
+            used = np.stack([obs.demo_of != held_out for held_out in (None, *folds)])
+            wanted = np.tile(obs.labels, (len(used), 1))
             group_of.extend([g] * len(used))
             starts.extend(ind._starts(rows, used, wanted))
             train.extend(used)

@@ -242,10 +242,10 @@ def _train_conditions(operators, group_of, starts, train, labels) -> _Conditions
     width, size = operators.shape[1], rank[own].max() + 1
     place = group_of * size + rank
     place[~own] = place[mirror[~own]]
-    source = np.full(len(operators) * size, -1)
+    source = np.full(len(operators) * size, -1)  # a padding slot copies the last run's rows and labels, not its start
     source[place[own]] = np.flatnonzero(own)
-    starts, train, labels = starts[source], train[source], labels[source]  # padding copies the last run's rows,
-    starts[source < 0] = 0.0  # but has no start
+    starts, train, labels = starts[source], train[source], labels[source]
+    starts[source < 0] = 0.0
     shape = (len(operators), size, width)
     # A run's state a^T [G P] = [G a, P a] (G and P are symmetric): its scores and coefficients.
     state = np.matmul(starts.reshape(shape), operators).reshape(len(source), -1)
